@@ -31,16 +31,6 @@ class DegreeCentrality(NamedTuple):
     weighted_out: float
 
 
-def _adjacency(g: MentionGraph, weighted: bool) -> csr_matrix:
-    n = g.node_count
-    rows, cols, data = [], [], []
-    for u, v, w in g.edges():
-        rows.append(u)
-        cols.append(v)
-        data.append(float(w) if weighted else 1.0)
-    return csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
-
-
 def hits(
     g: MentionGraph,
     tolerance: float = 1e-10,
@@ -65,7 +55,9 @@ def hits(
         zeros = {nick: 0.0 for nick in g.nicks}
         return HitsScores(zeros, dict(zeros), 0, True)
 
-    adj = _adjacency(g, weighted)
+    adj = g.csr()
+    if not weighted:
+        adj = csr_matrix((np.ones_like(adj.data), adj.indices, adj.indptr), shape=adj.shape)
     adj_t = adj.T.tocsr()
     hub = np.full(n, 1.0 / np.sqrt(n))
     auth = np.zeros(n)

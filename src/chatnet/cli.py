@@ -12,22 +12,8 @@ from . import __version__
 from .centrality import degree_centrality, hits
 from .cohesion import ego_network, maximal_cliques
 from .equivalence import rege
-from .graph import (
-    ExtractionOptions,
-    extract_network,
-    format_weight,
-    read_graph_csv,
-    write_graph_csv,
-)
-from .ingest import (
-    build_roster,
-    discover_log_files,
-    parse_corpus,
-    read_corpus_jsonl,
-    read_manifest,
-    read_roster_file,
-    write_corpus_jsonl,
-)
+from .graph import format_weight, write_graph_csv
+from .ingest import discover_log_files, parse_corpus, read_manifest, write_corpus_jsonl
 from .report import (
     ALL_ANALYSES,
     EXPORT_FORMATS,
@@ -36,6 +22,7 @@ from .report import (
     config_with_overrides,
     export_graph,
     load_config_file,
+    load_input_graph,
     run_pipeline,
 )
 from .skeleton import abcd_skeleton, bowtie
@@ -83,7 +70,9 @@ def _input_flags(parser: argparse.ArgumentParser, graph_ok: bool = True) -> None
     )
     parser.add_argument("--manifest", help="CSV manifest of path,YYYY-MM-DD lines")
     parser.add_argument("--roster", help="prior participant list, one nick per line")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; parsing is serial"
+    )
 
 
 def _build_config(args) -> AnalysisConfig:
@@ -128,22 +117,6 @@ def _build_config(args) -> AnalysisConfig:
     return config_with_overrides(cfg, overrides)
 
 
-def _load_graph_for(args):
-    cfg = _build_config(args)
-    cfg.validate()
-    if cfg.graph_path:
-        return read_graph_csv(cfg.graph_path), cfg
-    if cfg.corpus_path:
-        corpus = read_corpus_jsonl(cfg.corpus_path)
-    else:
-        files = read_manifest(cfg.manifest_path) if cfg.manifest_path else discover_log_files(cfg.log_paths)
-        corpus = parse_corpus(files, threads=args.threads)
-    prior = read_roster_file(cfg.roster_path) if cfg.roster_path else ()
-    roster = build_roster(corpus, prior_nicks=prior)
-    options = ExtractionOptions(cfg.min_nick_length, cfg.case_insensitive)
-    return extract_network(corpus, roster, options), cfg
-
-
 def _cmd_ingest(args) -> int:
     files = read_manifest(args.manifest) if args.manifest else discover_log_files(args.inputs)
     corpus = parse_corpus(files, threads=args.threads)
@@ -157,7 +130,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    graph, _ = _load_graph_for(args)
+    graph = load_input_graph(_build_config(args), args.threads)
     write_graph_csv(graph, args.output)
     print(
         f"extracted {graph.node_count} nodes, {graph.edge_count} edges -> {args.output}",
@@ -206,14 +179,15 @@ def _analyze_csv(what: str, graph, cfg) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    cfg = _build_config(args)
     if args.what in _CSV_ANALYSES:
-        graph, cfg = _load_graph_for(args)
+        graph = load_input_graph(cfg, args.threads)
         text = _analyze_csv(args.what, graph, cfg)
     elif args.what == "cliques":
         # full membership lists, not just the report summary
         from .graph import mutual_ties_view, to_undirected
 
-        graph, cfg = _load_graph_for(args)
+        graph = load_input_graph(cfg, args.threads)
         view = mutual_ties_view(graph) if args.mutual_ties else to_undirected(graph)
         report = maximal_cliques(view, cfg.clique_min_size)
         text = json.dumps(
@@ -227,7 +201,7 @@ def _cmd_analyze(args) -> int:
             ensure_ascii=False,
         ) + "\n"
     else:
-        cfg = config_with_overrides(_build_config(args), {"analyses": (args.what,)})
+        cfg = config_with_overrides(cfg, {"analyses": (args.what,)})
         report = run_pipeline(cfg, threads=args.threads)
         text = json.dumps(report.section(args.what), indent=2, ensure_ascii=False) + "\n"
     if args.output:
@@ -239,7 +213,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    graph, cfg = _load_graph_for(args)
+    cfg = _build_config(args)
+    graph = load_input_graph(cfg, args.threads)
     if args.ego:
         graph = ego_network(graph, args.ego).graph
     node_attrs = None

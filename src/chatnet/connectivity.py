@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 from .graph import UndirectedView
 
@@ -169,26 +169,21 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _int_capacity(w) -> int:
-    if not float(w).is_integer():
-        raise ValueError(
-            f"weighted connectivity requires integral edge weights, got {w!r}"
-        )
-    return int(w)
-
-
-def _capacity_csr(u: UndirectedView, nodes: list[int], mode: str) -> csr_matrix:
-    # Two directed arcs per undirected edge, equal capacities.
-    local = {g: i for i, g in enumerate(nodes)}
-    rows, cols, data = [], [], []
-    for g in nodes:
-        for h, w in sorted(u.neighbors(g).items()):
-            if h in local:
-                rows.append(local[g])
-                cols.append(local[h])
-                data.append(1 if mode == "unit" else _int_capacity(w))
-    k = len(nodes)
-    return csr_matrix((data, (rows, cols)), shape=(k, k), dtype=np.int64)
+def _capacities(adj: csr_matrix, mode: str) -> csr_matrix:
+    # Two directed arcs per undirected edge, equal integer capacities.
+    weights = adj.data
+    if mode == "unit":
+        weights = np.ones_like(weights)
+    else:
+        fractional = np.flatnonzero(weights % 1 != 0)
+        if len(fractional):
+            raise ValueError(
+                "weighted connectivity requires integral edge weights, "
+                f"got {float(weights[fractional[0]])!r}"
+            )
+    return csr_matrix(
+        (weights.astype(np.int64), adj.indices, adj.indptr), shape=adj.shape
+    )
 
 
 def _source_side(caps: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
@@ -207,27 +202,6 @@ def _source_side(caps: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
     return side
 
 
-def _components(u: UndirectedView) -> list[list[int]]:
-    n = u.node_count
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in u.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    frontier.append(w)
-        components.append(sorted(comp))
-    return components
-
-
 def edge_connectivity(u: UndirectedView, a: str, b: str, mode: str = "unit") -> float:
     """Exact max-flow = min-cut between two nodes; 0 for disconnected pairs."""
     _check_mode(mode)
@@ -236,32 +210,43 @@ def edge_connectivity(u: UndirectedView, a: str, b: str, mode: str = "unit") -> 
     ia, ib = u.id_of(a), u.id_of(b)
     if u.edge_count == 0:
         return 0.0
-    nodes = list(range(u.node_count))
-    caps = _capacity_csr(u, nodes, mode)
+    caps = _capacities(u.csr(), mode)
     return float(maximum_flow(caps, ia, ib).flow_value)
 
 
 def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
-    """Gusfield cut tree per connected component (n-1 max-flows each)."""
+    """Gusfield cut tree per connected component (n-1 max-flows each).
+
+    The tree is built once per (view, mode) and kept on the view.
+    """
     _check_mode(mode)
+    cached = u.cut_trees.get(mode)
+    if cached is not None:
+        return cached
+    adj = u.csr()
+    ncomp, labels = connected_components(adj, directed=False)
+    # Members ascending within each component; components by smallest
+    # member.  np.split leaves one empty piece for an empty view.
+    members = np.argsort(labels, kind="stable")
+    components = np.split(members, np.cumsum(np.bincount(labels))[:-1])[:ncomp]
+    components.sort(key=lambda comp: comp[0])
     parent: dict[str, str | None] = {}
     capacity: dict[str, float] = {}
-    for comp in _components(u):
+    for comp in components:
         k = len(comp)
-        root = comp[0]
-        parent[u.nicks[root]] = None
+        parent[u.nicks[comp[0]]] = None
         if k == 1:
             continue
-        caps = _capacity_csr(u, comp, mode)
-        tree = [0] * k  # local parent indices; local 0 is the component root
+        caps = _capacities(adj[comp][:, comp], mode)
+        tree = np.zeros(k, dtype=np.int64)  # local parents; local 0 is the root
         flow_val = [0] * k
         for i in range(1, k):
-            t = tree[i]
+            t = int(tree[i])
             result = maximum_flow(caps, i, t)
             side = _source_side(caps, result.flow, i)
-            for j in range(k):
-                if j != i and tree[j] == t and side[j]:
-                    tree[j] = i
+            moved = side & (tree == t)
+            moved[i] = False
+            tree[moved] = i
             if t != 0 and side[tree[t]]:
                 # i separates t from t's parent: swap their tree positions
                 tree[i] = tree[t]
@@ -291,7 +276,9 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
 
     for nick in u.nicks:
         _depth(nick)
-    return GomoryHuTree(u.nicks, parent, capacity, depth, mode)
+    tree = GomoryHuTree(u.nicks, parent, capacity, depth, mode)
+    u.cut_trees[mode] = tree
+    return tree
 
 
 class _DisjointSets:
@@ -310,6 +297,23 @@ class _DisjointSets:
             self.up[max(ra, rb)] = min(ra, rb)
 
 
+def _tree_sweep(u: UndirectedView, tree: GomoryHuTree):
+    """Merge cut-tree edges by value, descending; yield (value, disjoint sets).
+
+    After each yield's value is merged, the sets are the components of the
+    tree restricted to edges at or above that value.  Shared by lambda_sets
+    and top_links.
+    """
+    by_value: dict[float, list[tuple[int, int]]] = {}
+    for child, par, cap in tree.edges:
+        by_value.setdefault(cap, []).append((u.id_of(child), u.id_of(par)))
+    dsu = _DisjointSets(u.node_count)
+    for value in sorted(by_value, reverse=True):
+        for a, b in by_value[value]:
+            dsu.union(a, b)
+        yield float(value), dsu
+
+
 def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     """Node sets more tightly connected internally than to the outside.
 
@@ -317,23 +321,14 @@ def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     restricted to edges at or above that value are the maximal sets; the
     family is laminar by construction.
     """
-    tree = gomory_hu(u, mode)
-    by_value: dict[float, list[tuple[int, int]]] = {}
-    for child, par, cap in tree.edges:
-        by_value.setdefault(cap, []).append((u.id_of(child), u.id_of(par)))
-    if not by_value:
-        return LambdaHierarchy(())
-    dsu = _DisjointSets(u.node_count)
     levels = []
-    for value in sorted(by_value, reverse=True):
-        for a, b in by_value[value]:
-            dsu.union(a, b)
+    for value, dsu in _tree_sweep(u, gomory_hu(u, mode)):
         groups: dict[int, list[str]] = {}
         for v in range(u.node_count):
             groups.setdefault(dsu.find(v), []).append(u.nicks[v])
         sets = [frozenset(g) for g in groups.values() if len(g) >= 2]
         sets.sort(key=lambda s: (-len(s), min(s)))
-        levels.append((float(value), tuple(sets)))
+        levels.append((value, tuple(sets)))
     return LambdaHierarchy(tuple(levels))
 
 
@@ -345,31 +340,20 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    queries = [
-        (u.nicks[a], u.nicks[b], w) for a, b, w in u.edges()
-    ]
-    if not queries:
+    edges = list(u.edges())
+    if not edges:
         return []
-    tree = gomory_hu(u, "weighted")
-    by_value: dict[float, list[tuple[int, int]]] = {}
-    for child, par, cap in tree.edges:
-        by_value.setdefault(cap, []).append((u.id_of(child), u.id_of(par)))
-    dsu = _DisjointSets(u.node_count)
-    scores = [0.0] * len(queries)
-    remaining = list(range(len(queries)))
-    for value in sorted(by_value, reverse=True):
-        for a, b in by_value[value]:
-            dsu.union(a, b)
+    scores = [0.0] * len(edges)
+    remaining = list(range(len(edges)))
+    for value, dsu in _tree_sweep(u, gomory_hu(u, "weighted")):
         still = []
         for qi in remaining:
-            a, b, _ = queries[qi]
-            if dsu.find(u.id_of(a)) == dsu.find(u.id_of(b)):
-                scores[qi] = float(value)
+            a, b, _ = edges[qi]
+            if dsu.find(a) == dsu.find(b):
+                scores[qi] = value
             else:
                 still.append(qi)
         remaining = still
-    order = sorted(
-        range(len(queries)),
-        key=lambda qi: (-scores[qi], -queries[qi][2], (queries[qi][0], queries[qi][1])),
-    )
-    return [((queries[qi][0], queries[qi][1]), scores[qi]) for qi in order[:k]]
+    named = [(u.nicks[a], u.nicks[b]) for a, b, _ in edges]
+    order = sorted(range(len(edges)), key=lambda qi: (-scores[qi], -edges[qi][2], named[qi]))
+    return [(named[qi], scores[qi]) for qi in order[:k]]

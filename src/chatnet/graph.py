@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from .ingest import USER_MESSAGE, ChatCorpus, Roster
 
 # Characters legal in IRC nicks; anything else is a token boundary when
@@ -35,10 +38,24 @@ class ExtractionOptions:
     case_insensitive: bool = True
 
 
-class MentionGraph:
-    """Directed weighted graph of who addresses whom."""
+def _csr(adjacency: list[dict[int, float]]) -> csr_matrix:
+    # Row u holds u's neighbors in ascending id order, weights as float64.
+    rows = [sorted(row.items()) for row in adjacency]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(row) for row in rows])
+    nnz = int(indptr[-1])
+    indices = np.fromiter((v for row in rows for v, _ in row), dtype=np.int64, count=nnz)
+    data = np.fromiter((w for row in rows for _, w in row), dtype=np.float64, count=nnz)
+    return csr_matrix((data, indices, indptr), shape=(len(rows), len(rows)))
 
-    __slots__ = ("nicks", "_index", "_out", "_in", "_m")
+
+class MentionGraph:
+    """Directed weighted graph of who addresses whom.
+
+    Immutable after construction; ``csr()`` is built once and cached.
+    """
+
+    __slots__ = ("nicks", "_index", "_out", "_in", "_m", "_csr")
 
     def __init__(self, nicks: Iterable[str], edges: Mapping[tuple[str, str], float]):
         names = sorted(set(nicks))
@@ -59,6 +76,7 @@ class MentionGraph:
             self._out[u][v] = weight
             self._in[v][u] = weight
         self._m = len(edges)
+        self._csr: csr_matrix | None = None
 
     @classmethod
     def from_edge_list(
@@ -105,6 +123,15 @@ class MentionGraph:
     def weight(self, u: int, v: int) -> float:
         return self._out[u].get(v, 0)
 
+    def csr(self) -> csr_matrix:
+        """Out-adjacency, row = source, float64 weights, sorted indices.
+
+        Shared and cached: callers must not modify it.
+        """
+        if self._csr is None:
+            self._csr = _csr(self._out)
+        return self._csr
+
     def edges(self):
         """Yield (u, v, weight) with ids ascending; id order is nick order."""
         for u in range(len(self.nicks)):
@@ -137,10 +164,12 @@ class UndirectedView:
     """Symmetric view of a mention graph; weight(u,v) = w(u->v) + w(v->u).
 
     Clique, block, and connectivity analyses are defined on undirected
-    structure, so they consume this view rather than the digraph.
+    structure, so they consume this view rather than the digraph.  Immutable
+    after construction; ``csr()`` and the cut trees built on the view are
+    cached on it.
     """
 
-    __slots__ = ("nicks", "_index", "_adj", "_m")
+    __slots__ = ("nicks", "_index", "_adj", "_m", "_csr", "cut_trees")
 
     def __init__(self, nicks: Iterable[str], pair_weights: Mapping[tuple[int, int], float]):
         self.nicks = tuple(nicks)
@@ -152,6 +181,9 @@ class UndirectedView:
             self._adj[u][v] = weight
             self._adj[v][u] = weight
         self._m = len(pair_weights)
+        self._csr: csr_matrix | None = None
+        # mode -> cut tree; filled by connectivity.gomory_hu
+        self.cut_trees: dict = {}
 
     @classmethod
     def from_edge_list(
@@ -200,6 +232,15 @@ class UndirectedView:
 
     def weight(self, u: int, v: int) -> float:
         return self._adj[u].get(v, 0)
+
+    def csr(self) -> csr_matrix:
+        """Symmetric adjacency, float64 weights, sorted indices.
+
+        Shared and cached: callers must not modify it.
+        """
+        if self._csr is None:
+            self._csr = _csr(self._adj)
+        return self._csr
 
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -193,8 +192,9 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileSt
 def parse_corpus(files: Sequence[tuple[str, object]], threads: int = 1) -> ChatCorpus:
     """Parse log files given as (path, date) pairs, in the order given.
 
-    Files may be parsed concurrently; the corpus is always assembled in the
-    declared file order, so the result does not depend on scheduling.
+    ``threads`` is accepted and ignored; the output never depends on it.
+    Parsing is regex-bound and holds the GIL, so a thread pool measured
+    slower than one thread.
     """
     entries = [(str(path), _coerce_date(date)) for path, date in files]
     if not entries:
@@ -202,14 +202,10 @@ def parse_corpus(files: Sequence[tuple[str, object]], threads: int = 1) -> ChatC
     for (_, before), (_, after) in zip(entries, entries[1:]):
         if after <= before:
             raise ValueError("file dates must be strictly increasing")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda e: _parse_one_file(*e), entries))
-    else:
-        parts = [_parse_one_file(path, date) for path, date in entries]
     messages: list[ChatMessage] = []
     stats: list[FileStats] = []
-    for msgs, st in parts:
+    for path, date in entries:
+        msgs, st = _parse_one_file(path, date)
         messages.extend(msgs)
         stats.append(st)
     return ChatCorpus(tuple(messages), tuple(stats))

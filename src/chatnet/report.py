@@ -152,13 +152,6 @@ class AnalysisConfig:
         }
 
 
-_CONFIG_COERCERS = {
-    int: int,
-    float: float,
-    str: str,
-}
-
-
 def _coerce_config_value(name: str, kind, raw: str):
     if kind == "bool":
         lowered = raw.strip().lower()
@@ -371,7 +364,12 @@ def _roles_section(g: MentionGraph, partition, cfg: AnalysisConfig) -> dict:
     }
 
 
-def _load_input_graph(cfg: AnalysisConfig, threads: int) -> MentionGraph:
+def load_input_graph(cfg: AnalysisConfig, threads: int = 1) -> MentionGraph:
+    """Validate the config and build the mention graph from its input source.
+
+    Failures raise ValueError or OSError.
+    """
+    cfg.validate()
     if cfg.graph_path is not None:
         return read_graph_csv(cfg.graph_path)
     if cfg.corpus_path is not None:
@@ -402,7 +400,7 @@ def run_pipeline(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
     try:
-        graph = _load_input_graph(config, threads)
+        graph = load_input_graph(config, threads)
     except (OSError, ValueError) as exc:
         raise PipelineError("input", str(exc)) from exc
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+
 from .graph import MentionGraph
 
 BOWTIE_LABELS = ("SCC", "IN", "OUT", "TUBES", "INTENDRILS", "OUTTENDRILS", "OTHERS")
@@ -61,88 +65,45 @@ class LinkMatrix:
         return sum(sum(row) for row in self.counts)
 
 
-def _scc_ids(n: int, neighbors) -> tuple[list[int], int]:
-    # Iterative Tarjan; component ids come out in reverse topological order.
-    UNSEEN = -1
-    index = [UNSEEN] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [UNSEEN] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != UNSEEN:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(sorted(neighbors(root))))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == UNSEEN:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(neighbors(w)))))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp, ncomp
+def _scc_labels(g: MentionGraph) -> np.ndarray:
+    return connected_components(g.csr(), directed=True, connection="strong")[1]
 
 
 def strongly_connected_components(g: MentionGraph) -> list[frozenset[str]]:
     """Maximal SCCs (singletons included), largest first, then by member."""
-    comp, ncomp = _scc_ids(g.node_count, g.out_neighbors)
-    groups: list[list[str]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(comp):
-        groups[c].append(g.nicks[v])
-    result = [frozenset(grp) for grp in groups]
+    groups: dict[int, list[str]] = {}
+    for v, c in enumerate(_scc_labels(g).tolist()):
+        groups.setdefault(c, []).append(g.nicks[v])
+    result = [frozenset(grp) for grp in groups.values()]
     result.sort(key=lambda s: (-len(s), min(s)))
     return result
 
 
-def _core_ids(g: MentionGraph) -> set[int]:
+def _core_mask(g: MentionGraph) -> np.ndarray:
     # Largest SCC; ties go to the component holding the smallest nick, and
     # node ids follow nick order, so min-id decides.
-    comp, ncomp = _scc_ids(g.node_count, g.out_neighbors)
-    groups: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(comp):
-        groups[c].append(v)
-    best = max(groups, key=lambda grp: (len(grp), -min(grp)))
-    return set(best)
+    labels = _scc_labels(g)
+    _, first = np.unique(labels, return_index=True)
+    best = np.lexsort((first, -np.bincount(labels)))[0]
+    return labels == best
 
 
-def _reach(seeds: set[int], neighbors) -> set[int]:
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        v = frontier.pop()
-        for w in neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+def _reach(adj: csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    # Nodes reachable from any seed (seeds included): one breadth-first
+    # search from a virtual node n with an arc to every seed.
+    n = adj.shape[0]
+    seeds = np.flatnonzero(seeds)
+    extended = csr_matrix(
+        (
+            np.concatenate([adj.data, np.ones(len(seeds))]),
+            np.concatenate([adj.indices, seeds]),
+            np.append(adj.indptr, adj.nnz + len(seeds)),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[breadth_first_order(extended, n, return_predecessors=False)] = True
+    return reached[:n]
 
 
 def bowtie(g: MentionGraph) -> BowTiePartition:
@@ -154,38 +115,21 @@ def bowtie(g: MentionGraph) -> BowTiePartition:
     n = g.node_count
     if n == 0:
         return BowTiePartition({}, frozenset())
-    core = _core_ids(g)
-    reach_from_core = _reach(core, g.out_neighbors)
-    reach_to_core = _reach(core, g.in_neighbors)
-    label: dict[int, str] = {}
-    in_ids, out_ids = set(), set()
-    for v in range(n):
-        if v in core:
-            label[v] = "SCC"
-        elif v in reach_to_core:
-            label[v] = "IN"
-            in_ids.add(v)
-        elif v in reach_from_core:
-            label[v] = "OUT"
-            out_ids.add(v)
-    reach_from_in = _reach(in_ids, g.out_neighbors) if in_ids else set()
-    reach_to_out = _reach(out_ids, g.in_neighbors) if out_ids else set()
-    for v in range(n):
-        if v in label:
-            continue
-        from_in = v in reach_from_in
-        to_out = v in reach_to_out
-        if from_in and to_out:
-            label[v] = "TUBES"
-        elif from_in:
-            label[v] = "INTENDRILS"
-        elif to_out:
-            label[v] = "OUTTENDRILS"
-        else:
-            label[v] = "OTHERS"
+    forward = g.csr()
+    backward = forward.T.tocsr()
+    core = _core_mask(g)
+    upstream = _reach(backward, core) & ~core
+    downstream = _reach(forward, core) & ~core & ~upstream
+    from_in = _reach(forward, upstream)
+    to_out = _reach(backward, downstream)
+    label = np.select(
+        [core, upstream, downstream, from_in & to_out, from_in, to_out],
+        ["SCC", "IN", "OUT", "TUBES", "INTENDRILS", "OUTTENDRILS"],
+        "OTHERS",
+    )
     return BowTiePartition(
-        {g.nicks[v]: lab for v, lab in label.items()},
-        frozenset(g.nicks[v] for v in core),
+        dict(zip(g.nicks, label.tolist())),
+        frozenset(g.nicks[v] for v in np.flatnonzero(core)),
     )
 
 
@@ -199,22 +143,15 @@ def abcd_skeleton(g: MentionGraph) -> SkeletonPartition:
     n = g.node_count
     if n == 0:
         return SkeletonPartition({})
-    core = _core_ids(g)
-    label: dict[str, str] = {}
-    for v in range(n):
-        nick = g.nicks[v]
-        if v in core:
-            label[nick] = "A"
-            continue
-        indeg = len(g.in_neighbors(v))
-        outdeg = len(g.out_neighbors(v))
-        if indeg == 0 and outdeg > 0:
-            label[nick] = "C"
-        elif outdeg == 0 and indeg > 0:
-            label[nick] = "B"
-        else:
-            label[nick] = "D"
-    return SkeletonPartition(label)
+    adj = g.csr()
+    outdeg = np.diff(adj.indptr)
+    indeg = np.bincount(adj.indices, minlength=n)
+    label = np.select(
+        [_core_mask(g), (indeg == 0) & (outdeg > 0), (outdeg == 0) & (indeg > 0)],
+        ["A", "C", "B"],
+        "D",
+    )
+    return SkeletonPartition(dict(zip(g.nicks, label.tolist())))
 
 
 def link_matrix(g: MentionGraph, p: SkeletonPartition, weighted: bool = False) -> LinkMatrix:

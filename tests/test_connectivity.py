@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from chatnet import connectivity
 from chatnet.connectivity import (
     articulation_points_and_blocks,
     edge_connectivity,
@@ -11,6 +13,7 @@ from chatnet.connectivity import (
     top_links,
 )
 from chatnet.graph import UndirectedView
+from chatnet.report import AnalysisConfig, run_pipeline
 
 from oracles import all_pairs_min_cut, blocks_oracle, cutpoints_oracle
 from synth import as_undirected, ids_of, nick, random_ugraph
@@ -314,3 +317,33 @@ def test_top_links_k_validation(fixture_undirected):
     with pytest.raises(ValueError):
         top_links(fixture_undirected, k=0)
     assert len(top_links(fixture_undirected, k=99)) == fixture_undirected.edge_count
+
+
+def test_cut_tree_is_kept_on_the_view():
+    view = bridge_graph()
+    assert gomory_hu(view, "weighted") is gomory_hu(view, "weighted")
+    assert gomory_hu(view, "unit") is not gomory_hu(view, "weighted")
+
+
+def test_weighted_lambda_report_builds_one_cut_tree(
+    fixture_files, fixture_undirected, monkeypatch
+):
+    # lambda_sets and top_links both need the weighted tree; the report must
+    # pay its n - #components max-flows once, not twice.
+    calls = []
+    real = connectivity.maximum_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "maximum_flow", counting)
+    cfg = AnalysisConfig(
+        log_paths=tuple(path for path, _ in fixture_files),
+        analyses=("lambda",),
+        lambda_mode="weighted",
+    )
+    report = run_pipeline(cfg)
+    assert report.section("lambda")["top_links"]
+    components, _ = connected_components(fixture_undirected.csr(), directed=False)
+    assert len(calls) == fixture_undirected.node_count - components

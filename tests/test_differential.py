@@ -1,0 +1,129 @@
+"""Differential tests against networkx on seeded graphs of 30 to 200 nodes.
+
+Each test checks one routine built on scipy.sparse.csgraph, or on the cut
+tree, against an independent networkx computation.
+"""
+
+import random
+
+import pytest
+
+from chatnet.connectivity import gomory_hu, top_links
+from chatnet.skeleton import bowtie, strongly_connected_components
+
+from synth import as_mention_graph, as_undirected, nick, random_digraph
+
+nx = pytest.importorskip("networkx")
+
+SIZES = (30, 75, 140, 200)
+
+
+def sparse_digraph(seed, n):
+    # Mean out-degree around 1.5: a core SCC with IN, OUT, tendrils and
+    # singletons around it.
+    rng = random.Random(seed)
+    edges = random_digraph(rng, n, rng.uniform(1.0, 2.0) / n)
+    return as_mention_graph(n, edges), edges
+
+
+def to_nx_digraph(n, edges):
+    d = nx.DiGraph()
+    d.add_nodes_from(nick(v) for v in range(n))
+    d.add_edges_from((nick(u), nick(v)) for u, v in edges)
+    return d
+
+
+def multi_component_ugraph(seed, n):
+    # Three to five random components of mixed density over shuffled ids,
+    # plus a few isolated nodes, with integral weights 1..6.
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    isolates = rng.randint(1, 4)
+    pieces = rng.randint(3, 5)
+    cuts = sorted(rng.sample(range(1, n - isolates), pieces - 1))
+    weighted = []
+    for lo, hi in zip([0, *cuts], [*cuts, n - isolates]):
+        members = ids[lo:hi]
+        p = rng.uniform(2.0, 5.0) / max(len(members), 1)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if rng.random() < p:
+                    weighted.append((a, b, rng.randint(1, 6)))
+    return weighted
+
+
+def to_nx_graph(n, weighted, mode):
+    g = nx.Graph()
+    g.add_nodes_from(nick(v) for v in range(n))
+    for a, b, w in weighted:
+        g.add_edge(nick(a), nick(b), capacity=1 if mode == "unit" else w)
+    return g
+
+
+def sampled_pairs(rng, n, weighted, count):
+    # Random pairs, mostly across components, plus edge endpoints, which
+    # always share one.
+    pairs = {(nick(a), nick(b)) for a, b, _ in rng.sample(weighted, count)}
+    while len(pairs) < 2 * count:
+        a, b = rng.sample(range(n), 2)
+        pairs.add((nick(a), nick(b)))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scc_matches_networkx(seed):
+    n = SIZES[seed % len(SIZES)]
+    g, edges = sparse_digraph(seed, n)
+    expected = {frozenset(c) for c in nx.strongly_connected_components(to_nx_digraph(n, edges))}
+    got = strongly_connected_components(g)
+    assert set(got) == expected
+    assert len(got) == len(expected)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bowtie_in_out_match_ancestors_and_descendants(seed):
+    n = SIZES[seed % len(SIZES)]
+    g, edges = sparse_digraph(100 + seed, n)
+    d = to_nx_digraph(n, edges)
+    partition = bowtie(g)
+    core = partition.core
+    assert len(core) == max(len(c) for c in nx.strongly_connected_components(d))
+    upstream = set().union(*(nx.ancestors(d, c) for c in core)) - core
+    downstream = set().union(*(nx.descendants(d, c) for c in core)) - core
+    assert partition.members("IN") == upstream
+    assert partition.members("OUT") == downstream
+    rest = set(d) - core - upstream - downstream
+    from_in = upstream.union(*(nx.descendants(d, v) for v in upstream))
+    to_out = downstream.union(*(nx.ancestors(d, v) for v in downstream))
+    assert partition.members("TUBES") == rest & from_in & to_out
+    assert partition.members("INTENDRILS") == (rest & from_in) - to_out
+    assert partition.members("OUTTENDRILS") == (rest & to_out) - from_in
+    assert partition.members("OTHERS") == rest - from_in - to_out
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gomory_hu_path_minima_match_min_cut(seed, mode):
+    n = SIZES[seed % len(SIZES)]
+    weighted = multi_component_ugraph(200 + seed, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, mode)
+    assert nx.number_connected_components(reference) >= 3
+    tree = gomory_hu(view, mode)
+    rng = random.Random(seed)
+    for a, b in sampled_pairs(rng, n, weighted, 20):
+        assert tree.lambda_between(a, b) == nx.minimum_cut_value(reference, a, b), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_links_scores_match_min_cut(seed):
+    n = SIZES[seed % len(SIZES)]
+    weighted = multi_component_ugraph(300 + seed, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, "weighted")
+    links = top_links(view, view.edge_count)
+    assert len(links) == view.edge_count
+    rng = random.Random(seed)
+    for (a, b), score in rng.sample(links, min(60, len(links))):
+        assert score == nx.minimum_cut_value(reference, a, b), (a, b)
