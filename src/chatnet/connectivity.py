@@ -281,37 +281,20 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
     return tree
 
 
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.up = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.up[max(ra, rb)] = min(ra, rb)
-
-
 def _tree_sweep(u: UndirectedView, tree: GomoryHuTree):
-    """Merge cut-tree edges by value, descending; yield (value, disjoint sets).
+    """Yield (value, labels) per distinct cut-tree value, descending.
 
-    After each yield's value is merged, the sets are the components of the
-    tree restricted to edges at or above that value.  Shared by lambda_sets
-    and top_links.
+    ``labels`` are the component labels of the tree restricted to edges at
+    or above that value.  Shared by lambda_sets and top_links.
     """
-    by_value: dict[float, list[tuple[int, int]]] = {}
-    for child, par, cap in tree.edges:
-        by_value.setdefault(cap, []).append((u.id_of(child), u.id_of(par)))
-    dsu = _DisjointSets(u.node_count)
-    for value in sorted(by_value, reverse=True):
-        for a, b in by_value[value]:
-            dsu.union(a, b)
-        yield float(value), dsu
+    n = u.node_count
+    edges = tree.edges
+    ends = np.array([(u.id_of(c), u.id_of(p)) for c, p, _ in edges], dtype=np.int64)
+    caps = np.array([cap for _, _, cap in edges])
+    for value in np.unique(caps)[::-1]:
+        a, b = ends[caps >= value].T
+        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        yield float(value), connected_components(adj, directed=False)[1]
 
 
 def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
@@ -322,11 +305,12 @@ def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     family is laminar by construction.
     """
     levels = []
-    for value, dsu in _tree_sweep(u, gomory_hu(u, mode)):
+    for value, labels in _tree_sweep(u, gomory_hu(u, mode)):
+        grouped = np.flatnonzero(np.bincount(labels)[labels] >= 2)
         groups: dict[int, list[str]] = {}
-        for v in range(u.node_count):
-            groups.setdefault(dsu.find(v), []).append(u.nicks[v])
-        sets = [frozenset(g) for g in groups.values() if len(g) >= 2]
+        for v, label in zip(grouped.tolist(), labels[grouped].tolist()):
+            groups.setdefault(label, []).append(u.nicks[v])
+        sets = [frozenset(g) for g in groups.values()]
         sets.sort(key=lambda s: (-len(s), min(s)))
         levels.append((value, tuple(sets)))
     return LambdaHierarchy(tuple(levels))
@@ -343,17 +327,15 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     edges = list(u.edges())
     if not edges:
         return []
-    scores = [0.0] * len(edges)
-    remaining = list(range(len(edges)))
-    for value, dsu in _tree_sweep(u, gomory_hu(u, "weighted")):
-        still = []
-        for qi in remaining:
-            a, b, _ = edges[qi]
-            if dsu.find(a) == dsu.find(b):
-                scores[qi] = value
-            else:
-                still.append(qi)
-        remaining = still
+    ends = np.array([(a, b) for a, b, _ in edges], dtype=np.int64)
+    scores = np.zeros(len(edges))
+    remaining = np.arange(len(edges))
+    for value, labels in _tree_sweep(u, gomory_hu(u, "weighted")):
+        a, b = ends[remaining].T
+        joined = labels[a] == labels[b]
+        scores[remaining[joined]] = value
+        remaining = remaining[~joined]
+    scores = scores.tolist()
     named = [(u.nicks[a], u.nicks[b]) for a, b, _ in edges]
     order = sorted(range(len(edges)), key=lambda qi: (-scores[qi], -edges[qi][2], named[qi]))
     return [(named[qi], scores[qi]) for qi in order[:k]]

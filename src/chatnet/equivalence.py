@@ -59,6 +59,32 @@ class RoleCaseReport:
     components: dict[str, ComponentRoleCase]
 
 
+def _slots(g: MentionGraph, weighted: bool):
+    """Neighbor slots (i, k), one per neighbor k of i in either direction.
+
+    Slots run by i, then by k ascending, so node j's slots are the slice
+    ``indptr[j]:indptr[j + 1]``.  Per slot, ``out_w`` is w(i -> k) and
+    ``in_w`` is w(k -> i), 0 where the arc is absent; with
+    ``weighted=False`` every arc weighs 1.
+    """
+    adj = g.csr()
+    n = g.node_count
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    dst = adj.indices.astype(np.int64)
+    out_keys = src * n + dst  # arc s -> t is the out-tie of slot (s, t)
+    in_keys = dst * n + src  # ... and the in-tie of slot (t, s)
+    keys = np.union1d(out_keys, in_keys)
+    rows, ks = np.divmod(keys, n)
+    weights = adj.data if weighted else np.ones_like(adj.data)
+    out_w = np.zeros(len(keys))
+    out_w[np.searchsorted(keys, out_keys)] = weights
+    in_w = np.zeros(len(keys))
+    in_w[np.searchsorted(keys, in_keys)] = weights
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, rows, ks, out_w, in_w
+
+
 def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> EquivalenceMatrix:
     """Iterated regular-equivalence similarities over the weighted digraph.
 
@@ -74,23 +100,8 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     n = g.node_count
     if n == 0:
         return EquivalenceMatrix((), np.zeros((0, 0)), iterations)
-    W = np.zeros((n, n))
-    for s, t, w in g.edges():
-        W[s, t] = float(w) if weighted else 1.0
-
-    neighborhoods = [
-        sorted(set(g.out_neighbors(v)) | set(g.in_neighbors(v))) for v in range(n)
-    ]
-    degree = np.array([len(nb) for nb in neighborhoods])
-    isolated = degree == 0
-    rows = np.repeat(np.arange(n), degree)
-    ks = (
-        np.concatenate([np.asarray(nb, dtype=np.intp) for nb in neighborhoods if nb])
-        if degree.sum()
-        else np.zeros(0, dtype=np.intp)
-    )
-    out_w = W[rows, ks]  # w(i -> k) per (i, k) slot
-    in_w = W[ks, rows]  # w(k -> i) per slot
+    indptr, rows, ks, out_w, in_w = _slots(g, weighted)
+    isolated = np.diff(indptr) == 0
     # Denominator column for a partner with no neighbors: every tie of i is
     # unmatched and counts in full.
     unmatched_den = np.bincount(rows, weights=out_w + in_w, minlength=n)
@@ -100,14 +111,13 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
         num = np.zeros((n, n))
         den = np.zeros((n, n))
         for j in range(n):
-            partners = neighborhoods[j]
-            if not partners:
+            a, b = indptr[j], indptr[j + 1]
+            if a == b:
                 den[:, j] = unmatched_den
                 continue
-            pj = np.asarray(partners, dtype=np.intp)
-            out_j = W[j, pj]  # w(j -> m)
-            in_j = W[pj, j]  # w(m -> j)
-            match = E[np.ix_(ks, pj)] * (
+            out_j = out_w[a:b]  # w(j -> m) per partner slot (j, m)
+            in_j = in_w[a:b]  # w(m -> j)
+            match = E[np.ix_(ks, ks[a:b])] * (
                 np.minimum(out_w[:, None], out_j[None, :])
                 + np.minimum(in_w[:, None], in_j[None, :])
             )
@@ -120,14 +130,9 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
             ).min(axis=1)
             num[:, j] = np.bincount(rows, weights=num_slot, minlength=n)
             den[:, j] = np.bincount(rows, weights=den_slot, minlength=n)
-        total_num = num + num.T
-        total_den = den + den.T
-        E = np.divide(
-            total_num,
-            total_den,
-            out=np.zeros_like(total_num),
-            where=total_den > 0,
-        )
+        num += num.T
+        den += den.T
+        E = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         if isolated.any():
             E[np.ix_(isolated, isolated)] = 1.0
         np.fill_diagonal(E, 1.0)
@@ -146,15 +151,12 @@ def high_eq_tie_fraction(
         raise ValueError("threshold must lie strictly between 0 and 1")
     if e.nicks != g.nicks:
         raise ValueError("equivalence matrix does not match the graph")
-    fractions = {}
-    for v in range(g.node_count):
-        neighbors = set(g.out_neighbors(v)) | set(g.in_neighbors(v))
-        if not neighbors:
-            fractions[g.nicks[v]] = 0.0
-            continue
-        high = sum(1 for w in neighbors if e.values[v, w] > threshold)
-        fractions[g.nicks[v]] = high / len(neighbors)
-    return fractions
+    n = g.node_count
+    indptr, rows, ks, _, _ = _slots(g, weighted=False)
+    high = np.bincount(rows[e.values[rows, ks] > threshold], minlength=n)
+    degree = np.diff(indptr)
+    fractions = np.divide(high, degree, out=np.zeros(n), where=degree > 0)
+    return dict(zip(g.nicks, fractions.tolist()))
 
 
 def classify_roles(

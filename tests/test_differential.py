@@ -1,17 +1,18 @@
 """Differential tests against networkx on seeded graphs of 30 to 200 nodes.
 
-Each test checks one routine built on scipy.sparse.csgraph, or on the cut
-tree, against an independent networkx computation.
+Each test checks one routine (SCCs, bow-tie, cut tree, top links, maximal
+cliques, blocks) against an independent networkx computation.
 """
 
 import random
 
 import pytest
 
-from chatnet.connectivity import gomory_hu, top_links
+from chatnet.cohesion import maximal_cliques
+from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_links
 from chatnet.skeleton import bowtie, strongly_connected_components
 
-from synth import as_mention_graph, as_undirected, nick, random_digraph
+from synth import as_mention_graph, as_undirected, nick, random_digraph, random_ugraph
 
 nx = pytest.importorskip("networkx")
 
@@ -127,3 +128,46 @@ def test_top_links_scores_match_min_cut(seed):
     rng = random.Random(seed)
     for (a, b), score in rng.sample(links, min(60, len(links))):
         assert score == nx.minimum_cut_value(reference, a, b), (a, b)
+
+
+def planted_clique_ugraph(seed, n):
+    # Mean degree 3 to 6 plus three planted cliques of 4 to 6 nodes, which
+    # may overlap the background and each other.
+    rng = random.Random(seed)
+    pairs = set(random_ugraph(rng, n, rng.uniform(3.0, 6.0) / n))
+    for _ in range(3):
+        members = sorted(rng.sample(range(n), rng.randint(4, 6)))
+        pairs.update(
+            (a, b) for i, a in enumerate(members) for b in members[i + 1 :]
+        )
+    return [(a, b, 1) for a, b in sorted(pairs)]
+
+
+@pytest.mark.parametrize("min_size", [1, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_maximal_cliques_match_find_cliques(seed, min_size):
+    n = SIZES[seed % len(SIZES)]
+    weighted = planted_clique_ugraph(400 + seed, n)
+    found = list(nx.find_cliques(to_nx_graph(n, weighted, "unit")))
+    assert max(len(c) for c in found) >= 4
+    expected = {frozenset(c) for c in found if len(c) >= min_size}
+    report = maximal_cliques(as_undirected(n, weighted), min_size)
+    assert {frozenset(c) for c in report.cliques} == expected
+    assert report.count == len(expected)
+    assert report.max_clique_size == max(len(c) for c in expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocks_match_biconnected_components(seed):
+    n = SIZES[seed % len(SIZES)]
+    weighted = multi_component_ugraph(500 + seed, n)
+    reference = to_nx_graph(n, weighted, "unit")
+    cutpoints = set(nx.articulation_points(reference))
+    assert cutpoints
+    # chatnet also reports each isolated node as a singleton block.
+    expected = [frozenset(b) for b in nx.biconnected_components(reference)]
+    expected += [frozenset((v,)) for v in nx.isolates(reference)]
+    report = articulation_points_and_blocks(as_undirected(n, weighted))
+    assert report.cutpoints == cutpoints
+    assert sorted(report.blocks, key=sorted) == sorted(expected, key=sorted)
+    assert report.largest_block_size == max(len(b) for b in expected)

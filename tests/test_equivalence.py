@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ def five_node_graph():
     return MentionGraph.from_edge_list(FIVE_NODE_EDGES)
 
 
-def reference_matrix(g, iterations):
+def reference_matrix(g, iterations, weighted=True):
     weights = {}
     for u, v, w in g.edges():
-        weights[(u, v)] = float(w)
+        weights[(u, v)] = float(w) if weighted else 1.0
 
     def weight_of(i, j):
         return weights.get((i, j), 0.0)
@@ -144,6 +145,49 @@ def test_empty_graph():
     assert matrix.values.shape == (0, 0)
 
 
+def medium_digraph(seed):
+    # 15 to 40 nodes with a few isolates scattered over the id range;
+    # weights are integral, halves or quarters depending on the seed.
+    rng = random.Random(seed)
+    n = (15, 24, 32, 40)[seed % 4]
+    step = (1, 0.5, 0.25)[seed % 3]
+    connected = sorted(rng.sample(range(n), n - rng.randint(1, 3)))
+    edges = [
+        (connected[a], connected[b])
+        for a, b in random_digraph(rng, len(connected), 3.0 / n)
+    ]
+    weights = [rng.randint(1, 12) * step for _ in edges]
+    return as_mention_graph(n, edges, weights)
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_medium_graphs_match_literal_reference(seed, weighted, iterations):
+    g = medium_digraph(seed)
+    matrix = rege(g, iterations, weighted=weighted).values
+    expected = reference_matrix(g, iterations, weighted)
+    reference = np.array(
+        [[expected[(i, j)] for j in range(g.node_count)] for i in range(g.node_count)]
+    )
+    assert np.abs(matrix - reference).max() <= 1e-12
+
+
+def test_memory_stays_below_five_dense_matrices():
+    # The kernel keeps at most four n x n float64 matrices alive at once.
+    rng = random.Random(94)
+    n = 800
+    edges = random_digraph(rng, n, 2.0 / n)
+    g = as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
+    tracemalloc.start()
+    try:
+        rege(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8
+
+
 def test_tie_fraction_all_high():
     # a reciprocal pair with equal weights is fully equivalent, so each
     # node's single tie qualifies and the fraction is exactly 1
@@ -160,19 +204,30 @@ def test_tie_fraction_isolated_node_is_zero():
     assert high_eq_tie_fraction(g, matrix, 0.5)["z"] == 0.0
 
 
-def test_tie_fraction_matches_hand_tally(fixture_graph):
-    matrix = rege(fixture_graph, 3)
-    fractions = high_eq_tie_fraction(fixture_graph, matrix, 0.5)
-    for v in range(fixture_graph.node_count):
-        neighbors = set(fixture_graph.out_neighbors(v)) | set(
-            fixture_graph.in_neighbors(v)
-        )
+def assert_tie_fractions_match_tally(g, matrix, threshold):
+    fractions = high_eq_tie_fraction(g, matrix, threshold)
+    assert list(fractions) == list(g.nicks)
+    for v in range(g.node_count):
+        neighbors = set(g.out_neighbors(v)) | set(g.in_neighbors(v))
         expected = (
-            sum(1 for w in neighbors if matrix.values[v, w] > 0.5) / len(neighbors)
+            sum(1 for w in neighbors if matrix.values[v, w] > threshold) / len(neighbors)
             if neighbors
             else 0.0
         )
-        assert fractions[fixture_graph.nicks[v]] == expected
+        assert fractions[g.nicks[v]] == expected
+
+
+def test_tie_fraction_matches_hand_tally(fixture_graph):
+    assert_tie_fractions_match_tally(fixture_graph, rege(fixture_graph, 3), 0.5)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_tie_fraction_matches_tally_on_medium_graphs(seed, weighted):
+    g = medium_digraph(seed)
+    matrix = rege(g, 3, weighted=weighted)
+    for threshold in (0.25, 0.5, 0.75):
+        assert_tie_fractions_match_tally(g, matrix, threshold)
 
 
 def test_tie_fraction_threshold_validation(fixture_graph):
