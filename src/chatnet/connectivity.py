@@ -169,18 +169,26 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def fractional_weight_error(weights: np.ndarray) -> str | None:
+    """Why weighted connectivity cannot use these edge weights, or None."""
+    fractional = np.flatnonzero(weights % 1 != 0)
+    if not len(fractional):
+        return None
+    return (
+        "weighted connectivity requires integral edge weights, "
+        f"got {float(weights[fractional[0]])!r}"
+    )
+
+
 def _capacities(adj: csr_matrix, mode: str) -> csr_matrix:
     # Two directed arcs per undirected edge, equal integer capacities.
     weights = adj.data
     if mode == "unit":
         weights = np.ones_like(weights)
     else:
-        fractional = np.flatnonzero(weights % 1 != 0)
-        if len(fractional):
-            raise ValueError(
-                "weighted connectivity requires integral edge weights, "
-                f"got {float(weights[fractional[0]])!r}"
-            )
+        error = fractional_weight_error(weights)
+        if error is not None:
+            raise ValueError(error)
     return csr_matrix(
         (weights.astype(np.int64), adj.indices, adj.indptr), shape=adj.shape
     )

@@ -10,6 +10,7 @@ the measure sensitive to three-step neighborhoods.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,50 @@ def _slots(g: MentionGraph, weighted: bool):
     return indptr, rows, ks, out_w, in_w
 
 
+def _row_classes(E: np.ndarray) -> np.ndarray:
+    """Class id per node; two nodes share one exactly when their rows of E are equal.
+
+    Rows are bucketed by a digest of their bytes, and each row is compared
+    with the first row of every class in its bucket, so equality never rests
+    on the digest.  No copy of E is made.
+    """
+    classes = np.empty(len(E), dtype=np.int64)
+    buckets: dict[bytes, list[int]] = {}
+    firsts: list[int] = []
+    for k, row in enumerate(E):
+        bucket = buckets.setdefault(hashlib.blake2b(row, digest_size=16).digest(), [])
+        for c in bucket:
+            if np.array_equal(E[firsts[c]], row):
+                break
+        else:
+            c = len(firsts)
+            firsts.append(k)
+            bucket.append(c)
+        classes[k] = c
+    return classes
+
+
+def _partner_groups(indptr, ks, out_w, in_w, pair):
+    """Per partner j, its slots (j, m) grouped by weight pair.
+
+    The slots of one group share the tie factor and the denominator
+    candidate, and a nonnegative factor keeps the order of E entries, so
+    per key only the group's largest E[k, m] can win the match.  Per j: the
+    first m of each group, the group's w(j -> m) and w(m -> j) as columns,
+    and (group, m) for every further member.
+    """
+    partners = []
+    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        order = a + np.argsort(pair[a:b], kind="stable")
+        head = np.ones(b - a, dtype=bool)
+        head[1:] = np.diff(pair[order]) != 0
+        group = np.cumsum(head) - 1
+        heads = order[head]
+        dups = list(zip(group[~head].tolist(), ks[order[~head]].tolist()))
+        partners.append((ks[heads], out_w[heads, None], in_w[heads, None], dups))
+    return partners
+
+
 def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> EquivalenceMatrix:
     """Iterated regular-equivalence similarities over the weighted digraph.
 
@@ -94,6 +139,15 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     convention without a special case.  Ties between equally good matches
     resolve to the smaller denominator contribution, so the result depends
     only on the weighted graph, never on node labeling.
+
+    A slot (i, k) enters a round only through its key: the class of k's row
+    of E (exactly equal rows share a class) and the slot's two weights.
+    Each round scores every distinct key once against each partner j, whose
+    slots are merged per weight pair first, and scatters the scores back to
+    the slots, so a round costs at most O(K * S) for K keys and S slots.  In
+    the first round E is all ones, so K is the number of distinct weight
+    pairs.  The result is the same, bit for bit, as scoring every slot
+    against every slot.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -102,34 +156,49 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
         return EquivalenceMatrix((), np.zeros((0, 0)), iterations)
     indptr, rows, ks, out_w, in_w = _slots(g, weighted)
     isolated = np.diff(indptr) == 0
-    # Denominator column for a partner with no neighbors: every tie of i is
-    # unmatched and counts in full.
+    # One-sided denominators against a partner with no neighbors: every tie
+    # of i is unmatched and counts in full.
     unmatched_den = np.bincount(rows, weights=out_w + in_w, minlength=n)
+    # Distinct (out_w, in_w) weight pairs; tie factors and denominator
+    # candidates are computed per pair and gathered per key.
+    (pair_out, pair_in), pair = np.unique(
+        np.stack([out_w, in_w]), axis=1, return_inverse=True
+    )
+    partners = _partner_groups(indptr, ks, out_w, in_w, pair)
 
     E = np.ones((n, n))
     for _ in range(iterations):
+        slot_key = _row_classes(E)[ks] * len(pair_out) + pair
+        _, first, inverse = np.unique(slot_key, return_index=True, return_inverse=True)
+        key_k, key_pair = ks[first], pair[first]
+        # Row j holds partner j's column of the one-sided sums; only their
+        # symmetric sums below are used, so the layout does not matter.
         num = np.zeros((n, n))
         den = np.zeros((n, n))
-        for j in range(n):
-            a, b = indptr[j], indptr[j + 1]
-            if a == b:
-                den[:, j] = unmatched_den
+        for j, (heads, out_j, in_j, dups) in enumerate(partners):
+            if not len(heads):
+                den[j] = unmatched_den
                 continue
-            out_j = out_w[a:b]  # w(j -> m) per partner slot (j, m)
-            in_j = in_w[a:b]  # w(m -> j)
-            match = E[np.ix_(ks, ks[a:b])] * (
-                np.minimum(out_w[:, None], out_j[None, :])
-                + np.minimum(in_w[:, None], in_j[None, :])
+            # E is symmetric, so row m of E holds E[k, m] for every key's k.
+            group_rows = E[heads]
+            for group, m in dups:
+                np.maximum(group_rows[group], E[m], out=group_rows[group])
+            match = group_rows.take(key_k, axis=1)
+            match *= (np.minimum(pair_out, out_j) + np.minimum(pair_in, in_j)).take(
+                key_pair, axis=1
             )
-            den_candidates = np.maximum(out_w[:, None], out_j[None, :]) + np.maximum(
-                in_w[:, None], in_j[None, :]
+            best = match.max(axis=0)
+            den_candidates = (
+                np.maximum(pair_out, out_j) + np.maximum(pair_in, in_j)
+            ).take(key_pair, axis=1)
+            # Only the best matches keep their candidate: x / True is x, and
+            # x / False is inf because every candidate is positive.
+            with np.errstate(divide="ignore"):
+                den_candidates /= match == best
+            num[j] = np.bincount(rows, weights=best[inverse], minlength=n)
+            den[j] = np.bincount(
+                rows, weights=den_candidates.min(axis=0)[inverse], minlength=n
             )
-            num_slot = match.max(axis=1)
-            den_slot = np.where(
-                match == num_slot[:, None], den_candidates, np.inf
-            ).min(axis=1)
-            num[:, j] = np.bincount(rows, weights=num_slot, minlength=n)
-            den[:, j] = np.bincount(rows, weights=den_slot, minlength=n)
         num += num.T
         den += den.T
         E = np.divide(num, den, out=np.zeros_like(num), where=den > 0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,8 @@ class MentionGraph:
                 raise ValueError(f"self-loop on '{src}' is not allowed")
             if not weight > 0:
                 raise ValueError(f"edge {src}->{dst} has non-positive weight {weight!r}")
+            if weight == math.inf:
+                raise ValueError(f"edge {src}->{dst} has infinite weight")
             u, v = self._index[src], self._index[dst]
             self._out[u][v] = weight
             self._in[v][u] = weight

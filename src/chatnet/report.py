@@ -17,7 +17,12 @@ from typing import Mapping
 from . import __version__
 from .centrality import hits, ranked
 from .cohesion import clique_comembership, maximal_cliques
-from .connectivity import articulation_points_and_blocks, lambda_sets, top_links
+from .connectivity import (
+    articulation_points_and_blocks,
+    fractional_weight_error,
+    lambda_sets,
+    top_links,
+)
 from .equivalence import classify_roles, high_eq_tie_fraction, rege
 from .graph import (
     ExtractionOptions,
@@ -325,8 +330,11 @@ def _blocks_section(u) -> dict:
 
 def _lambda_section(u, cfg: AnalysisConfig) -> dict:
     hierarchy = lambda_sets(u, cfg.lambda_mode)
-    links = top_links(u, cfg.top_links_count) if u.edge_count else []
-    return {
+    # Top links need the weighted cut tree, so fractional weights skip them;
+    # unit levels stand without it (weighted lambda_sets has raised already).
+    skipped = fractional_weight_error(u.csr().data)
+    links = top_links(u, cfg.top_links_count) if u.edge_count and skipped is None else []
+    section = {
         "mode": cfg.lambda_mode,
         "levels": [
             {"value": value, "sets": [sorted(s) for s in sets]}
@@ -336,6 +344,9 @@ def _lambda_section(u, cfg: AnalysisConfig) -> dict:
             {"source": a, "target": b, "score": score} for (a, b), score in links
         ],
     }
+    if skipped is not None:
+        section["top_links_skipped"] = skipped
+    return section
 
 
 def _roles_section(g: MentionGraph, partition, cfg: AnalysisConfig) -> dict:
@@ -617,6 +628,8 @@ def _render_markdown(data: dict) -> str:
             f"{entry['source']}-{entry['target']} ({entry['score']:.4g})"
             for entry in lam["top_links"][:6]
         )
+        if "top_links_skipped" in lam:
+            links = f"skipped, {lam['top_links_skipped']}"
         out.append(f"- top links: {links or 'none'}")
         out.append("")
     if "roles" in data:

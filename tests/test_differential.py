@@ -1,18 +1,27 @@
 """Differential tests against networkx on seeded graphs of 30 to 200 nodes.
 
 Each test checks one routine (SCCs, bow-tie, cut tree, top links, maximal
-cliques, blocks) against an independent networkx computation.
+cliques, blocks, HITS) against an independent networkx computation.
 """
 
 import random
 
+import numpy as np
 import pytest
 
+from chatnet.centrality import hits
 from chatnet.cohesion import maximal_cliques
 from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_links
 from chatnet.skeleton import bowtie, strongly_connected_components
 
-from synth import as_mention_graph, as_undirected, nick, random_digraph, random_ugraph
+from synth import (
+    as_mention_graph,
+    as_undirected,
+    nick,
+    preferential_attachment_graph,
+    random_digraph,
+    random_ugraph,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -171,3 +180,34 @@ def test_blocks_match_biconnected_components(seed):
     assert report.cutpoints == cutpoints
     assert sorted(report.blocks, key=sorted) == sorted(expected, key=sorted)
     assert report.largest_block_size == max(len(b) for b in expected)
+
+
+def assert_same_ranking(ours, reference, gap=1e-8):
+    # Every pair that our scores separate by more than the gap is ordered
+    # the same way by the reference.
+    diff = ours[:, None] - ours[None, :]
+    separated = diff > gap
+    assert (reference[:, None] > reference[None, :])[separated].all()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_hits_matches_networkx(seed, weighted):
+    # A connected core that new nodes address: one dominant singular value,
+    # so both power iteration and networkx's svds find the same vectors.
+    n = SIZES[seed % len(SIZES)]
+    g = preferential_attachment_graph(n, int(3.5 * n), 600 + seed)
+    scores = hits(g, weighted=weighted)
+    assert scores.converged
+    reference = nx.DiGraph()
+    reference.add_nodes_from(g.nicks)
+    for a, b, w in g.edges_by_nick():
+        reference.add_edge(a, b, weight=w if weighted else 1)
+    nx_hub, nx_authority = nx.hits(reference)
+    for ours, theirs in ((scores.authority, nx_authority), (scores.hub, nx_hub)):
+        # networkx normalizes to unit sum, chatnet to unit Euclidean norm
+        mine = np.array([ours[v] for v in g.nicks])
+        mine /= mine.sum()
+        other = np.array([theirs[v] for v in g.nicks])
+        assert np.abs(mine - other).max() <= 1e-8
+        assert_same_ranking(mine, other)

@@ -1,12 +1,15 @@
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
+    _row_classes,
     classify_roles,
     high_eq_tie_fraction,
     rege,
@@ -171,6 +174,99 @@ def test_medium_graphs_match_literal_reference(seed, weighted, iterations):
         [[expected[(i, j)] for j in range(g.node_count)] for i in range(g.node_count)]
     )
     assert np.abs(matrix - reference).max() <= 1e-12
+
+
+def twin_heavy_digraph(seed):
+    # 20 to 40 nodes built from interchangeable parts: pendants hung on a
+    # few hubs with repeated weights, equal chains out of one node, and
+    # twins that copy every tie of an earlier node, so rows of E stay equal
+    # after the first round.
+    rng = random.Random(seed)
+    size = rng.randint(20, 40)
+    core = rng.randint(4, 7)
+    ties = {edge: rng.choice((1, 2)) for edge in random_digraph(rng, core, 0.4)}
+    v = core
+    for hub in range(rng.randint(2, 3)):
+        for _ in range(rng.randint(3, 5)):
+            ties[(v, hub)] = rng.choice((1, 2))
+            if rng.random() < 0.3:
+                ties[(hub, v)] = 1
+            v += 1
+    # two or three equal chains out of one core node: alike nodes whose
+    # rows of E can still differ, which a too-coarse class would merge
+    fork, (w1, w2) = rng.randrange(core), (rng.choice((1, 2)), rng.choice((1, 3)))
+    for _ in range(rng.randint(2, 3)):
+        ties[(fork, v)] = w1
+        ties[(v, v + 1)] = w2
+        v += 2
+    n = max(size, v + 5)  # at least four twins
+    while v < n - 1:
+        original = rng.randrange(v)
+        for (a, b), w in list(ties.items()):
+            if a == original:
+                ties[(v, b)] = w
+            elif b == original:
+                ties[(a, v)] = w
+        v += 1
+    # node n - 1 stays isolated
+    edges = sorted(ties)
+    return as_mention_graph(n, edges, [ties[e] for e in edges])
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_merged_classes_match_literal_reference(seed, weighted, iterations):
+    g = twin_heavy_digraph(seed)
+    n = g.node_count
+    # each twin's row of E equals its original's after two rounds, so the
+    # third round scores one key for several slots
+    assert len(np.unique(rege(g, 2, weighted=weighted).values, axis=0)) <= n - 4
+    matrix = rege(g, iterations, weighted=weighted).values
+    expected = reference_matrix(g, iterations, weighted)
+    reference = np.array([[expected[(i, j)] for j in range(n)] for i in range(n)])
+    assert np.abs(matrix - reference).max() <= 1e-12
+
+
+def test_row_classes_are_exact_row_equality():
+    # rows 0 and 1 are permutations of each other and row 2 has their sum;
+    # only the copies of row 0 and of the zero row share a class
+    E = np.array([
+        [1.0, 0.5, 0.25, 0.0],
+        [0.5, 1.0, 0.25, 0.0],
+        [0.25, 0.5, 1.0, 0.0],
+        [1.0, 0.5, 0.25, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    assert _row_classes(E).tolist() == [0, 1, 2, 0, 3, 3]
+
+
+def test_rows_with_one_digest_are_still_compared(monkeypatch):
+    # every row lands in one digest bucket; the result must not change
+    g = twin_heavy_digraph(0)
+    expected = rege(g, 3).values
+
+    class OneDigest:
+        def __init__(self, data, digest_size):
+            pass
+
+        def digest(self):
+            return b"same"
+
+    monkeypatch.setattr(equivalence, "hashlib", SimpleNamespace(blake2b=OneDigest))
+    assert rege(g, 3).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("make_graph", [medium_digraph, twin_heavy_digraph])
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_is_exactly_symmetric(make_graph, seed):
+    # The kernel reads E[k, m] from row m; that is only exact while E == E.T.
+    g = make_graph(seed)
+    for weighted in (True, False):
+        for iterations in (1, 2, 3):
+            matrix = rege(g, iterations, weighted=weighted).values
+            assert (matrix == matrix.T).all()
 
 
 def test_memory_stays_below_five_dense_matrices():

@@ -166,6 +166,8 @@ def test_graph_validation_errors():
         MentionGraph(["a"], {("a", "a"): 1})
     with pytest.raises(ValueError, match="non-positive"):
         MentionGraph(["a", "b"], {("a", "b"): 0})
+    with pytest.raises(ValueError, match="infinite weight"):
+        MentionGraph(["a", "b"], {("a", "b"): float("inf")})
     with pytest.raises(ValueError, match="not in node set"):
         MentionGraph(["a"], {("a", "b"): 1})
 

@@ -230,3 +230,38 @@ def test_roles_section_empty_component_marker(fixture_files):
     components = report.section("roles")["components"]
     assert components["D"] == {"empty": True}
     assert components["A"]["characteristics"]
+
+
+def fractional_weight_csv(tmp_path):
+    path = tmp_path / "fractional.csv"
+    path.write_text(
+        "source,target,weight\naaa,bbb,1.5\nbbb,ccc,2\nccc,aaa,1\nccc,ddd,3\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_fractional_weights_skip_top_links_in_unit_mode(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    report = run_pipeline(AnalysisConfig(graph_path=fractional_weight_csv(tmp_path)))
+    lam = report.section("lambda")
+    assert lam["mode"] == "unit"
+    # the unit hierarchy is intact: the triangle joins at 2, the pendant at 1
+    assert lam["levels"] == [
+        {"value": 2.0, "sets": [["aaa", "bbb", "ccc"]]},
+        {"value": 1.0, "sets": [["aaa", "bbb", "ccc", "ddd"]]},
+    ]
+    assert lam["top_links"] == []
+    assert lam["top_links_skipped"] == (
+        "weighted connectivity requires integral edge weights, got 1.5"
+    )
+    assert "roles" in report.data
+    jsonschema.validate(json.loads(report.to_json_text()), load_report_schema())
+    assert "top links: skipped, weighted connectivity" in report.to_markdown()
+
+
+def test_fractional_weights_fail_weighted_lambda(tmp_path):
+    cfg = AnalysisConfig(graph_path=fractional_weight_csv(tmp_path), lambda_mode="weighted")
+    with pytest.raises(PipelineError, match="integral edge weights, got 1.5") as info:
+        run_pipeline(cfg)
+    assert info.value.stage == "lambda"
