@@ -90,17 +90,17 @@ def hits(
 
 def degree_centrality(g: MentionGraph) -> dict[str, DegreeCentrality]:
     """Exact in/out degree counts and weight sums per node."""
-    result = {}
-    for v in range(g.node_count):
-        incoming = g.in_neighbors(v)
-        outgoing = g.out_neighbors(v)
-        result[g.nicks[v]] = DegreeCentrality(
-            indegree=len(incoming),
-            outdegree=len(outgoing),
-            weighted_in=sum(incoming.values()),
-            weighted_out=sum(outgoing.values()),
-        )
-    return result
+    adj = g.csr()
+    n = g.node_count
+    sources = np.repeat(np.arange(n), np.diff(adj.indptr))
+    columns = zip(
+        np.bincount(adj.indices, minlength=n).tolist(),
+        np.diff(adj.indptr).tolist(),
+        # bincount adds in CSR order, as a running sum over neighbors would
+        np.bincount(adj.indices, adj.data, n).tolist(),
+        np.bincount(sources, adj.data, n).tolist(),
+    )
+    return {nick: DegreeCentrality(*row) for nick, row in zip(g.nicks, columns)}
 
 
 def ranked(scores: dict[str, float], top_k: int | None = None) -> list[tuple[str, float]]:

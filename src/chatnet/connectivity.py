@@ -37,38 +37,59 @@ class BlockReport:
 class GomoryHuTree:
     """Cut tree: the min over an a-b tree path equals edge connectivity a-b.
 
-    ``parent`` is None for each component root; disconnected inputs yield a
-    forest and cross-component connectivity is 0.
+    Indexed by node id: ``up`` holds each node's parent (-1 at a component
+    root) and ``capacity`` the value of the edge to it.  Both arrays are
+    read-only, since the tree is cached on its view.  Disconnected inputs
+    yield a forest and cross-component connectivity is 0.
     """
 
     nicks: tuple[str, ...]
-    parent: dict[str, str | None]
-    capacity: dict[str, float]
-    depth: dict[str, int]
+    up: np.ndarray
+    capacity: np.ndarray
     mode: str
 
     @property
+    def parent(self) -> dict[str, str | None]:
+        return {
+            nick: None if p < 0 else self.nicks[p]
+            for nick, p in zip(self.nicks, self.up.tolist())
+        }
+
+    @property
     def edges(self) -> tuple[tuple[str, str, float], ...]:
-        return tuple(
-            (child, par, self.capacity[child])
-            for child, par in sorted(self.parent.items())
-            if par is not None
-        )
+        up = self.up.tolist()
+        edges = [
+            (self.nicks[c], self.nicks[up[c]], cap)
+            for c, cap in enumerate(self.capacity.tolist())
+            if up[c] >= 0
+        ]
+        return tuple(sorted(edges))
+
+    def _id(self, nick: str) -> int:
+        try:
+            return self.nicks.index(nick)
+        except ValueError:
+            raise KeyError(f"unknown node '{nick}'") from None
 
     def lambda_between(self, a: str, b: str) -> float:
         if a == b:
             raise ValueError("endpoints must differ")
-        x, y = a, b
-        best = float("inf")
-        while x != y:
-            if self.depth[x] < self.depth[y]:
-                x, y = y, x
-            up = self.parent[x]
-            if up is None:
+        up, capacity = self.up.tolist(), self.capacity.tolist()
+        # Path minimum from a to each of its ancestors, then climb from b to
+        # the first of them.
+        x, best = self._id(a), float("inf")
+        reached = {x: best}
+        while up[x] >= 0:
+            best = min(best, capacity[x])
+            x = up[x]
+            reached[x] = best
+        y, best = self._id(b), float("inf")
+        while y not in reached:
+            if up[y] < 0:
                 return 0.0
-            best = min(best, self.capacity[x])
-            x = up
-        return float(best)
+            best = min(best, capacity[y])
+            y = up[y]
+        return float(min(best, reached[y]))
 
 
 @dataclass(frozen=True)
@@ -233,21 +254,19 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
         return cached
     adj = u.csr()
     ncomp, labels = connected_components(adj, directed=False)
-    # Members ascending within each component; components by smallest
-    # member.  np.split leaves one empty piece for an empty view.
+    # Members ascending within each component; local 0 is its root.
+    # np.split leaves one empty piece for an empty view.
     members = np.argsort(labels, kind="stable")
     components = np.split(members, np.cumsum(np.bincount(labels))[:-1])[:ncomp]
-    components.sort(key=lambda comp: comp[0])
-    parent: dict[str, str | None] = {}
-    capacity: dict[str, float] = {}
+    up = np.full(u.node_count, -1, dtype=np.int64)
+    capacity = np.zeros(u.node_count, dtype=np.int64)
     for comp in components:
         k = len(comp)
-        parent[u.nicks[comp[0]]] = None
         if k == 1:
             continue
         caps = _capacities(adj[comp][:, comp], mode)
-        tree = np.zeros(k, dtype=np.int64)  # local parents; local 0 is the root
-        flow_val = [0] * k
+        tree = np.zeros(k, dtype=np.int64)  # local parents
+        flow_val = np.zeros(k, dtype=np.int64)
         for i in range(1, k):
             t = int(tree[i])
             result = maximum_flow(caps, i, t)
@@ -260,48 +279,30 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
                 tree[i] = tree[t]
                 tree[t] = i
                 flow_val[i] = flow_val[t]
-                flow_val[t] = int(result.flow_value)
+                flow_val[t] = result.flow_value
             else:
-                flow_val[i] = int(result.flow_value)
-        for i in range(1, k):
-            parent[u.nicks[comp[i]]] = u.nicks[comp[tree[i]]]
-            capacity[u.nicks[comp[i]]] = flow_val[i]
-    depth: dict[str, int] = {}
-
-    def _depth(nick: str) -> int:
-        trail = []
-        x = nick
-        while x not in depth:
-            up = parent[x]
-            if up is None:
-                depth[x] = 0
-                break
-            trail.append(x)
-            x = up
-        for x in reversed(trail):
-            depth[x] = depth[parent[x]] + 1
-        return depth[nick]
-
-    for nick in u.nicks:
-        _depth(nick)
-    tree = GomoryHuTree(u.nicks, parent, capacity, depth, mode)
+                flow_val[i] = result.flow_value
+        up[comp[1:]] = comp[tree[1:]]
+        capacity[comp[1:]] = flow_val[1:]
+    up.flags.writeable = False
+    capacity.flags.writeable = False
+    tree = GomoryHuTree(u.nicks, up, capacity, mode)
     u.cut_trees[mode] = tree
     return tree
 
 
-def _tree_sweep(u: UndirectedView, tree: GomoryHuTree):
+def _tree_sweep(tree: GomoryHuTree):
     """Yield (value, labels) per distinct cut-tree value, descending.
 
     ``labels`` are the component labels of the tree restricted to edges at
     or above that value.  Shared by lambda_sets and top_links.
     """
-    n = u.node_count
-    edges = tree.edges
-    ends = np.array([(u.id_of(c), u.id_of(p)) for c, p, _ in edges], dtype=np.int64)
-    caps = np.array([cap for _, _, cap in edges])
+    n = len(tree.up)
+    children = np.flatnonzero(tree.up >= 0)
+    caps = tree.capacity[children]
     for value in np.unique(caps)[::-1]:
-        a, b = ends[caps >= value].T
-        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        kept = children[caps >= value]
+        adj = csr_matrix((np.ones(len(kept)), (kept, tree.up[kept])), shape=(n, n))
         yield float(value), connected_components(adj, directed=False)[1]
 
 
@@ -313,7 +314,7 @@ def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     family is laminar by construction.
     """
     levels = []
-    for value, labels in _tree_sweep(u, gomory_hu(u, mode)):
+    for value, labels in _tree_sweep(gomory_hu(u, mode)):
         grouped = np.flatnonzero(np.bincount(labels)[labels] >= 2)
         groups: dict[int, list[str]] = {}
         for v, label in zip(grouped.tolist(), labels[grouped].tolist()):
@@ -338,7 +339,7 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     ends = np.array([(a, b) for a, b, _ in edges], dtype=np.int64)
     scores = np.zeros(len(edges))
     remaining = np.arange(len(edges))
-    for value, labels in _tree_sweep(u, gomory_hu(u, "weighted")):
+    for value, labels in _tree_sweep(gomory_hu(u, "weighted")):
         a, b = ends[remaining].T
         joined = labels[a] == labels[b]
         scores[remaining[joined]] = value

@@ -39,31 +39,62 @@ class ExtractionOptions:
     case_insensitive: bool = True
 
 
-def _csr(adjacency: list[dict[int, float]]) -> csr_matrix:
-    # Row u holds u's neighbors in ascending id order, weights as float64.
-    rows = [sorted(row.items()) for row in adjacency]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(row) for row in rows])
-    nnz = int(indptr[-1])
-    indices = np.fromiter((v for row in rows for v, _ in row), dtype=np.int64, count=nnz)
-    data = np.fromiter((w for row in rows for _, w in row), dtype=np.float64, count=nnz)
-    return csr_matrix((data, indices, indptr), shape=(len(rows), len(rows)))
+class _CSRGraph:
+    """Node names plus one CSR adjacency, the only store of the edges.
 
-
-class MentionGraph:
-    """Directed weighted graph of who addresses whom.
-
-    Immutable after construction; ``csr()`` is built once and cached.
+    Row u holds u's neighbors in ascending id order with float64 weights.
+    Immutable after construction.
     """
 
-    __slots__ = ("nicks", "_index", "_out", "_in", "_m", "_csr")
+    __slots__ = ("nicks", "_index", "_adj")
+
+    def __init__(self, nicks: tuple[str, ...]):
+        self.nicks = nicks
+        self._index = {nick: i for i, nick in enumerate(nicks)}
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nicks)
+
+    def __contains__(self, nick: str) -> bool:
+        return nick in self._index
+
+    def id_of(self, nick: str) -> int:
+        try:
+            return self._index[nick]
+        except KeyError:
+            raise KeyError(f"unknown node '{nick}'") from None
+
+    def nick_of(self, node: int) -> str:
+        return self.nicks[node]
+
+    def _row(self, node: int) -> dict[int, float]:
+        lo, hi = self._adj.indptr[node], self._adj.indptr[node + 1]
+        return dict(zip(self._adj.indices[lo:hi].tolist(), self._adj.data[lo:hi].tolist()))
+
+    def weight(self, u: int, v: int) -> float:
+        lo, hi = self._adj.indptr[u], self._adj.indptr[u + 1]
+        at = lo + np.searchsorted(self._adj.indices[lo:hi], v)
+        return float(self._adj.data[at]) if at < hi and self._adj.indices[at] == v else 0.0
+
+    def csr(self) -> csr_matrix:
+        """The adjacency itself, sorted indices.  Shared: do not modify it."""
+        return self._adj
+
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (row, column, weight) per stored entry, in CSR order.
+        rows = np.repeat(np.arange(len(self.nicks)), np.diff(self._adj.indptr))
+        return rows, self._adj.indices, self._adj.data
+
+
+class MentionGraph(_CSRGraph):
+    """Directed weighted graph of who addresses whom; ``csr()`` row = source."""
+
+    __slots__ = ()
 
     def __init__(self, nicks: Iterable[str], edges: Mapping[tuple[str, str], float]):
-        names = sorted(set(nicks))
-        self.nicks: tuple[str, ...] = tuple(names)
-        self._index = {nick: i for i, nick in enumerate(self.nicks)}
-        self._out: list[dict[int, float]] = [{} for _ in self.nicks]
-        self._in: list[dict[int, float]] = [{} for _ in self.nicks]
+        super().__init__(tuple(sorted(set(nicks))))
+        rows, cols, weights = [], [], []
         for (src, dst), weight in sorted(edges.items()):
             if src not in self._index:
                 raise ValueError(f"edge endpoint '{src}' not in node set")
@@ -75,11 +106,19 @@ class MentionGraph:
                 raise ValueError(f"edge {src}->{dst} has non-positive weight {weight!r}")
             if weight == math.inf:
                 raise ValueError(f"edge {src}->{dst} has infinite weight")
-            u, v = self._index[src], self._index[dst]
-            self._out[u][v] = weight
-            self._in[v][u] = weight
-        self._m = len(edges)
-        self._csr: csr_matrix | None = None
+            try:
+                as_float = float(weight)
+            except OverflowError:
+                as_float = None
+            if as_float != weight:
+                raise ValueError(
+                    f"edge {src}->{dst} weight {weight!r} is not exactly representable"
+                )
+            rows.append(self._index[src])
+            cols.append(self._index[dst])
+            weights.append(as_float)
+        n = len(self.nicks)
+        self._adj = csr_matrix((weights, (rows, cols)), shape=(n, n), dtype=np.float64)
 
     @classmethod
     def from_edge_list(
@@ -98,48 +137,21 @@ class MentionGraph:
         return cls(nodes, weights)
 
     @property
-    def node_count(self) -> int:
-        return len(self.nicks)
-
-    @property
     def edge_count(self) -> int:
-        return self._m
-
-    def __contains__(self, nick: str) -> bool:
-        return nick in self._index
-
-    def id_of(self, nick: str) -> int:
-        try:
-            return self._index[nick]
-        except KeyError:
-            raise KeyError(f"unknown node '{nick}'") from None
-
-    def nick_of(self, node: int) -> str:
-        return self.nicks[node]
+        return self._adj.nnz
 
     def out_neighbors(self, node: int) -> Mapping[int, float]:
-        return self._out[node]
+        return self._row(node)
 
     def in_neighbors(self, node: int) -> Mapping[int, float]:
-        return self._in[node]
-
-    def weight(self, u: int, v: int) -> float:
-        return self._out[u].get(v, 0)
-
-    def csr(self) -> csr_matrix:
-        """Out-adjacency, row = source, float64 weights, sorted indices.
-
-        Shared and cached: callers must not modify it.
-        """
-        if self._csr is None:
-            self._csr = _csr(self._out)
-        return self._csr
+        at = np.flatnonzero(self._adj.indices == node)
+        sources = np.searchsorted(self._adj.indptr, at, side="right") - 1
+        return dict(zip(sources.tolist(), self._adj.data[at].tolist()))
 
     def edges(self):
         """Yield (u, v, weight) with ids ascending; id order is nick order."""
-        for u in range(len(self.nicks)):
-            for v in sorted(self._out[u]):
-                yield u, v, self._out[u][v]
+        rows, cols, weights = self._arcs()
+        return zip(rows.tolist(), cols.tolist(), weights.tolist())
 
     def edges_by_nick(self):
         for u, v, w in self.edges():
@@ -157,34 +169,28 @@ class MentionGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MentionGraph):
             return NotImplemented
-        return self.nicks == other.nicks and self._out == other._out
+        return self.nicks == other.nicks and (self._adj != other._adj).nnz == 0
 
     def __repr__(self) -> str:
         return f"MentionGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-class UndirectedView:
+class UndirectedView(_CSRGraph):
     """Symmetric view of a mention graph; weight(u,v) = w(u->v) + w(v->u).
 
     Clique, block, and connectivity analyses are defined on undirected
-    structure, so they consume this view rather than the digraph.  Immutable
-    after construction; ``csr()`` and the cut trees built on the view are
-    cached on it.
+    structure, so they consume this view rather than the digraph.  It is
+    stored as one symmetric CSR; the cut trees built on the view are cached
+    on it.
     """
 
-    __slots__ = ("nicks", "_index", "_adj", "_m", "_csr", "cut_trees")
+    __slots__ = ("cut_trees",)
 
-    def __init__(self, nicks: Iterable[str], pair_weights: Mapping[tuple[int, int], float]):
-        self.nicks = tuple(nicks)
-        self._index = {nick: i for i, nick in enumerate(self.nicks)}
-        self._adj: list[dict[int, float]] = [{} for _ in self.nicks]
-        for (u, v), weight in pair_weights.items():
-            if u == v:
-                raise ValueError("self-loop in undirected view")
-            self._adj[u][v] = weight
-            self._adj[v][u] = weight
-        self._m = len(pair_weights)
-        self._csr: csr_matrix | None = None
+    def __init__(self, nicks: Iterable[str], adjacency: csr_matrix):
+        super().__init__(tuple(nicks))
+        if adjacency.diagonal().any():
+            raise ValueError("self-loop in undirected view")
+        self._adj = adjacency
         # mode -> cut tree; filled by connectivity.gomory_hu
         self.cut_trees: dict = {}
 
@@ -204,53 +210,29 @@ class UndirectedView:
             raw[key] = raw.get(key, 0) + w
         nicks = tuple(sorted(nodes))
         index = {nick: i for i, nick in enumerate(nicks)}
-        pairs = {}
-        for (a, b), w in raw.items():
-            u, v = index[a], index[b]
-            pairs[(min(u, v), max(u, v))] = w
-        return cls(nicks, pairs)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nicks)
+        us = [index[a] for a, _ in raw]
+        vs = [index[b] for _, b in raw]
+        n = len(nicks)
+        both = csr_matrix(
+            (list(raw.values()) * 2, (us + vs, vs + us)), shape=(n, n), dtype=np.float64
+        )
+        return cls(nicks, both)
 
     @property
     def edge_count(self) -> int:
-        return self._m
-
-    def id_of(self, nick: str) -> int:
-        try:
-            return self._index[nick]
-        except KeyError:
-            raise KeyError(f"unknown node '{nick}'") from None
-
-    def nick_of(self, node: int) -> str:
-        return self.nicks[node]
+        return self._adj.nnz // 2
 
     def neighbors(self, node: int) -> Mapping[int, float]:
-        return self._adj[node]
+        return self._row(node)
 
     def degree(self, node: int) -> int:
-        return len(self._adj[node])
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adj[u].get(v, 0)
-
-    def csr(self) -> csr_matrix:
-        """Symmetric adjacency, float64 weights, sorted indices.
-
-        Shared and cached: callers must not modify it.
-        """
-        if self._csr is None:
-            self._csr = _csr(self._adj)
-        return self._csr
+        return int(self._adj.indptr[node + 1] - self._adj.indptr[node])
 
     def edges(self):
         """Yield (u, v, weight) with u < v, ascending."""
-        for u in range(len(self.nicks)):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield u, v, self._adj[u][v]
+        rows, cols, weights = self._arcs()
+        upper = rows < cols
+        return zip(rows[upper].tolist(), cols[upper].tolist(), weights[upper].tolist())
 
     def __repr__(self) -> str:
         return f"UndirectedView(nodes={self.node_count}, edges={self.edge_count})"
@@ -309,8 +291,9 @@ def extract_network(
 def stats(g: MentionGraph) -> GraphStats:
     """Node/edge counts, directed density, and degree summaries."""
     n, m = g.node_count, g.edge_count
-    indeg = [len(g.in_neighbors(v)) for v in range(n)]
-    outdeg = [len(g.out_neighbors(v)) for v in range(n)]
+    adj = g.csr()
+    indeg = np.bincount(adj.indices, minlength=n).tolist()
+    outdeg = np.diff(adj.indptr).tolist()
     return GraphStats(
         node_count=n,
         edge_count=m,
@@ -325,12 +308,13 @@ def stats(g: MentionGraph) -> GraphStats:
 
 
 def to_undirected(g: MentionGraph) -> UndirectedView:
-    """Symmetrize with summed weights; the node set is unchanged."""
-    pairs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges():
-        key = (min(u, v), max(u, v))
-        pairs[key] = pairs.get(key, 0) + w
-    return UndirectedView(g.nicks, pairs)
+    """Symmetrize with summed weights; the node set is unchanged.
+
+    Both cells of a pair hold w(u->v) + w(v->u); IEEE addition commutes, so
+    they hold the same bits.
+    """
+    adj = g.csr()
+    return UndirectedView(g.nicks, adj + adj.T)
 
 
 def mutual_ties_view(g: MentionGraph) -> UndirectedView:
@@ -339,11 +323,9 @@ def mutual_ties_view(g: MentionGraph) -> UndirectedView:
     An undirected edge exists iff both directed edges do; useful as a
     conservative basis for clique analysis.
     """
-    pairs: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges():
-        if u < v and g.weight(v, u) > 0:
-            pairs[(u, v)] = w + g.weight(v, u)
-    return UndirectedView(g.nicks, pairs)
+    adj = g.csr()
+    mutual = adj.multiply(adj.T > 0).tocsr()
+    return UndirectedView(g.nicks, mutual + mutual.T)
 
 
 def format_weight(w) -> str:
@@ -373,21 +355,25 @@ def read_graph_csv(path) -> MentionGraph:
     weights: dict[tuple[str, str], float] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["source", "target", "weight"]:
-            raise ValueError(f"{path}: expected header source,target,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            src, dst, raw = row
-            try:
-                weight = int(raw) if re.fullmatch(r"-?\d+", raw) else float(raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad weight {raw!r}") from exc
-            if (src, dst) in weights:
-                raise ValueError(f"{path}:{lineno}: duplicate edge {src}->{dst}")
-            weights[(src, dst)] = weight
+        try:
+            header = next(reader, None)
+            if header != ["source", "target", "weight"]:
+                raise ValueError(f"{path}: expected header source,target,weight")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}:{lineno}: expected 3 columns")
+                src, dst, raw = row
+                try:
+                    weight = int(raw) if re.fullmatch(r"-?\d+", raw) else float(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad weight {raw!r}") from exc
+                if (src, dst) in weights:
+                    raise ValueError(f"{path}:{lineno}: duplicate edge {src}->{dst}")
+                weights[(src, dst)] = weight
+        except csv.Error as exc:
+            # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     nodes = {endpoint for pair in weights for endpoint in pair}
     return MentionGraph(nodes, weights)

@@ -61,6 +61,11 @@ class ChatMessage:
 
     @classmethod
     def from_record(cls, record: dict) -> "ChatMessage":
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+        for name in ("date", "time", "nick", "body", "kind"):
+            if not isinstance(record[name], str):
+                raise ValueError(f"field {name!r} must be a string")
         kind = record["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")

@@ -4,6 +4,11 @@ import pytest
 
 from chatnet.cli import main
 
+MALFORMED_RECORDS = [
+    "[1,2]",
+    '{"date": "2011-01-01", "time": "09:00", "nick": 5, "body": "b", "kind": "user_message"}',
+]
+
 
 def test_cli_end_to_end(fixture_files, tmp_path, capsys):
     logs = [path for path, _ in fixture_files]
@@ -167,6 +172,14 @@ def test_cli_reports_stage_on_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input" in err
     assert not report.exists()
+    # malformed corpus records end the same way, not in a traceback
+    corpus = tmp_path / "x.jsonl"
+    for record in MALFORMED_RECORDS:
+        corpus.write_text(record + "\n", encoding="utf-8")
+        assert main(["report", str(corpus), "-o", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "chatnet: input: " in err and "x.jsonl:1: bad corpus record" in err
+        assert not report.exists()
 
 
 def test_cli_rejects_unknown_analysis(fixture_files, tmp_path, capsys):

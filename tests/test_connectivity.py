@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
@@ -166,6 +167,24 @@ def test_gomory_hu_cross_component_is_zero():
     assert tree.lambda_between("a", "b") == 3.0
     with pytest.raises(ValueError):
         tree.lambda_between("a", "a")
+    with pytest.raises(KeyError, match="unknown node 'zz'"):
+        tree.lambda_between("a", "zz")
+
+
+def test_gomory_hu_tree_is_two_read_only_id_arrays():
+    tree = gomory_hu(bridge_graph(), "weighted")
+    ids = {nick: i for i, nick in enumerate(tree.nicks)}
+    assert tree.up.dtype == tree.capacity.dtype == np.int64
+    assert {
+        nick: None if p < 0 else tree.nicks[p] for nick, p in zip(tree.nicks, tree.up)
+    } == tree.parent
+    assert [(ids[c], ids[p], cap) for c, p, cap in tree.edges] == [
+        (ids[c], int(tree.up[ids[c]]), int(tree.capacity[ids[c]])) for c, _, _ in tree.edges
+    ]
+    assert (tree.up < 0).sum() == 1
+    for array in (tree.up, tree.capacity):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
 
 
 def test_gomory_hu_matches_pairwise_flows():

@@ -9,14 +9,16 @@ from chatnet.graph import (
     UndirectedView,
     extract_network,
     graph_csv_text,
+    mutual_ties_view,
     read_graph_csv,
     stats,
     to_undirected,
     write_graph_csv,
 )
 from chatnet.ingest import ChatCorpus, FileStats, build_roster, parse_line
+from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 
-from synth import as_mention_graph, nick, random_digraph
+from synth import as_mention_graph, nick, random_digraph, random_ugraph
 
 DAY = dt.date(2011, 6, 2)
 
@@ -170,6 +172,12 @@ def test_graph_validation_errors():
         MentionGraph(["a", "b"], {("a", "b"): float("inf")})
     with pytest.raises(ValueError, match="not in node set"):
         MentionGraph(["a"], {("a", "b"): 1})
+    # weights are stored as float64, which must hold them exactly
+    with pytest.raises(ValueError, match=r"a->b weight 9007199254740993 is not exactly"):
+        MentionGraph(["a", "b"], {("a", "b"): 2**53 + 1})
+    with pytest.raises(ValueError, match="not exactly representable"):
+        MentionGraph(["a", "b"], {("a", "b"): 10**400})
+    assert MentionGraph(["a", "b"], {("a", "b"): 2**53}).weight(0, 1) == 2**53
 
 
 def test_stats_complete_digraph():
@@ -207,17 +215,43 @@ def test_to_undirected_single_direction():
     assert u.weight(u.id_of("a"), u.id_of("b")) == 1
 
 
-def test_to_undirected_matches_pairwise_sum_oracle(fixture_graph):
-    u = to_undirected(fixture_graph)
-    expected = {}
-    for a, b, w in fixture_graph.edges_by_nick():
-        key = tuple(sorted((a, b)))
-        expected[key] = expected.get(key, 0) + w
-    got = {
-        (u.nick_of(x), u.nick_of(y)): w
-        for x, y, w in u.edges()
+def reciprocated_digraph(seed: int, n: int = 40) -> MentionGraph:
+    # Most ties answered; weights in quarters, or in tenths, whose sums round.
+    rng = random.Random(seed)
+    step = (0.25, 0.1)[seed % 2]
+    edges = {}
+    for u, v in random_ugraph(rng, n, 0.2):
+        edges[(nick(u), nick(v))] = rng.randint(1, 40) * step
+        if rng.random() < 0.7:
+            edges[(nick(v), nick(u))] = rng.randint(1, 40) * step
+    return MentionGraph([nick(v) for v in range(n)], edges)
+
+
+def both_cells(view):
+    # Every stored cell, so both halves of the symmetric adjacency count.
+    return {
+        (view.nick_of(x), view.nick_of(y)): w
+        for x in range(view.node_count)
+        for y, w in view.neighbors(x).items()
     }
-    assert got == expected
+
+
+def test_to_undirected_matches_pairwise_sum_oracle(fixture_graph):
+    graphs = [fixture_graph] + [reciprocated_digraph(seed) for seed in range(1, 7)]
+    assert sum(g.edge_count for g in graphs) > 1000
+    for g in graphs:
+        tie = {(a, b): w for a, b, w in g.edges_by_nick()}
+        expected, mutual = {}, {}
+        for (a, b), w in tie.items():
+            expected[(a, b)] = expected[(b, a)] = expected.get((a, b), 0) + w
+            if (b, a) in tie:
+                mutual[(a, b)] = w + tie[(b, a)]
+        u = to_undirected(g)
+        assert both_cells(u) == expected
+        assert both_cells(mutual_ties_view(g)) == mutual
+        assert {(u.nick_of(x), u.nick_of(y)): w for x, y, w in u.edges()} == {
+            (a, b): w for (a, b), w in expected.items() if a < b
+        }
 
 
 def test_to_undirected_preserves_reachability():
@@ -274,9 +308,29 @@ def test_csv_rejects_duplicate_edge(tmp_path):
         read_graph_csv(path)
 
 
-def test_mutual_ties_view_keeps_reciprocated_only(fixture_graph):
-    from chatnet.graph import mutual_ties_view
+def test_csv_rejects_inexact_weight(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("source,target,weight\na,b,9007199254740993\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="a->b weight 9007199254740993 is not exactly"):
+        read_graph_csv(path)
+    with pytest.raises(PipelineError, match="not exactly representable") as info:
+        run_pipeline(AnalysisConfig(graph_path=str(path)))
+    assert info.value.stage == "input"
 
+
+def test_csv_oversized_field_is_a_located_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "source,target,weight\na,b,1\n" + "x" * 200_000 + ",b,1\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
+        read_graph_csv(path)
+    with pytest.raises(PipelineError, match="field larger") as info:
+        run_pipeline(AnalysisConfig(graph_path=str(path)))
+    assert info.value.stage == "input"
+
+
+def test_mutual_ties_view_keeps_reciprocated_only(fixture_graph):
     view = mutual_ties_view(fixture_graph)
     got = {
         (view.nick_of(a), view.nick_of(b)): w for a, b, w in view.edges()

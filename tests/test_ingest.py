@@ -18,6 +18,7 @@ from chatnet.ingest import (
     read_manifest,
     write_corpus_jsonl,
 )
+from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 
 DAY = dt.date(2011, 6, 2)
 
@@ -180,11 +181,28 @@ def test_corpus_jsonl_round_trip(fixture_corpus, tmp_path):
     assert loaded.message_count == fixture_corpus.message_count
 
 
+GOOD_RECORD = (
+    '{"date": "2011-01-01", "time": "09:00", "nick": "a", "body": "b", "kind": "user_message"}'
+)
+# A record that is not an object, or whose field is not a string.
+MALFORMED_RECORDS = [
+    ("[1,2]", "expected a JSON object, got list"),
+    (GOOD_RECORD.replace('"nick": "a"', '"nick": 5'), "field 'nick' must be a string"),
+]
+
+
 def test_read_corpus_jsonl_rejects_bad_records(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"date": "2011-01-01"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="bad corpus record"):
         read_corpus_jsonl(path)
+    for record, reason in MALFORMED_RECORDS:
+        path.write_text(GOOD_RECORD + "\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"corpus.jsonl:2: bad corpus record: {reason}"):
+            read_corpus_jsonl(path)
+        with pytest.raises(PipelineError, match="bad corpus record") as info:
+            run_pipeline(AnalysisConfig(corpus_path=str(path)))
+        assert info.value.stage == "input"
 
 
 def test_build_roster_sample_senders():
