@@ -16,7 +16,6 @@ from .ingest import (
     parse_line,
 )
 from .graph import (
-    ExtractionOptions,
     GraphStats,
     MentionGraph,
     UndirectedView,

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields, replace
 
 from . import __version__
 from .centrality import degree_centrality, hits
@@ -19,11 +20,11 @@ from .report import (
     EXPORT_FORMATS,
     AnalysisConfig,
     PipelineError,
-    config_with_overrides,
     export_graph,
     load_config_file,
     load_input_graph,
     run_pipeline,
+    split_list,
 )
 from .skeleton import abcd_skeleton, bowtie
 
@@ -37,8 +38,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--min-nick-length", type=int, dest="min_nick_length")
     grp.add_argument(
         "--case-sensitive",
-        action="store_true",
+        action="store_false",
         default=None,
+        dest="case_insensitive",
         help="require mentions to match the canonical nick exactly",
     )
     grp.add_argument("--hits-tolerance", type=float, dest="hits_tolerance")
@@ -56,6 +58,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--top-k", type=int, dest="top_k")
     grp.add_argument(
         "--analyses",
+        # an empty value means "not given"
+        type=lambda raw: split_list(raw) if raw else None,
         help="comma-separated subset of: " + ",".join(ALL_ANALYSES),
     )
 
@@ -78,31 +82,13 @@ def _input_flags(parser: argparse.ArgumentParser, graph_ok: bool = True) -> None
 def _build_config(args) -> AnalysisConfig:
     cfg = AnalysisConfig()
     if getattr(args, "config", None):
-        cfg = config_with_overrides(cfg, load_config_file(args.config))
-    overrides = {}
-    for name in (
-        "min_nick_length",
-        "hits_tolerance",
-        "hits_max_iterations",
-        "hits_weighted",
-        "clique_min_size",
-        "rege_iterations",
-        "eq_threshold",
-        "tie_cutoff",
-        "people_cutoff",
-        "lambda_mode",
-        "top_links_count",
-        "top_k",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "case_sensitive", None):
-        overrides["case_insensitive"] = False
-    if getattr(args, "analyses", None):
-        overrides["analyses"] = tuple(
-            part.strip() for part in args.analyses.split(",") if part.strip()
-        )
+        cfg = replace(cfg, **load_config_file(args.config))
+    # flags are stored under the field names; None means "not given"
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(AnalysisConfig)
+        if getattr(args, f.name, None) is not None
+    }
     inputs = list(getattr(args, "inputs", []))
     if getattr(args, "manifest", None):
         overrides["manifest_path"] = args.manifest
@@ -114,7 +100,7 @@ def _build_config(args) -> AnalysisConfig:
         overrides["log_paths"] = tuple(inputs)
     if getattr(args, "roster", None):
         overrides["roster_path"] = args.roster
-    return config_with_overrides(cfg, overrides)
+    return replace(cfg, **overrides)
 
 
 def _cmd_ingest(args) -> int:
@@ -201,7 +187,7 @@ def _cmd_analyze(args) -> int:
             ensure_ascii=False,
         ) + "\n"
     else:
-        cfg = config_with_overrides(cfg, {"analyses": (args.what,)})
+        cfg = replace(cfg, analyses=(args.what,))
         report = run_pipeline(cfg, threads=args.threads)
         text = json.dumps(report.section(args.what), indent=2, ensure_ascii=False) + "\n"
     if args.output:

@@ -52,11 +52,18 @@ class EgoNetwork:
     density: float
 
 
-def _degeneracy_order(u: UndirectedView) -> list[int]:
+def _rows(u: UndirectedView) -> list[list[int]]:
+    # Each node's neighbor ids, ascending, read straight from the CSR.
+    adj = u.csr()
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    return [indices[indptr[v]:indptr[v + 1]] for v in range(u.node_count)]
+
+
+def _degeneracy_order(rows: list[list[int]]) -> list[int]:
     # Repeatedly peel the minimum-degree vertex (smallest id on ties); keeps
     # candidate sets small on sparse community graphs.
-    n = u.node_count
-    degree = [u.degree(v) for v in range(n)]
+    n = len(rows)
+    degree = [len(row) for row in rows]
     removed = [False] * n
     heap = [(degree[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -67,7 +74,7 @@ def _degeneracy_order(u: UndirectedView) -> list[int]:
             continue
         removed[v] = True
         order.append(v)
-        for w in u.neighbors(v):
+        for w in rows[v]:
             if not removed[w]:
                 degree[w] -= 1
                 heapq.heappush(heap, (degree[w], w))
@@ -82,8 +89,8 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
     """
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
-    n = u.node_count
-    nbr = [frozenset(u.neighbors(v)) for v in range(n)]
+    rows = _rows(u)
+    nbr = [frozenset(row) for row in rows]
     found: list[tuple[int, ...]] = []
 
     def expand(clique: list[int], cand: set[int], excl: set[int]) -> None:
@@ -98,7 +105,7 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
             cand.discard(v)
             excl.add(v)
 
-    order = _degeneracy_order(u)
+    order = _degeneracy_order(rows)
     rank = {v: i for i, v in enumerate(order)}
     for v in order:
         later = {w for w in nbr[v] if rank[w] > rank[v]}
@@ -143,9 +150,9 @@ def clique_participation(
     """
     scores: dict[tuple[str, int], float] = {}
     clique_ids = [[u.id_of(nick) for nick in clique] for clique in report.cliques]
-    for v in range(u.node_count):
+    for v, row in enumerate(_rows(u)):
         nick = u.nicks[v]
-        adjacent = set(u.neighbors(v))
+        adjacent = set(row)
         for idx, members in enumerate(clique_ids):
             if v in members:
                 scores[(nick, idx)] = 1.0

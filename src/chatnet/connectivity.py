@@ -119,6 +119,8 @@ def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
     blocks of their own.
     """
     n = u.node_count
+    adj = u.csr()
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -129,7 +131,7 @@ def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
     for root in range(n):
         if disc[root] != -1:
             continue
-        if u.degree(root) == 0:
+        if indptr[root] == indptr[root + 1]:
             disc[root] = timer
             timer += 1
             blocks.append(frozenset((root,)))
@@ -137,7 +139,8 @@ def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
         root_children = 0
         disc[root] = low[root] = timer
         timer += 1
-        work = [(root, iter(sorted(u.neighbors(root))))]
+        # rows of the CSR list neighbors in ascending id order
+        work = [(root, iter(indices[indptr[root]:indptr[root + 1]]))]
         while work:
             v, neighbors = work[-1]
             advanced = False
@@ -149,7 +152,7 @@ def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
                     timer += 1
                     if v == root:
                         root_children += 1
-                    work.append((w, iter(sorted(u.neighbors(w)))))
+                    work.append((w, iter(indices[indptr[w]:indptr[w + 1]])))
                     advanced = True
                     break
                 if w != parent[v] and disc[w] < disc[v]:

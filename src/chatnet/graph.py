@@ -18,25 +18,12 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .ingest import USER_MESSAGE, ChatCorpus, Roster
+from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus, Roster
 
 # Characters legal in IRC nicks; anything else is a token boundary when
 # scanning message bodies for mentions.
 _TOKEN_RE = re.compile(r"[0-9A-Za-z\[\]\\`_^{|}-]+")
-
-
-@dataclass(frozen=True)
-class ExtractionOptions:
-    """Knobs for mention detection.
-
-    min_nick_length guards against nicks that collide with short everyday
-    words and would flood the graph with false ties.  With
-    case_insensitive=False a mention must match the canonical (case-folded)
-    nick exactly.
-    """
-
-    min_nick_length: int = 3
-    case_insensitive: bool = True
+_CONTROL_RE = re.compile(f"[{CONTROL_CHARS}]")
 
 
 class _CSRGraph:
@@ -94,6 +81,9 @@ class MentionGraph(_CSRGraph):
 
     def __init__(self, nicks: Iterable[str], edges: Mapping[tuple[str, str], float]):
         super().__init__(tuple(sorted(set(nicks))))
+        for nick in self.nicks:
+            if _CONTROL_RE.search(nick):
+                raise ValueError(f"nick {nick!r} contains a control character")
         rows, cols, weights = [], [], []
         for (src, dst), weight in sorted(edges.items()):
             if src not in self._index:
@@ -254,7 +244,9 @@ class GraphStats:
 def extract_network(
     corpus: ChatCorpus,
     roster: Roster,
-    options: ExtractionOptions | None = None,
+    *,
+    min_nick_length: int = 3,
+    case_insensitive: bool = True,
 ) -> MentionGraph:
     """Build the directed weighted mention network from a parsed corpus.
 
@@ -262,12 +254,16 @@ def extract_network(
     weight 1 to the sender->nick edge; repeated mentions of the same nick
     within one message count once, and self-mentions are ignored.  Nodes are
     the users incident to at least one tie.
+
+    Nicks shorter than ``min_nick_length`` are never matched: they collide
+    with short everyday words and would flood the graph with false ties.
+    With ``case_insensitive=False`` a mention must match the canonical
+    (case-folded) nick exactly.
     """
     if not roster.counts:
         raise ValueError("no participants")
-    opts = options or ExtractionOptions()
     matchable = frozenset(
-        nick for nick in roster.counts if len(nick) >= opts.min_nick_length
+        nick for nick in roster.counts if len(nick) >= min_nick_length
     )
     weights: dict[tuple[str, str], int] = {}
     for msg in corpus.messages:
@@ -278,7 +274,7 @@ def extract_network(
             continue
         mentioned = set()
         for token in _TOKEN_RE.findall(msg.body):
-            key = token.casefold() if opts.case_insensitive else token
+            key = token.casefold() if case_insensitive else token
             if key in matchable and key != sender:
                 mentioned.add(key)
         for target in mentioned:

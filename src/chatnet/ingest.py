@@ -29,12 +29,17 @@ KINDS = (USER_MESSAGE, ACTION, SYSTEM)
 # Channel operator / voice markers that some archives keep on the nick.
 _STATUS_PREFIXES = "@+"
 
+# Unicode category Cc, as a regex class body.  No nick may hold one: XML 1.0
+# cannot carry most of them, and a bare \r breaks the CSV edge list.
+CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
+
 _TIME = r"\[(\d{1,2}):(\d{2})(?::(\d{2}))?\]"
-_USER_RE = re.compile(_TIME + r" <([^\s<>]+)>(?: (.*))?$")
-_ACTION_RE = re.compile(_TIME + r" \* ([^\s<>]+)(?: (.*))?$")
+_NICK = rf"([^\s<>{CONTROL_CHARS}]+)"
+_USER_RE = re.compile(_TIME + rf" <{_NICK}>(?: (.*))?$")
+_ACTION_RE = re.compile(_TIME + rf" \* {_NICK}(?: (.*))?$")
 _NOTICE_RE = re.compile(_TIME + r" (?:\*\*\*|===) (.+)$")
 _NOTICE_EVENT_RE = re.compile(
-    r"^([^\s<>]+) (?:\[[^\]]*\] )?"
+    rf"^{_NICK} (?:\[[^\]]*\] )?"
     r"(?:has joined|has left|has parted|has quit|changed the topic)\b"
 )
 _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
@@ -103,10 +108,6 @@ class ChatCorpus:
     @property
     def skipped_count(self) -> int:
         return sum(s.skipped for s in self.file_stats)
-
-    @property
-    def source_files(self) -> tuple[tuple[str, dt.date], ...]:
-        return tuple((s.path, s.date) for s in self.file_stats)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
 
 from . import __version__
 from .centrality import hits, ranked
@@ -25,7 +24,6 @@ from .connectivity import (
 )
 from .equivalence import classify_roles, high_eq_tie_fraction, rege
 from .graph import (
-    ExtractionOptions,
     MentionGraph,
     extract_network,
     format_weight,
@@ -63,6 +61,10 @@ ALL_ANALYSES = (
 
 EXPORT_FORMATS = ("dot", "graphml", "csv")
 
+# AnalysisConfig fields that locate the input; echo() leaves them out so that
+# equivalent inputs give identical bytes.
+INPUT_FIELDS = ("log_paths", "manifest_path", "corpus_path", "graph_path", "roster_path")
+
 
 class PipelineError(Exception):
     """Failure in a named pipeline stage; no partial report is emitted."""
@@ -77,8 +79,9 @@ class AnalysisConfig:
     """Inputs plus every algorithm parameter the report depends on.
 
     Exactly one of ``log_paths``/``manifest_path``, ``corpus_path``, or
-    ``graph_path`` selects the input.  Input locations are deliberately not
-    echoed into the report so that equivalent inputs give identical bytes.
+    ``graph_path`` selects the input.  This class is the one declaration of
+    the parameters: the report echo, the config file and the CLI read its
+    fields.
     """
 
     log_paths: tuple[str, ...] = ()
@@ -138,57 +141,48 @@ class AnalysisConfig:
             raise ValueError(f"unknown analyses: {', '.join(unknown)}")
 
     def echo(self) -> dict:
-        """Analysis-relevant parameters, in a fixed order, paths excluded."""
-        return {
-            "min_nick_length": self.min_nick_length,
-            "case_insensitive": self.case_insensitive,
-            "hits_tolerance": self.hits_tolerance,
-            "hits_max_iterations": self.hits_max_iterations,
-            "hits_weighted": self.hits_weighted,
-            "clique_min_size": self.clique_min_size,
-            "rege_iterations": self.rege_iterations,
-            "eq_threshold": self.eq_threshold,
-            "tie_cutoff": self.tie_cutoff,
-            "people_cutoff": self.people_cutoff,
-            "lambda_mode": self.lambda_mode,
-            "top_links_count": self.top_links_count,
-            "top_k": self.top_k,
-            "analyses": list(self.analyses),
+        """Analysis-relevant parameters, paths excluded.
+
+        Field declaration order is the key order of the report's config.
+        """
+        echoed = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in INPUT_FIELDS
         }
+        echoed["analyses"] = list(self.analyses)
+        return echoed
 
 
-def _coerce_config_value(name: str, kind, raw: str):
-    if kind == "bool":
-        lowered = raw.strip().lower()
+def split_list(raw: str) -> tuple[str, ...]:
+    """Comma-separated names, blanks dropped."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _coerce_config_value(default, raw: str):
+    # Typed by the field's default: a None default is a path, kept as text.
+    if isinstance(default, bool):
+        lowered = raw.lower()
         if lowered in ("true", "yes", "1", "on"):
             return True
         if lowered in ("false", "no", "0", "off"):
             return False
-        raise ValueError(f"bad boolean for {name}: {raw!r}")
-    if kind == "tuple":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return kind(raw)
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    if isinstance(default, tuple):
+        return split_list(raw)
+    if default is None:
+        return raw
+    return type(default)(raw)
 
 
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into config overrides.
 
-    Unknown keys are an error; '#' starts a comment.  Values are coerced to
-    the declared field types (booleans accept true/false style words, tuples
-    are comma-separated).
+    Keys are ``AnalysisConfig`` field names; unknown keys are an error and
+    '#' starts a comment.  Values take the type of the field's default
+    (booleans accept true/false style words, tuples are comma-separated).
     """
-    kinds = {}
-    for f in fields(AnalysisConfig):
-        if f.type.startswith("bool"):
-            kinds[f.name] = "bool"
-        elif f.type.startswith("tuple"):
-            kinds[f.name] = "tuple"
-        elif f.type.startswith("int"):
-            kinds[f.name] = int
-        elif f.type.startswith("float"):
-            kinds[f.name] = float
-        else:
-            kinds[f.name] = str
+    defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -197,14 +191,13 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
+        if key not in defaults:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        overrides[key] = _coerce_config_value(key, kinds[key], value)
+        try:
+            overrides[key] = _coerce_config_value(defaults[key], value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return overrides
-
-
-def config_with_overrides(base: AnalysisConfig, overrides: Mapping) -> AnalysisConfig:
-    return replace(base, **dict(overrides))
 
 
 @dataclass(frozen=True)
@@ -393,11 +386,12 @@ def load_input_graph(cfg: AnalysisConfig, threads: int = 1) -> MentionGraph:
         corpus = parse_corpus(files, threads=threads)
     prior = read_roster_file(cfg.roster_path) if cfg.roster_path else ()
     roster = build_roster(corpus, prior_nicks=prior)
-    options = ExtractionOptions(
+    return extract_network(
+        corpus,
+        roster,
         min_nick_length=cfg.min_nick_length,
         case_insensitive=cfg.case_insensitive,
     )
-    return extract_network(corpus, roster, options)
 
 
 def run_pipeline(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:

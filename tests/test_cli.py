@@ -1,8 +1,13 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from chatnet.cli import main
+from chatnet.cli import build_parser, main
+from chatnet.report import ALL_ANALYSES, INPUT_FIELDS, AnalysisConfig, load_config_file
+
+PARAMETERS = [f.name for f in fields(AnalysisConfig) if f.name not in INPUT_FIELDS]
 
 MALFORMED_RECORDS = [
     "[1,2]",
@@ -224,3 +229,76 @@ def test_cli_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("chatnet ")
+
+
+def _subcommand(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_every_parameter_is_set_by_exactly_one_report_flag():
+    dests = [action.dest for action in _subcommand("report")._actions]
+    for name in PARAMETERS:
+        assert dests.count(name) == 1, name
+    assert not set(INPUT_FIELDS) & set(dests)
+
+
+def _changed(default, name):
+    # A value of the field's type that differs from its default.
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, (int, float)):
+        return default * 2
+    if isinstance(default, tuple):
+        return ("stats", "hits")
+    if default is None:
+        return f"{name}.txt"
+    return default + "x"
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(value)
+    return str(value)
+
+
+def test_config_file_accepts_every_field(tmp_path):
+    expected = {f.name: _changed(f.default, f.name) for f in fields(AnalysisConfig)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "".join(f"{key} = {_config_text(value)}\n" for key, value in expected.items()),
+        encoding="utf-8",
+    )
+    assert load_config_file(cfg) == expected
+
+
+def test_echo_keys_are_the_parameters_in_declaration_order(data_dir):
+    assert list(AnalysisConfig().echo()) == PARAMETERS
+    golden = json.loads((data_dir / "report.golden.json").read_text(encoding="utf-8"))
+    assert list(golden["config"]) == PARAMETERS
+
+
+def test_cli_empty_analyses_keeps_every_section(fixture_files, tmp_path, capsys):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "r.json"
+    assert main(["report", *logs, "--analyses", "", "-o", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert list(data) == ["tool", "config", *ALL_ANALYSES]
+    assert data["config"]["analyses"] == list(ALL_ANALYSES)
+    capsys.readouterr()
+
+
+def test_cli_case_sensitive_flag(fixture_files, tmp_path, capsys):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "r.json"
+    assert main(["report", *logs, "--analyses", "stats", "-o", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["config"]["case_insensitive"] is True
+    assert (
+        main(["report", *logs, "--case-sensitive", "--analyses", "stats", "-o", str(out)])
+        == 0
+    )
+    assert json.loads(out.read_text(encoding="utf-8"))["config"]["case_insensitive"] is False
+    capsys.readouterr()

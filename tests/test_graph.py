@@ -4,7 +4,6 @@ import random
 import pytest
 
 from chatnet.graph import (
-    ExtractionOptions,
     MentionGraph,
     UndirectedView,
     extract_network,
@@ -94,8 +93,8 @@ def test_mention_matching_case_insensitive_by_default():
     assert list(extract_network(corpus, roster).edges_by_nick()) == [
         ("alice", "bob", 1)
     ]
-    strict = ExtractionOptions(case_insensitive=False)
-    assert list(extract_network(corpus, roster, strict).edges_by_nick()) == []
+    strict = extract_network(corpus, roster, case_insensitive=False)
+    assert list(strict.edges_by_nick()) == []
 
 
 def test_short_nicks_not_matched_by_default():
@@ -104,7 +103,7 @@ def test_short_nicks_not_matched_by_default():
     assert "me" in roster.counts
     g = extract_network(corpus, roster)
     assert list(g.edges_by_nick()) == []
-    relaxed = extract_network(corpus, roster, ExtractionOptions(min_nick_length=2))
+    relaxed = extract_network(corpus, roster, min_nick_length=2)
     assert list(relaxed.edges_by_nick()) == [("alice", "me", 1)]
 
 
@@ -326,6 +325,24 @@ def test_csv_oversized_field_is_a_located_error(tmp_path):
     with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
         read_graph_csv(path)
     with pytest.raises(PipelineError, match="field larger") as info:
+        run_pipeline(AnalysisConfig(graph_path=str(path)))
+    assert info.value.stage == "input"
+
+
+def test_nick_with_control_character_rejected():
+    # GraphML could not carry it: XML 1.0 has no U+0001.
+    with pytest.raises(ValueError, match=r"nick 'a\\x01b' contains a control character"):
+        MentionGraph.from_edge_list([("a\x01b", "bob", 1)])
+
+
+def test_csv_nick_with_control_character_is_an_input_error(tmp_path):
+    # A quoted \r survives the CSV reader, but the writer would not quote it
+    # back, so the file could not round-trip.
+    path = tmp_path / "cr.csv"
+    path.write_text('source,target,weight\n"a\rb",bob,1\n', encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=r"nick 'a\\rb' contains a control character"):
+        read_graph_csv(path)
+    with pytest.raises(PipelineError, match="control character") as info:
         run_pipeline(AnalysisConfig(graph_path=str(path)))
     assert info.value.stage == "input"
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import random
 
 import pytest
@@ -273,3 +274,34 @@ def test_read_manifest(tmp_path):
     manifest.write_text("day1.log\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad manifest line"):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[08:43] <a\x01b> hello",
+        "[08:45] * a\x01b nods",
+        "[08:46] *** a\x01b has joined #channel",
+    ],
+)
+def test_nick_with_control_character_is_skipped(tmp_path, line):
+    assert parse_line(line, DAY) is None
+    log = tmp_path / "2011-06-02.txt"
+    log.write_text(line + "\n[08:47] <mdz> hi\n", encoding="utf-8")
+    corpus = parse_corpus([(str(log), DAY)])
+    assert corpus.message_count == 1
+    assert corpus.skipped_count == 1
+
+
+def test_corpus_nick_with_control_character_is_an_input_error(tmp_path):
+    records = [
+        {"date": "2011-06-02", "time": "09:00", "nick": "a\x01b",
+         "body": "mdz: hi", "kind": USER_MESSAGE},
+        {"date": "2011-06-02", "time": "09:01", "nick": "mdz",
+         "body": "hello", "kind": USER_MESSAGE},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"'a\\x01b' contains a control character") as info:
+        run_pipeline(AnalysisConfig(corpus_path=str(path)))
+    assert info.value.stage == "input"

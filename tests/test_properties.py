@@ -81,8 +81,8 @@ def test_parse_line_never_raises_near_the_grammar(line, date):
 FILE_SETTINGS = hypothesis.settings(SETTINGS, max_examples=100)
 
 # Names mixing CSV, DOT and XML metacharacters, IRC's {|}^ and non-ASCII
-# with arbitrary printable text.  Control characters are left out: XML 1.0
-# cannot carry most of them.
+# with arbitrary printable text.  Control characters (category Cc) are left
+# out: no nick may hold one, and MentionGraph rejects them.
 hostile = st.text(
     alphabet=st.one_of(
         st.sampled_from(',"\'\\{|}^[]`_- ;<>&=#éßΩ中😀'),

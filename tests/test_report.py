@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from chatnet.report import (
     ALL_ANALYSES,
     AnalysisConfig,
     PipelineError,
-    config_with_overrides,
     export_graph,
     load_config_file,
     load_report_schema,
@@ -18,7 +18,7 @@ from chatnet.report import (
 
 def fixture_config(fixture_files, **overrides):
     base = AnalysisConfig(log_paths=tuple(path for path, _ in fixture_files))
-    return config_with_overrides(base, overrides)
+    return replace(base, **overrides)
 
 
 def test_report_matches_golden(fixture_files, data_dir):
@@ -139,10 +139,10 @@ def test_config_file_parsing_and_precedence(tmp_path):
         "hits_weighted": True,
         "analyses": ("stats", "hits"),
     }
-    merged = config_with_overrides(AnalysisConfig(), overrides)
+    merged = replace(AnalysisConfig(), **overrides)
     assert merged.clique_min_size == 4
     # explicit flag wins over the file
-    final = config_with_overrides(merged, {"clique_min_size": 5})
+    final = replace(merged, clique_min_size=5)
     assert final.clique_min_size == 5
 
 
@@ -151,6 +151,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_file.write_text("cliquemin = 4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(cfg_file)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("top_k", "ten"), ("eq_threshold", "half"), ("hits_weighted", "maybe")],
+)
+def test_config_file_bad_value_names_its_location(tmp_path, key, value):
+    cfg_file = tmp_path / "analysis.cfg"
+    cfg_file.write_text(f"# settings\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config_file(cfg_file)
+    message = str(info.value)
+    assert message.startswith(f"{cfg_file}:2: bad value for {key}: ")
+    assert repr(value) in message
 
 
 def test_markdown_summary_renders(fixture_files):
