@@ -2,18 +2,31 @@
 blocks, pairwise edge connectivity, the all-pairs cut tree, lambda sets, and
 the top links by information flow.
 
-Edge connectivity is exact max-flow = min-cut with integer capacities; the
-cut tree uses Gusfield's construction (n-1 max-flows, no contraction), so a
-single tree answers every pairwise query by a path minimum.
+Edge connectivity is exact max-flow = min-cut with integer capacities.  The
+cut tree uses Gusfield's construction (no contraction), so a single tree
+answers every pairwise query by a path minimum.  Gusfield's step (s, t)
+needs some minimum s-t cut, and any one will do: the tree's path minima are
+the pairwise connectivities whichever minimum cuts it was built from.  So a
+step whose connectivity is certified to equal the smaller (weighted) degree
+of s and t takes the trivial cut, {s} or V minus {t}, without a max-flow.
+The certificate is a lower bound from one maximum-adjacency ordering
+(Nagamochi & Ibaraki 1992), as in Akiba et al., "Cut Tree Construction from
+Massive Graphs" (ICDM 2016).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    maximum_flow,
+    minimum_spanning_tree,
+)
 
 from .graph import UndirectedView
 
@@ -39,14 +52,16 @@ class GomoryHuTree:
 
     Indexed by node id: ``up`` holds each node's parent (-1 at a component
     root) and ``capacity`` the value of the edge to it.  Both arrays are
-    read-only, since the tree is cached on its view.  Disconnected inputs
-    yield a forest and cross-component connectivity is 0.
+    read-only, since the tree is cached on its view.  ``flows`` is the number
+    of max-flows run to build the tree.  Disconnected inputs yield a forest
+    and cross-component connectivity is 0.
     """
 
     nicks: tuple[str, ...]
     up: np.ndarray
     capacity: np.ndarray
     mode: str
+    flows: int
 
     @property
     def parent(self) -> dict[str, str | None]:
@@ -221,6 +236,10 @@ def _capacities(adj: csr_matrix, mode: str) -> csr_matrix:
 def _source_side(caps: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
     # Nodes reachable from the source through positive residual capacity;
     # this is the source side of a minimum cut once the flow is maximal.
+    # caps holds both arcs of every edge, so scipy's flow has the structure
+    # of caps with its indices sorted; subtract in that order.
+    if not caps.has_sorted_indices:
+        caps = caps.sorted_indices()
     residual = csr_matrix(
         (caps.data - flow.data, caps.indices.copy(), caps.indptr.copy()),
         shape=caps.shape,
@@ -246,9 +265,99 @@ def edge_connectivity(u: UndirectedView, a: str, b: str, mode: str = "unit") -> 
     return float(maximum_flow(caps, ia, ib).flow_value)
 
 
-def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
-    """Gusfield cut tree per connected component (n-1 max-flows each).
+def _ma_bounds(caps: csr_matrix) -> csr_matrix:
+    """Lower bounds on the connectivity across each edge of a connected graph.
 
+    One maximum-adjacency ordering from node 0: scanning x adds w(x, y) to
+    r[y] for each unscanned neighbor y, and q(x, y) = r[y] after that add
+    satisfies lambda(x, y) >= q(x, y) (Nagamochi & Ibaraki 1992).  Returns q
+    with one entry per edge, at (x, y) for x scanned first.
+    """
+    k = caps.shape[0]
+    indptr, indices = caps.indptr.tolist(), caps.indices.tolist()
+    weights = caps.data.tolist()
+    reach = [0] * k
+    scanned = [False] * k
+    heap = [(0, 0)]
+    rows, cols, bounds = [], [], []
+    while heap:
+        x = heappop(heap)[1]
+        if scanned[x]:
+            continue  # an older, smaller key of a node already scanned
+        scanned[x] = True
+        for p in range(indptr[x], indptr[x + 1]):
+            y = indices[p]
+            if not scanned[y]:
+                reach[y] += weights[p]
+                rows.append(x)
+                cols.append(y)
+                bounds.append(reach[y])
+                heappush(heap, (-reach[y], y))
+    return csr_matrix((bounds, (rows, cols)), shape=(k, k), dtype=np.int64)
+
+
+def _lambda_lower_bound(caps: csr_matrix):
+    """A function (s, t) -> a lower bound on lambda(s, t) in a connected graph.
+
+    Connectivity is transitive in the sense lambda(a, c) >= min(lambda(a, b),
+    lambda(b, c)), so lambda(s, t) is at least the smallest q on the s-t path
+    of a maximum spanning tree of the edge bounds q.  Path minima are
+    answered by binary lifting over that tree, rooted at node 0.
+    """
+    q = _ma_bounds(caps)
+    k = q.shape[0]
+    top = int(q.data.max()) + 1  # above every bound
+    # A maximum spanning tree of q is a minimum one of top - q (all positive).
+    spanning = minimum_spanning_tree(
+        csr_matrix((top - q.data, q.indices, q.indptr), shape=q.shape)
+    )
+    spanning = spanning + spanning.T
+    order, parent = breadth_first_order(spanning, 0, directed=False)
+    children = order[1:]
+    parent[0] = 0
+    low = np.full(k, top, dtype=np.int64)
+    low[children] = top - np.asarray(spanning[parent[children], children]).ravel()
+    depth = [0] * k
+    parent_list = parent.tolist()
+    for v in children.tolist():
+        depth[v] = depth[parent_list[v]] + 1
+    # ups[j][v]: the 2**j-th ancestor of v; lows[j][v]: the path minimum to it.
+    ups, lows = [parent], [low]
+    for _ in range(max(depth).bit_length() - 1):
+        ups.append(ups[-1][ups[-1]])
+        lows.append(np.minimum(lows[-1], lows[-1][ups[-2]]))
+    ups = [u.tolist() for u in ups]
+    lows = [m.tolist() for m in lows]
+
+    def bound(a: int, b: int) -> int:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        best, rise, j = top, depth[a] - depth[b], 0
+        while rise:
+            if rise & 1:
+                best = min(best, lows[j][a])
+                a = ups[j][a]
+            rise >>= 1
+            j += 1
+        if a == b:
+            return best
+        for j in reversed(range(len(ups))):
+            if ups[j][a] != ups[j][b]:
+                best = min(best, lows[j][a], lows[j][b])
+                a, b = ups[j][a], ups[j][b]
+        return min(best, lows[0][a], lows[0][b])
+
+    return bound
+
+
+def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
+    """Gusfield cut tree per connected component.
+
+    Each of a component's k-1 Gusfield steps (i, t) needs some minimum i-t
+    cut.  The smaller (weighted) degree of i and t bounds lambda(i, t) from
+    above.  When the MA-ordering lower bound reaches it, the trivial cut, {i}
+    or V minus {t} for whichever endpoint has that degree, is a minimum cut
+    and no max-flow is run; otherwise one max-flow finds a cut.
     The tree is built once per (view, mode) and kept on the view.
     """
     _check_mode(mode)
@@ -263,17 +372,27 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
     components = np.split(members, np.cumsum(np.bincount(labels))[:-1])[:ncomp]
     up = np.full(u.node_count, -1, dtype=np.int64)
     capacity = np.zeros(u.node_count, dtype=np.int64)
+    flows = 0
     for comp in components:
         k = len(comp)
         if k == 1:
             continue
         caps = _capacities(adj[comp][:, comp], mode)
+        degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
+        lower_bound = _lambda_lower_bound(caps)
+        local = np.arange(k)
         tree = np.zeros(k, dtype=np.int64)  # local parents
         flow_val = np.zeros(k, dtype=np.int64)
         for i in range(1, k):
             t = int(tree[i])
-            result = maximum_flow(caps, i, t)
-            side = _source_side(caps, result.flow, i)
+            value = min(degree[i], degree[t])
+            if lower_bound(i, t) >= value:
+                side = local == i if degree[i] == value else local != t
+            else:
+                result = maximum_flow(caps, i, t)
+                flows += 1
+                value = result.flow_value
+                side = _source_side(caps, result.flow, i)
             moved = side & (tree == t)
             moved[i] = False
             tree[moved] = i
@@ -282,14 +401,14 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
                 tree[i] = tree[t]
                 tree[t] = i
                 flow_val[i] = flow_val[t]
-                flow_val[t] = result.flow_value
+                flow_val[t] = value
             else:
-                flow_val[i] = result.flow_value
+                flow_val[i] = value
         up[comp[1:]] = comp[tree[1:]]
         capacity[comp[1:]] = flow_val[1:]
     up.flags.writeable = False
     capacity.flags.writeable = False
-    tree = GomoryHuTree(u.nicks, up, capacity, mode)
+    tree = GomoryHuTree(u.nicks, up, capacity, mode, flows)
     u.cut_trees[mode] = tree
     return tree
 

@@ -8,6 +8,7 @@ same bytes, independent of thread count.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -116,8 +117,9 @@ class AnalysisConfig:
             raise ValueError("exactly one input source (logs, corpus, or graph) required")
         if self.min_nick_length < 1:
             raise ValueError("min_nick_length must be at least 1")
-        if self.hits_tolerance <= 0:
-            raise ValueError("hits_tolerance must be positive")
+        if not 0 < self.hits_tolerance < math.inf:
+            # written so that nan fails too
+            raise ValueError("hits_tolerance must be positive and finite")
         if self.hits_max_iterations < 1:
             raise ValueError("hits_max_iterations must be at least 1")
         if self.clique_min_size < 1:
@@ -136,6 +138,8 @@ class AnalysisConfig:
             raise ValueError("top_links_count must be at least 1")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
+        if not self.analyses:
+            raise ValueError("analyses must name at least one analysis")
         unknown = [a for a in self.analyses if a not in ALL_ANALYSES]
         if unknown:
             raise ValueError(f"unknown analyses: {', '.join(unknown)}")
@@ -169,7 +173,10 @@ def _coerce_config_value(default, raw: str):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(default, tuple):
-        return split_list(raw)
+        names = split_list(raw)
+        if not names:
+            raise ValueError("expected at least one comma-separated name")
+        return names
     if default is None:
         return raw
     return type(default)(raw)

@@ -196,6 +196,18 @@ def test_cli_rejects_unknown_analysis(fixture_files, tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_hits_tolerance(fixture_files, tmp_path, capsys, value):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "r.json"
+    code = main(
+        ["report", *logs, "--hits-tolerance", value, "--analyses", "hits", "-o", str(out)]
+    )
+    assert code == 1
+    assert "config: hits_tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_threads_flag_identical_report(fixture_files, tmp_path, capsys):
     logs = [path for path, _ in fixture_files]
     first = tmp_path / "one.json"

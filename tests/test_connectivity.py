@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from chatnet import connectivity
@@ -136,6 +137,30 @@ def test_weighted_mode_requires_integral_weights():
     with pytest.raises(ValueError, match="integral"):
         edge_connectivity(g, "a", "b", mode="weighted")
     assert edge_connectivity(g, "a", "b", mode="unit") == 1.0
+
+
+def test_source_side_reads_unsorted_capacities():
+    # The residual must pair each arc with its own flow whatever the order
+    # of the column indices within a row of the capacities.
+    rng = random.Random(75)
+    for _ in range(20):
+        n = rng.randrange(4, 10)
+        weighted = [(u, v, rng.randint(1, 5)) for u, v in random_ugraph(rng, n, 0.6)]
+        caps = connectivity._capacities(as_undirected(n, weighted).csr(), "weighted")
+        reversed_rows = np.concatenate(
+            [np.arange(lo, hi)[::-1] for lo, hi in zip(caps.indptr[:-1], caps.indptr[1:])]
+        ).astype(np.int64)
+        shuffled = csr_matrix(
+            (caps.data[reversed_rows], caps.indices[reversed_rows], caps.indptr),
+            shape=caps.shape,
+        )
+        lam = all_pairs_min_cut(n, weighted)
+        for s, t in itertools.permutations(range(n), 2):
+            result = connectivity.maximum_flow(shuffled, s, t)
+            side = connectivity._source_side(shuffled, result.flow, s)
+            assert side[s] and not side[t]
+            crossing = caps[side][:, ~side].sum()
+            assert crossing == result.flow_value == lam[s, t]
 
 
 def test_gomory_hu_triangle():
@@ -348,15 +373,21 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     fixture_files, fixture_undirected, monkeypatch
 ):
     # lambda_sets and top_links both need the weighted tree; the report must
-    # pay its n - #components max-flows once, not twice.
+    # build it once, so every max-flow run is one the tree records.
     calls = []
-    real = connectivity.maximum_flow
+    trees = []
+    real_flow, real_tree = connectivity.maximum_flow, connectivity.gomory_hu
 
     def counting(*args, **kwargs):
         calls.append(args[1:])
-        return real(*args, **kwargs)
+        return real_flow(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        trees.append(real_tree(*args, **kwargs))
+        return trees[-1]
 
     monkeypatch.setattr(connectivity, "maximum_flow", counting)
+    monkeypatch.setattr(connectivity, "gomory_hu", recording)
     cfg = AnalysisConfig(
         log_paths=tuple(path for path, _ in fixture_files),
         analyses=("lambda",),
@@ -364,5 +395,10 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     )
     report = run_pipeline(cfg)
     assert report.section("lambda")["top_links"]
+    assert len(trees) == 2 and trees[0] is trees[1]
+    tree = trees[0]
+    assert tree.mode == "weighted"
+    assert len(calls) == tree.flows
+    # the pendant steps of the fixture are certified without a max-flow
     components, _ = connected_components(fixture_undirected.csr(), directed=False)
-    assert len(calls) == fixture_undirected.node_count - components
+    assert tree.flows < fixture_undirected.node_count - components

@@ -4,11 +4,13 @@ Each test checks one routine (SCCs, bow-tie, cut tree, top links, maximal
 cliques, blocks, HITS) against an independent networkx computation.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from chatnet import connectivity
 from chatnet.centrality import hits
 from chatnet.cohesion import maximal_cliques
 from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_links
@@ -124,6 +126,76 @@ def test_gomory_hu_path_minima_match_min_cut(seed, mode):
     rng = random.Random(seed)
     for a, b in sampled_pairs(rng, n, weighted, 20):
         assert tree.lambda_between(a, b) == nx.minimum_cut_value(reference, a, b), (a, b)
+
+
+def pendant_bridge_ugraph(seed, n):
+    # Two to four connected clusters joined by bridges, with pendant chains
+    # of one to three nodes hanging off cluster members; shuffled ids,
+    # integral weights 1..4.  Connected.
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    core = ids[: n * 2 // 3]
+    cuts = sorted(rng.sample(range(2, len(core) - 1), rng.randint(1, 3)))
+    weighted = []
+    clusters = [core[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(core)])]
+    for c, members in enumerate(clusters):
+        for i, a in enumerate(members[1:], 1):
+            weighted.append((a, rng.choice(members[:i]), rng.randint(1, 4)))
+        for i, a in enumerate(members):
+            for b in members[i + 2 :]:
+                if rng.random() < 4.0 / len(members):
+                    weighted.append((a, b, rng.randint(1, 4)))
+        if c:
+            bridge = (rng.choice(clusters[c - 1]), rng.choice(members))
+            weighted.append((*bridge, rng.randint(1, 4)))
+    hang = ids[len(core) :]
+    while hang:
+        size = rng.randint(1, 3)
+        chain, hang = hang[:size], hang[size:]
+        for a, b in zip([rng.choice(core), *chain], chain):
+            weighted.append((a, b, rng.randint(1, 4)))
+    edges = {}
+    for a, b, w in weighted:
+        edges[min(a, b), max(a, b)] = w
+    return [(a, b, w) for (a, b), w in sorted(edges.items())]
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ma_bounds_never_exceed_min_cut(seed, mode):
+    n = (30, 36, 42, 48)[seed]
+    weighted = pendant_bridge_ugraph(700 + seed, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, mode)
+    assert nx.is_connected(reference) and any(nx.bridges(reference))
+    bounds = connectivity._ma_bounds(connectivity._capacities(view.csr(), mode)).tocoo()
+    assert bounds.nnz == len(weighted)
+    for a, b, q in zip(bounds.row.tolist(), bounds.col.tolist(), bounds.data.tolist()):
+        assert 0 < q <= nx.minimum_cut_value(reference, nick(a), nick(b)), (a, b)
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_cut_tree_matches_networkx_on_all_pairs(seed, mode):
+    n = (30, 36, 42, 48)[seed]
+    weighted = pendant_bridge_ugraph(800 + seed, n)
+    view = as_undirected(n, weighted)
+    reference = nx.gomory_hu_tree(to_nx_graph(n, weighted, mode))
+    tree = gomory_hu(view, mode)
+    for a, b in itertools.combinations(range(n), 2):
+        path = nx.shortest_path(reference, nick(a), nick(b))
+        expected = min(reference[x][y]["weight"] for x, y in zip(path, path[1:]))
+        assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
+
+
+def test_pendant_heavy_cut_tree_skips_flows():
+    n = 60
+    weighted = pendant_bridge_ugraph(900, n)
+    view = as_undirected(n, weighted)
+    tree = gomory_hu(view, "weighted")
+    assert sum(1 for p in tree.up.tolist() if p < 0) == 1
+    assert tree.flows < n - 1
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -165,6 +166,35 @@ def test_config_file_bad_value_names_its_location(tmp_path, key, value):
     message = str(info.value)
     assert message.startswith(f"{cfg_file}:2: bad value for {key}: ")
     assert repr(value) in message
+
+
+def test_config_file_empty_analyses_is_a_bad_value(tmp_path):
+    # An empty list would leave a report without sections.
+    cfg_file = tmp_path / "analysis.cfg"
+    cfg_file.write_text("top_k = 3\nanalyses =\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config_file(cfg_file)
+    assert str(info.value).startswith(f"{cfg_file}:2: bad value for analyses: ")
+
+
+def test_validate_rejects_no_analyses():
+    with pytest.raises(ValueError, match="analyses"):
+        AnalysisConfig(graph_path="g.csv", analyses=()).validate()
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan, math.inf])
+def test_validate_requires_finite_positive_hits_tolerance(tolerance):
+    with pytest.raises(ValueError, match="hits_tolerance must be positive and finite"):
+        AnalysisConfig(graph_path="g.csv", hits_tolerance=tolerance).validate()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_file_non_finite_hits_tolerance_fails_the_run(fixture_files, tmp_path, value):
+    cfg_file = tmp_path / "analysis.cfg"
+    cfg_file.write_text(f"hits_tolerance = {value}\n", encoding="utf-8")
+    cfg = fixture_config(fixture_files, **load_config_file(cfg_file))
+    with pytest.raises(PipelineError, match="config.*hits_tolerance"):
+        run_pipeline(cfg)
 
 
 def test_markdown_summary_renders(fixture_files):
