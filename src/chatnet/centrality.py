@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +45,8 @@ def hits(
     below ``tolerance`` or ``max_iterations`` is reached.  An edgeless graph
     is already at the all-zero fixed point.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     n = g.node_count

@@ -149,17 +149,13 @@ def clique_participation(
     its member.
     """
     scores: dict[tuple[str, int], float] = {}
-    clique_ids = [[u.id_of(nick) for nick in clique] for clique in report.cliques]
+    clique_ids = [frozenset(map(u.id_of, clique)) for clique in report.cliques]
     for v, row in enumerate(_rows(u)):
         nick = u.nicks[v]
-        adjacent = set(row)
+        adjacent = frozenset(row)
         for idx, members in enumerate(clique_ids):
-            if v in members:
-                scores[(nick, idx)] = 1.0
-                continue
-            others = [q for q in members if q != v]
-            hit = sum(1 for q in others if q in adjacent)
-            scores[(nick, idx)] = hit / len(others)
+            # a non-member's other members are the whole clique
+            scores[(nick, idx)] = 1.0 if v in members else len(members & adjacent) / len(members)
     return scores
 
 

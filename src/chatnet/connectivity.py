@@ -9,9 +9,11 @@ needs some minimum s-t cut, and any one will do: the tree's path minima are
 the pairwise connectivities whichever minimum cuts it was built from.  So a
 step whose connectivity is certified to equal the smaller (weighted) degree
 of s and t takes the trivial cut, {s} or V minus {t}, without a max-flow.
-The certificate is a lower bound from one maximum-adjacency ordering
+One maximum-adjacency ordering bounds the connectivity across each edge
 (Nagamochi & Ibaraki 1992), as in Akiba et al., "Cut Tree Construction from
-Massive Graphs" (ICDM 2016).
+Massive Graphs" (ICDM 2016); s and t in one component of the edges whose
+bound reaches a value are certified at that value.  Certificates, lambda
+sets and top links all read components at a threshold, from one helper.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from scipy.sparse.csgraph import (
     breadth_first_order,
     connected_components,
     maximum_flow,
-    minimum_spanning_tree,
 )
 
 from .graph import UndirectedView
@@ -296,58 +297,35 @@ def _ma_bounds(caps: csr_matrix) -> csr_matrix:
     return csr_matrix((bounds, (rows, cols)), shape=(k, k), dtype=np.int64)
 
 
-def _lambda_lower_bound(caps: csr_matrix):
-    """A function (s, t) -> a lower bound on lambda(s, t) in a connected graph.
+def _labels_at(n: int, heads, tails, weights, value) -> np.ndarray:
+    """Component labels of the n nodes joined by the edges of weight >= value."""
+    kept = weights >= value
+    adj = csr_matrix((np.ones(kept.sum()), (heads[kept], tails[kept])), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def _certifier(caps: csr_matrix):
+    """A function (s, t, value) -> whether lambda(s, t) >= value is proven.
 
     Connectivity is transitive in the sense lambda(a, c) >= min(lambda(a, b),
-    lambda(b, c)), so lambda(s, t) is at least the smallest q on the s-t path
-    of a maximum spanning tree of the edge bounds q.  Path minima are
-    answered by binary lifting over that tree, rooted at node 0.
+    lambda(b, c)), so s and t joined by a path of edges whose MA bounds q all
+    reach value have lambda(s, t) >= value: they share a component of the
+    edges with q >= value.  Labels are computed once per value asked, and
+    not at all when an endpoint has no incident bound that reaches it.
     """
-    q = _ma_bounds(caps)
+    q = _ma_bounds(caps).tocoo()
     k = q.shape[0]
-    top = int(q.data.max()) + 1  # above every bound
-    # A maximum spanning tree of q is a minimum one of top - q (all positive).
-    spanning = minimum_spanning_tree(
-        csr_matrix((top - q.data, q.indices, q.indptr), shape=q.shape)
-    )
-    spanning = spanning + spanning.T
-    order, parent = breadth_first_order(spanning, 0, directed=False)
-    children = order[1:]
-    parent[0] = 0
-    low = np.full(k, top, dtype=np.int64)
-    low[children] = top - np.asarray(spanning[parent[children], children]).ravel()
-    depth = [0] * k
-    parent_list = parent.tolist()
-    for v in children.tolist():
-        depth[v] = depth[parent_list[v]] + 1
-    # ups[j][v]: the 2**j-th ancestor of v; lows[j][v]: the path minimum to it.
-    ups, lows = [parent], [low]
-    for _ in range(max(depth).bit_length() - 1):
-        ups.append(ups[-1][ups[-1]])
-        lows.append(np.minimum(lows[-1], lows[-1][ups[-2]]))
-    ups = [u.tolist() for u in ups]
-    lows = [m.tolist() for m in lows]
+    strongest = (q + q.T).max(axis=1).toarray().ravel().tolist()  # largest incident q
+    labels: dict[int, np.ndarray] = {}
 
-    def bound(a: int, b: int) -> int:
-        if depth[a] < depth[b]:
-            a, b = b, a
-        best, rise, j = top, depth[a] - depth[b], 0
-        while rise:
-            if rise & 1:
-                best = min(best, lows[j][a])
-                a = ups[j][a]
-            rise >>= 1
-            j += 1
-        if a == b:
-            return best
-        for j in reversed(range(len(ups))):
-            if ups[j][a] != ups[j][b]:
-                best = min(best, lows[j][a], lows[j][b])
-                a, b = ups[j][a], ups[j][b]
-        return min(best, lows[0][a], lows[0][b])
+    def certified(s: int, t: int, value: int) -> bool:
+        if min(strongest[s], strongest[t]) < value:
+            return False
+        if value not in labels:
+            labels[value] = _labels_at(k, q.row, q.col, q.data, value)
+        return bool(labels[value][s] == labels[value][t])
 
-    return bound
+    return certified
 
 
 def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
@@ -355,9 +333,10 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
 
     Each of a component's k-1 Gusfield steps (i, t) needs some minimum i-t
     cut.  The smaller (weighted) degree of i and t bounds lambda(i, t) from
-    above.  When the MA-ordering lower bound reaches it, the trivial cut, {i}
-    or V minus {t} for whichever endpoint has that degree, is a minimum cut
-    and no max-flow is run; otherwise one max-flow finds a cut.
+    above.  When i and t share a component of the edges whose MA bound
+    reaches it, the trivial cut, {i} or V minus {t} for whichever endpoint
+    has that degree, is a minimum cut and no max-flow is run; otherwise one
+    max-flow finds a cut.
     The tree is built once per (view, mode) and kept on the view.
     """
     _check_mode(mode)
@@ -379,14 +358,14 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
             continue
         caps = _capacities(adj[comp][:, comp], mode)
         degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
-        lower_bound = _lambda_lower_bound(caps)
+        certified = _certifier(caps)
         local = np.arange(k)
         tree = np.zeros(k, dtype=np.int64)  # local parents
         flow_val = np.zeros(k, dtype=np.int64)
         for i in range(1, k):
             t = int(tree[i])
             value = min(degree[i], degree[t])
-            if lower_bound(i, t) >= value:
+            if certified(i, t, value):
                 side = local == i if degree[i] == value else local != t
             else:
                 result = maximum_flow(caps, i, t)
@@ -423,9 +402,7 @@ def _tree_sweep(tree: GomoryHuTree):
     children = np.flatnonzero(tree.up >= 0)
     caps = tree.capacity[children]
     for value in np.unique(caps)[::-1]:
-        kept = children[caps >= value]
-        adj = csr_matrix((np.ones(len(kept)), (kept, tree.up[kept])), shape=(n, n))
-        yield float(value), connected_components(adj, directed=False)[1]
+        yield float(value), _labels_at(n, children, tree.up[children], caps, value)
 
 
 def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:

@@ -141,22 +141,15 @@ def parse_line(line: str, date: dt.date) -> ChatMessage | None:
     recognized-notice grammars; callers count those lines as skipped.
     """
     line = line.rstrip("\r\n")
-    m = _USER_RE.match(line)
-    if m:
-        hh, mm, _sec, nick, body = m.groups()
-        time = _clock(hh, mm)
-        nick = nick.lstrip(_STATUS_PREFIXES)
-        if time is None or not nick:
-            return None
-        return ChatMessage(date, time, nick, body or "", USER_MESSAGE)
-    m = _ACTION_RE.match(line)
-    if m:
-        hh, mm, _sec, nick, body = m.groups()
-        time = _clock(hh, mm)
-        nick = nick.lstrip(_STATUS_PREFIXES)
-        if time is None or not nick:
-            return None
-        return ChatMessage(date, time, nick, body or "", ACTION)
+    for pattern, kind in ((_USER_RE, USER_MESSAGE), (_ACTION_RE, ACTION)):
+        m = pattern.match(line)
+        if m:
+            hh, mm, _sec, nick, body = m.groups()
+            time = _clock(hh, mm)
+            nick = nick.lstrip(_STATUS_PREFIXES)
+            if time is None or not nick:
+                return None
+            return ChatMessage(date, time, nick, body or "", kind)
     m = _NOTICE_RE.match(line)
     if m:
         hh, mm, _sec, rest = m.groups()

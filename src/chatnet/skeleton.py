@@ -22,34 +22,35 @@ SKELETON_LABELS = ("A", "B", "C", "D")
 
 
 @dataclass(frozen=True)
-class BowTiePartition:
-    """Exhaustive, disjoint labeling; ``core`` is the chosen central SCC."""
+class _Partition:
+    """Exhaustive, disjoint labeling of nodes by the names in ``names``."""
 
     label: dict[str, str]
-    core: frozenset[str]
+    names = ()
 
     def members(self, name: str) -> frozenset[str]:
         return frozenset(n for n, lab in self.label.items() if lab == name)
 
     def sizes(self) -> dict[str, int]:
-        out = {name: 0 for name in BOWTIE_LABELS}
+        out = {name: 0 for name in self.names}
         for lab in self.label.values():
             out[lab] += 1
         return out
 
 
 @dataclass(frozen=True)
-class SkeletonPartition:
-    label: dict[str, str]
+class BowTiePartition(_Partition):
+    """Bow-tie classes; ``core`` is the chosen central SCC."""
 
-    def members(self, name: str) -> frozenset[str]:
-        return frozenset(n for n, lab in self.label.items() if lab == name)
+    core: frozenset[str]
+    names = BOWTIE_LABELS
 
-    def sizes(self) -> dict[str, int]:
-        out = {name: 0 for name in SKELETON_LABELS}
-        for lab in self.label.values():
-            out[lab] += 1
-        return out
+
+@dataclass(frozen=True)
+class SkeletonPartition(_Partition):
+    """A/B/C/D skeleton classes."""
+
+    names = SKELETON_LABELS
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,9 @@ def test_hits_deterministic(fixture_graph):
 
 
 def test_hits_parameter_validation(fixture_graph):
-    with pytest.raises(ValueError):
-        hits(fixture_graph, tolerance=0)
+    for tolerance in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hits(fixture_graph, tolerance=tolerance)
     with pytest.raises(ValueError):
         hits(fixture_graph, max_iterations=0)
 

@@ -181,11 +181,15 @@ def test_participation_half_adjacent():
 
 def test_participation_matches_adjacency_scan():
     rng = random.Random(59)
-    n = 9
-    edges = random_ugraph(rng, n, 0.4)
+    n = 120
+    edges = random_ugraph(rng, n, 0.1)
     g = undirected_of(n, edges)
     report = maximal_cliques(g, min_size=2)
+    assert report.max_clique_size >= 4
     scores = clique_participation(report, g)
+    assert list(scores) == [
+        (nick(v), idx) for v in range(n) for idx in range(len(report.cliques))
+    ]
     for idx, clique in enumerate(report.cliques):
         members = [g.id_of(x) for x in clique]
         for v in range(n):

@@ -189,6 +189,55 @@ def test_certified_cut_tree_matches_networkx_on_all_pairs(seed, mode):
         assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
 
 
+# (graph, n, mode) -> max-flows of the cut tree, as counted when the
+# certificate was a bottleneck on a maximum spanning tree of the MA bounds.
+# The component test decides every Gusfield step the same way.
+CERTIFIED_FLOWS = {
+    ("pendant", 30, "unit"): 23,
+    ("pendant", 30, "weighted"): 23,
+    ("pendant", 36, "unit"): 25,
+    ("pendant", 36, "weighted"): 24,
+    ("pendant", 42, "unit"): 30,
+    ("pendant", 42, "weighted"): 33,
+    ("pendant", 48, "unit"): 39,
+    ("pendant", 48, "weighted"): 38,
+    ("components", 60, "unit"): 36,
+    ("components", 60, "weighted"): 32,
+}
+
+
+def certificate_graph(kind, n):
+    if kind == "pendant":
+        return pendant_bridge_ugraph(1000 + (30, 36, 42, 48).index(n), n)
+    return multi_component_ugraph(1000, n)
+
+
+@pytest.mark.parametrize("kind, n, mode", sorted(CERTIFIED_FLOWS))
+def test_certificate_matches_widest_path_of_ma_bounds(kind, n, mode):
+    weighted = certificate_graph(kind, n)
+    view = as_undirected(n, weighted)
+    adj = view.csr()
+    for members in nx.connected_components(to_nx_graph(n, weighted, mode)):
+        comp = sorted(view.id_of(x) for x in members)
+        if len(comp) < 2:
+            continue
+        caps = connectivity._capacities(adj[comp][:, comp], mode)
+        q = connectivity._ma_bounds(caps).tocoo()
+        bounds = nx.Graph()
+        bounds.add_nodes_from(range(len(comp)))
+        for a, b, value in zip(q.row.tolist(), q.col.tolist(), q.data.tolist()):
+            bounds.add_edge(a, b, weight=value)
+        spanning = nx.maximum_spanning_tree(bounds)
+        degrees = sorted(set(np.asarray(caps.sum(axis=1)).ravel().tolist()))
+        certified = connectivity._certifier(caps)
+        for s, t in itertools.combinations(range(len(comp)), 2):
+            path = nx.shortest_path(spanning, s, t)
+            widest = min(spanning[x][y]["weight"] for x, y in zip(path, path[1:]))
+            for value in degrees:
+                assert certified(s, t, value) == (value <= widest), (s, t, value)
+    assert gomory_hu(view, mode).flows == CERTIFIED_FLOWS[kind, n, mode]
+
+
 def test_pendant_heavy_cut_tree_skips_flows():
     n = 60
     weighted = pendant_bridge_ugraph(900, n)
