@@ -9,16 +9,30 @@ needs some minimum s-t cut, and any one will do: the tree's path minima are
 the pairwise connectivities whichever minimum cuts it was built from.  So a
 step whose connectivity is certified to equal the smaller (weighted) degree
 of s and t takes the trivial cut, {s} or V minus {t}, without a max-flow.
-One maximum-adjacency ordering bounds the connectivity across each edge
-(Nagamochi & Ibaraki 1992), as in Akiba et al., "Cut Tree Construction from
-Massive Graphs" (ICDM 2016); s and t in one component of the edges whose
-bound reaches a value are certified at that value.  Certificates, lambda
-sets and top links all read components at a threshold, from one helper.
+The certificate is a set of edges, each weighted by a proven lower bound on
+the connectivity of its ends; s and t in one component of the edges whose
+weight reaches a value are certified at that value, because connectivity is
+transitive (lambda(a, c) >= min(lambda(a, b), lambda(b, c))).  Its edges
+come from two sources, as in Akiba et al., "Cut Tree Construction from
+Massive Graphs" (ICDM 2016):
+
+* one maximum-adjacency ordering, which bounds the connectivity across each
+  graph edge (Nagamochi & Ibaraki 1992);
+* the hub pass, which proves lambda(v, r) = deg(v) for many nodes v at once
+  against the node r of largest degree.  A super source gets an arc of
+  capacity deg(v) to each node of a batch whose degrees sum to at most
+  deg(r), and one max-flow runs from it to r.  By flow decomposition, the
+  flow paths that leave the source through a saturated arc form a feasible
+  v-r flow of value deg(v) on their own.
+
+Certificates, lambda sets and top links all read components at a threshold,
+from one helper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
@@ -80,6 +94,24 @@ class GomoryHuTree:
             if up[c] >= 0
         ]
         return tuple(sorted(edges))
+
+    @cached_property
+    def sweep(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(value, labels) per distinct tree value, descending.
+
+        ``labels`` are the read-only component labels of the tree restricted
+        to edges at or above that value.  Computed once per tree and shared
+        by lambda_sets and top_links.
+        """
+        n = len(self.up)
+        children = np.flatnonzero(self.up >= 0)
+        caps = self.capacity[children]
+        levels = []
+        for value in np.unique(caps)[::-1]:
+            labels = _labels_at(n, children, self.up[children], caps, value)
+            labels.flags.writeable = False
+            levels.append((float(value), labels))
+        return tuple(levels)
 
     def _id(self, nick: str) -> int:
         try:
@@ -238,19 +270,15 @@ def _source_side(caps: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
     # Nodes reachable from the source through positive residual capacity;
     # this is the source side of a minimum cut once the flow is maximal.
     # caps holds both arcs of every edge, so scipy's flow has the structure
-    # of caps with its indices sorted; subtract in that order.
+    # of caps with its indices sorted; compare in that order.  A saturated
+    # arc is pointed back at the source, which the search has already
+    # visited, so the residual graph shares caps' row pointers.
     if not caps.has_sorted_indices:
         caps = caps.sorted_indices()
-    residual = csr_matrix(
-        (caps.data - flow.data, caps.indices.copy(), caps.indptr.copy()),
-        shape=caps.shape,
-    )
-    residual.eliminate_zeros()
-    reached = breadth_first_order(
-        residual, source, directed=True, return_predecessors=False
-    )
+    heads = np.where(caps.data > flow.data, caps.indices, source)
+    residual = csr_matrix((np.ones(len(heads)), heads, caps.indptr), shape=caps.shape)
     side = np.zeros(caps.shape[0], dtype=bool)
-    side[reached] = True
+    side[breadth_first_order(residual, source, return_predecessors=False)] = True
     return side
 
 
@@ -304,28 +332,87 @@ def _labels_at(n: int, heads, tails, weights, value) -> np.ndarray:
     return connected_components(adj, directed=False)[1]
 
 
-def _certifier(caps: csr_matrix):
+def _certifier(k: int, heads, tails, weights):
     """A function (s, t, value) -> whether lambda(s, t) >= value is proven.
 
-    Connectivity is transitive in the sense lambda(a, c) >= min(lambda(a, b),
-    lambda(b, c)), so s and t joined by a path of edges whose MA bounds q all
-    reach value have lambda(s, t) >= value: they share a component of the
-    edges with q >= value.  Labels are computed once per value asked, and
-    not at all when an endpoint has no incident bound that reaches it.
+    Each edge (heads[e], tails[e]) carries a proven lower bound weights[e]
+    on the connectivity of its ends.  Connectivity is transitive in the
+    sense lambda(a, c) >= min(lambda(a, b), lambda(b, c)), so s and t
+    joined by a path of edges whose bounds all reach value have lambda(s, t)
+    >= value: they share a component of the edges with weight >= value.
+    Labels are computed once per value asked, and not at all when an
+    endpoint has no incident edge that reaches it.
     """
-    q = _ma_bounds(caps).tocoo()
-    k = q.shape[0]
-    strongest = (q + q.T).max(axis=1).toarray().ravel().tolist()  # largest incident q
+    strongest = np.zeros(k, dtype=np.int64)  # largest incident bound
+    np.maximum.at(strongest, heads, weights)
+    np.maximum.at(strongest, tails, weights)
+    strongest = strongest.tolist()
     labels: dict[int, np.ndarray] = {}
 
     def certified(s: int, t: int, value: int) -> bool:
         if min(strongest[s], strongest[t]) < value:
             return False
         if value not in labels:
-            labels[value] = _labels_at(k, q.row, q.col, q.data, value)
+            labels[value] = _labels_at(k, heads, tails, weights, value)
         return bool(labels[value][s] == labels[value][t])
 
     return certified
+
+
+def _hub_edges(caps: csr_matrix, degree: list[int], certified):
+    """Certificate edges (v, r, deg v) proven by batched flows into the hub r.
+
+    The hub r is the first node of largest degree.  The candidates are the
+    nodes v != r that ``certified`` does not already join to r at deg(v),
+    taken in (degree, id) order; each batch takes candidates until the next
+    one would push its total degree past deg(r).  A super source, node k of
+    one (k+1)-node capacity matrix, gets an arc of capacity deg(v) to each
+    member v and one max-flow runs from it to r.  A member whose arc is
+    saturated has lambda(v, r) = deg(v): the flow paths that leave the
+    source through v form a feasible v-r flow on their own.  A batch costs
+    one max-flow and saves at most one per node it proves, so the pass
+    stops after the first batch that proves fewer than two.
+
+    Returns the edges as (heads, tails, weights) arrays, and the number of
+    max-flows run.
+    """
+    k = caps.shape[0]
+    hub = int(np.argmax(degree))
+    candidates = sorted(
+        (degree[v], v)
+        for v in range(k)
+        if v != hub and not certified(v, hub, degree[v])
+    )
+    ext = csr_matrix(
+        (
+            np.concatenate([caps.data, np.zeros(k, dtype=caps.data.dtype)]),
+            np.concatenate([caps.indices, np.arange(k, dtype=caps.indices.dtype)]),
+            np.append(caps.indptr, caps.nnz + k),
+        ),
+        shape=(k + 1, k + 1),
+    )
+    source_arcs = ext.data[caps.nnz :]  # row k of ext, one arc per node
+    proven: list[int] = []
+    flows = start = 0
+    while start < len(candidates):
+        end, total = start, 0
+        while end < len(candidates) and total + candidates[end][0] <= degree[hub]:
+            total += candidates[end][0]
+            end += 1
+        batch = [v for _, v in candidates[start:end]]
+        start = end
+        source_arcs[:] = 0
+        source_arcs[batch] = [degree[v] for v in batch]
+        sent = maximum_flow(ext, k, hub).flow[k].toarray().ravel()
+        flows += 1
+        saturated = [v for v in batch if sent[v] == degree[v]]
+        proven += saturated
+        if len(saturated) < 2:
+            break
+    heads = np.array(proven, dtype=np.int64)
+    tails = np.full(len(proven), hub, dtype=np.int64)
+    weights = np.array([degree[v] for v in proven], dtype=np.int64)
+    return (heads, tails, weights), flows
 
 
 def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
@@ -333,10 +420,14 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
 
     Each of a component's k-1 Gusfield steps (i, t) needs some minimum i-t
     cut.  The smaller (weighted) degree of i and t bounds lambda(i, t) from
-    above.  When i and t share a component of the edges whose MA bound
-    reaches it, the trivial cut, {i} or V minus {t} for whichever endpoint
-    has that degree, is a minimum cut and no max-flow is run; otherwise one
-    max-flow finds a cut.
+    above.  When i and t share a component of the certificate's edges whose
+    bound reaches it, the trivial cut, {i} or V minus {t} for whichever
+    endpoint has that degree, is a minimum cut and no max-flow is run;
+    otherwise one max-flow finds a cut.  The certificate holds every graph
+    edge with its MA bound, plus an edge (v, r, deg v) for each node v that
+    the hub pass proves, before the Gusfield loop, to be joined to the
+    largest-degree node r at its own degree (``_hub_edges``).  ``flows``
+    counts the hub pass's max-flows too.
     The tree is built once per (view, mode) and kept on the view.
     """
     _check_mode(mode)
@@ -358,7 +449,11 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
             continue
         caps = _capacities(adj[comp][:, comp], mode)
         degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
-        certified = _certifier(caps)
+        q = _ma_bounds(caps).tocoo()
+        bounds = (q.row, q.col, q.data)
+        hub_edges, batches = _hub_edges(caps, degree, _certifier(k, *bounds))
+        flows += batches
+        certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)
         tree = np.zeros(k, dtype=np.int64)  # local parents
         flow_val = np.zeros(k, dtype=np.int64)
@@ -392,19 +487,6 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
     return tree
 
 
-def _tree_sweep(tree: GomoryHuTree):
-    """Yield (value, labels) per distinct cut-tree value, descending.
-
-    ``labels`` are the component labels of the tree restricted to edges at
-    or above that value.  Shared by lambda_sets and top_links.
-    """
-    n = len(tree.up)
-    children = np.flatnonzero(tree.up >= 0)
-    caps = tree.capacity[children]
-    for value in np.unique(caps)[::-1]:
-        yield float(value), _labels_at(n, children, tree.up[children], caps, value)
-
-
 def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     """Node sets more tightly connected internally than to the outside.
 
@@ -413,7 +495,7 @@ def lambda_sets(u: UndirectedView, mode: str = "unit") -> LambdaHierarchy:
     family is laminar by construction.
     """
     levels = []
-    for value, labels in _tree_sweep(gomory_hu(u, mode)):
+    for value, labels in gomory_hu(u, mode).sweep:
         grouped = np.flatnonzero(np.bincount(labels)[labels] >= 2)
         groups: dict[int, list[str]] = {}
         for v, label in zip(grouped.tolist(), labels[grouped].tolist()):
@@ -438,7 +520,7 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     ends = np.array([(a, b) for a, b, _ in edges], dtype=np.int64)
     scores = np.zeros(len(edges))
     remaining = np.arange(len(edges))
-    for value, labels in _tree_sweep(gomory_hu(u, "weighted")):
+    for value, labels in gomory_hu(u, "weighted").sweep:
         a, b = ends[remaining].T
         joined = labels[a] == labels[b]
         scores[remaining[joined]] = value

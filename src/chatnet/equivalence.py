@@ -26,6 +26,11 @@ CASE_CHARACTERISTICS = {
     "case4": "Many different roles, Greater redundancy than case 3, Lesser chaos than case 3",
 }
 
+# rege keeps up to four dense n x n float64 matrices alive at once, about
+# 4 * n * n * 8 bytes; above this many it raises ValueError instead of
+# exhausting memory.  The default admits n up to 8192.
+REGE_MEMORY_LIMIT = 2 * 2**30
+
 
 @dataclass(frozen=True)
 class EquivalenceMatrix:
@@ -148,12 +153,22 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     the first round E is all ones, so K is the number of distinct weight
     pairs.  The result is the same, bit for bit, as scoring every slot
     against every slot.
+
+    Raises ValueError, before allocating any n x n matrix, when the memory
+    estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     n = g.node_count
     if n == 0:
         return EquivalenceMatrix((), np.zeros((0, 0)), iterations)
+    estimate = 4 * n * n * 8
+    if estimate > REGE_MEMORY_LIMIT:
+        raise ValueError(
+            f"REGE on {n} nodes needs about {estimate} bytes "
+            f"(four {n} x {n} float64 matrices), over the limit of "
+            f"{REGE_MEMORY_LIMIT} bytes"
+        )
     indptr, rows, ks, out_w, in_w = _slots(g, weighted)
     isolated = np.diff(indptr) == 0
     # One-sided denominators against a partner with no neighbors: every tie

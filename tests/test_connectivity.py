@@ -14,7 +14,7 @@ from chatnet.connectivity import (
     lambda_sets,
     top_links,
 )
-from chatnet.graph import UndirectedView
+from chatnet.graph import UndirectedView, to_undirected
 from chatnet.report import AnalysisConfig, run_pipeline
 
 from oracles import all_pairs_min_cut, blocks_oracle, cutpoints_oracle
@@ -330,6 +330,27 @@ def test_connectivity_scaling_properties():
             for s in sets
         }
         assert base_sets == scaled_sets
+
+
+def test_lambda_sets_and_top_links_share_one_sweep(fixture_graph, monkeypatch):
+    # The weighted tree's threshold components are computed once, whichever
+    # of lambda_sets and top_links asks first.
+    view = to_undirected(fixture_graph)
+    tree = gomory_hu(view, "weighted")
+    calls = []
+    real_labels = connectivity._labels_at
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real_labels(*args)
+
+    monkeypatch.setattr(connectivity, "_labels_at", counting)
+    levels = lambda_sets(view, "weighted").levels
+    links = top_links(view, 5)
+    assert links and top_links(view, 5) == links
+    assert lambda_sets(view, "weighted").levels == levels
+    assert sorted(calls) == sorted(np.unique(tree.capacity[tree.up >= 0]).tolist())
+    assert [value for value, _ in tree.sweep] == [value for value, _ in levels]
 
 
 def test_top_links_bridge_graph_ranking():

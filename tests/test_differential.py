@@ -1,7 +1,8 @@
 """Differential tests against networkx on seeded graphs of 30 to 200 nodes.
 
-Each test checks one routine (SCCs, bow-tie, cut tree, top links, maximal
-cliques, blocks, HITS) against an independent networkx computation.
+Each test checks one routine (SCCs, bow-tie, cut tree and its certificate,
+top links, maximal cliques, blocks, HITS) against an independent networkx
+computation.
 """
 
 import itertools
@@ -9,11 +10,13 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from chatnet import connectivity
 from chatnet.centrality import hits
 from chatnet.cohesion import maximal_cliques
 from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_links
+from chatnet.graph import to_undirected
 from chatnet.skeleton import bowtie, strongly_connected_components
 
 from synth import (
@@ -175,11 +178,7 @@ def test_ma_bounds_never_exceed_min_cut(seed, mode):
         assert 0 < q <= nx.minimum_cut_value(reference, nick(a), nick(b)), (a, b)
 
 
-@pytest.mark.parametrize("mode", ["unit", "weighted"])
-@pytest.mark.parametrize("seed", range(4))
-def test_certified_cut_tree_matches_networkx_on_all_pairs(seed, mode):
-    n = (30, 36, 42, 48)[seed]
-    weighted = pendant_bridge_ugraph(800 + seed, n)
+def assert_all_pairs_match_networkx(n, weighted, mode):
     view = as_undirected(n, weighted)
     reference = nx.gomory_hu_tree(to_nx_graph(n, weighted, mode))
     tree = gomory_hu(view, mode)
@@ -189,53 +188,158 @@ def test_certified_cut_tree_matches_networkx_on_all_pairs(seed, mode):
         assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
 
 
-# (graph, n, mode) -> max-flows of the cut tree, as counted when the
-# certificate was a bottleneck on a maximum spanning tree of the MA bounds.
-# The component test decides every Gusfield step the same way.
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_cut_tree_matches_networkx_on_all_pairs(seed, mode):
+    n = (30, 36, 42, 48)[seed]
+    assert_all_pairs_match_networkx(n, pendant_bridge_ugraph(800 + seed, n), mode)
+
+
+def pa_ugraph(seed, n):
+    # The scale gate's preferential attachment at n nodes: no pendant
+    # users, one hub of high degree.  Connected.
+    return list(to_undirected(preferential_attachment_graph(n, int(3.5 * n), seed)).edges())
+
+
+def hub_passes(view, mode):
+    # Per component of two or more nodes, as gomory_hu builds it: the
+    # component's ids ascending, its degrees, the MA bound edges, and the
+    # hub pass's edges and max-flow count.
+    adj = view.csr()
+    ncomp, labels = connected_components(adj, directed=False)
+    for c in range(ncomp):
+        comp = np.flatnonzero(labels == c)
+        if len(comp) < 2:
+            continue
+        caps = connectivity._capacities(adj[comp][:, comp], mode)
+        degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
+        q = connectivity._ma_bounds(caps).tocoo()
+        bounds = (q.row, q.col, q.data)
+        certified = connectivity._certifier(len(comp), *bounds)
+        hub, flows = connectivity._hub_edges(caps, degree, certified)
+        yield comp, degree, bounds, hub, flows
+
+
+# (graph, n, mode) -> max-flows of the cut tree, the hub pass's included.
 CERTIFIED_FLOWS = {
-    ("pendant", 30, "unit"): 23,
-    ("pendant", 30, "weighted"): 23,
-    ("pendant", 36, "unit"): 25,
-    ("pendant", 36, "weighted"): 24,
-    ("pendant", 42, "unit"): 30,
-    ("pendant", 42, "weighted"): 33,
-    ("pendant", 48, "unit"): 39,
-    ("pendant", 48, "weighted"): 38,
+    ("pendant", 30, "unit"): 24,
+    ("pendant", 30, "weighted"): 24,
+    ("pendant", 36, "unit"): 26,
+    ("pendant", 36, "weighted"): 25,
+    ("pendant", 42, "unit"): 31,
+    ("pendant", 42, "weighted"): 34,
+    ("pendant", 48, "unit"): 40,
+    ("pendant", 48, "weighted"): 39,
     ("components", 60, "unit"): 36,
-    ("components", 60, "weighted"): 32,
+    ("components", 60, "weighted"): 34,
 }
 
 
 def certificate_graph(kind, n):
     if kind == "pendant":
         return pendant_bridge_ugraph(1000 + (30, 36, 42, 48).index(n), n)
+    if kind == "pa":
+        return pa_ugraph(1000 + n, n)
     return multi_component_ugraph(1000, n)
+
+
+def assert_certifier_matches_widest_paths(k, edges, values):
+    # For every pair and value, the certificate over these edges says yes
+    # exactly when value <= the widest-path value between the pair.
+    heads, tails, weights = (e.tolist() for e in edges)
+    bounds = nx.Graph()
+    bounds.add_nodes_from(range(k))
+    for a, b, value in zip(heads, tails, weights):
+        if not bounds.has_edge(a, b) or bounds[a][b]["weight"] < value:
+            bounds.add_edge(a, b, weight=value)
+    spanning = nx.maximum_spanning_tree(bounds)
+    certified = connectivity._certifier(k, *edges)
+    for s, t in itertools.combinations(range(k), 2):
+        path = nx.shortest_path(spanning, s, t)
+        widest = min(spanning[x][y]["weight"] for x, y in zip(path, path[1:]))
+        for value in values:
+            assert certified(s, t, value) == (value <= widest), (s, t, value)
 
 
 @pytest.mark.parametrize("kind, n, mode", sorted(CERTIFIED_FLOWS))
 def test_certificate_matches_widest_path_of_ma_bounds(kind, n, mode):
     weighted = certificate_graph(kind, n)
     view = as_undirected(n, weighted)
-    adj = view.csr()
-    for members in nx.connected_components(to_nx_graph(n, weighted, mode)):
-        comp = sorted(view.id_of(x) for x in members)
-        if len(comp) < 2:
-            continue
-        caps = connectivity._capacities(adj[comp][:, comp], mode)
-        q = connectivity._ma_bounds(caps).tocoo()
-        bounds = nx.Graph()
-        bounds.add_nodes_from(range(len(comp)))
-        for a, b, value in zip(q.row.tolist(), q.col.tolist(), q.data.tolist()):
-            bounds.add_edge(a, b, weight=value)
-        spanning = nx.maximum_spanning_tree(bounds)
-        degrees = sorted(set(np.asarray(caps.sum(axis=1)).ravel().tolist()))
-        certified = connectivity._certifier(caps)
-        for s, t in itertools.combinations(range(len(comp)), 2):
-            path = nx.shortest_path(spanning, s, t)
-            widest = min(spanning[x][y]["weight"] for x, y in zip(path, path[1:]))
-            for value in degrees:
-                assert certified(s, t, value) == (value <= widest), (s, t, value)
+    for comp, degree, bounds, _, _ in hub_passes(view, mode):
+        assert_certifier_matches_widest_paths(len(comp), bounds, sorted(set(degree)))
     assert gomory_hu(view, mode).flows == CERTIFIED_FLOWS[kind, n, mode]
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("kind, n", [("components", 60), ("pendant", 48), ("pa", 60), ("pa", 100)])
+def test_certificate_matches_widest_path_of_ma_and_hub_edges(kind, n, mode):
+    view = as_undirected(n, certificate_graph(kind, n))
+    hub_edges = 0
+    for comp, degree, bounds, hub, _ in hub_passes(view, mode):
+        edges = tuple(map(np.concatenate, zip(bounds, hub)))
+        assert_certifier_matches_widest_paths(len(comp), edges, sorted(set(degree)))
+        hub_edges += len(hub[0])
+    if kind == "pa":
+        assert hub_edges >= n // 4
+
+
+HUB_GRAPHS = [("pa", n) for n in (60, 100, 140, 200)] + [("pendant", 30), ("pendant", 48)]
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("kind, n", HUB_GRAPHS)
+def test_hub_pass_proves_connectivity_equal_to_degree(kind, n, mode):
+    weighted = certificate_graph(kind, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, mode)
+    proven = 0
+    for comp, degree, _, (heads, tails, weights), _ in hub_passes(view, mode):
+        hub = degree.index(max(degree))
+        for v, r, w in zip(heads.tolist(), tails.tolist(), weights.tolist()):
+            assert r == hub and w == degree[v]
+            assert nx.minimum_cut_value(reference, nick(comp[v]), nick(comp[r])) == w, v
+        proven += len(heads)
+    if kind == "pa":
+        assert proven >= n // 4
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("n", [60, 100])
+def test_hub_certified_cut_tree_matches_networkx_on_all_pairs(n, mode):
+    weighted = certificate_graph("pa", n)
+    ((_, _, _, hub, flows),) = hub_passes(as_undirected(n, weighted), mode)
+    # The pass stops after a batch that proves fewer than two nodes, so
+    # two proven nodes mean that the first batch proved at least two.
+    assert len(hub[0]) >= 2 and flows >= 2
+    assert_all_pairs_match_networkx(n, weighted, mode)
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_hub_pass_never_proves_a_member_behind_a_light_bridge(seed, mode, monkeypatch):
+    n = (30, 36, 42, 48)[seed]
+    weighted = pendant_bridge_ugraph(1100 + seed, n)
+    reference = to_nx_graph(n, weighted, mode)
+    members = []
+    real_flow = connectivity.maximum_flow
+
+    def recording(ext, source, sink):
+        members.extend(np.flatnonzero(ext[source].toarray()).tolist())
+        return real_flow(ext, source, sink)
+
+    monkeypatch.setattr(connectivity, "maximum_flow", recording)
+    ((comp, degree, _, (proven, _, _), _),) = hub_passes(as_undirected(n, weighted), mode)
+    assert comp.tolist() == list(range(n))  # local ids are node ids
+    hub = nick(degree.index(max(degree)))
+    behind = set()
+    for a, b in nx.bridges(reference):
+        cut = reference.copy()
+        cut.remove_edge(a, b)
+        far = set(cut) - nx.node_connected_component(cut, hub)
+        light = reference[a][b]["capacity"]
+        behind.update(v for v in members if nick(v) in far and light < degree[v])
+    assert behind
+    assert not behind & set(proven.tolist())
 
 
 def test_pendant_heavy_cut_tree_skips_flows():

@@ -15,6 +15,7 @@ from chatnet.equivalence import (
     rege,
 )
 from chatnet.graph import MentionGraph
+from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 from chatnet.skeleton import SkeletonPartition, abcd_skeleton
 
 from oracles import rege_reference
@@ -282,6 +283,33 @@ def test_memory_stays_below_five_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 5 * n * n * 8
+
+
+def test_memory_guard_refuses_before_any_dense_matrix(monkeypatch):
+    rng = random.Random(95)
+    n = 300
+    edges = random_digraph(rng, n, 2.0 / n)
+    g = as_mention_graph(n, edges)
+    estimate = 4 * n * n * 8
+    monkeypatch.setattr(equivalence, "REGE_MEMORY_LIMIT", estimate - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"REGE on {n} nodes needs about {estimate} bytes"):
+            rege(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    monkeypatch.setattr(equivalence, "REGE_MEMORY_LIMIT", estimate)
+    assert rege(g, 1).values.shape == (n, n)
+
+
+def test_memory_guard_fails_the_roles_stage(fixture_files, monkeypatch):
+    monkeypatch.setattr(equivalence, "REGE_MEMORY_LIMIT", 1)
+    cfg = AnalysisConfig(log_paths=tuple(path for path, _ in fixture_files))
+    with pytest.raises(PipelineError, match="over the limit of 1 bytes") as info:
+        run_pipeline(cfg)
+    assert info.value.stage == "roles"
 
 
 def test_tie_fraction_all_high():
