@@ -5,7 +5,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse import csr_matrix, triu
+
 from .graph import MentionGraph, UndirectedView
+
+# maximal_cliques stops with ValueError once it has found more maximal
+# cliques than this, counting those below min_size too.  Enumeration can
+# grow as 3^(n/3) (Moon & Moser 1965), so a dense graph would otherwise run
+# for hours or exhaust memory; a 3,992-user chat graph has 28,911.
+MAX_CLIQUES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
 
     The outer loop runs in degeneracy order so each maximal clique is emitted
     exactly once; output order is canonical regardless of input order.
+    Raises ValueError on finding more than ``MAX_CLIQUES`` maximal cliques.
     """
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
@@ -95,6 +105,11 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
 
     def expand(clique: list[int], cand: set[int], excl: set[int]) -> None:
         if not cand and not excl:
+            if len(found) == MAX_CLIQUES:
+                raise ValueError(
+                    f"more than {MAX_CLIQUES} maximal cliques (cohesion.MAX_CLIQUES); "
+                    "enumeration stopped"
+                )
             found.append(tuple(clique))
             return
         pivot = min(cand | excl, key=lambda c: (-len(cand & nbr[c]), c))
@@ -120,19 +135,34 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
 
 
 def clique_comembership(report: CliqueReport, nodes) -> CoMembershipMatrix:
-    """Tally, for every actor pair, how many listed cliques hold both."""
-    universe = set(nodes)
-    pair_counts: dict[tuple[str, str], int] = {}
-    diagonal: dict[str, int] = {}
-    for clique in report.cliques:
-        if not set(clique) <= universe:
-            stray = sorted(set(clique) - universe)[0]
-            raise ValueError(f"clique member '{stray}' outside the node set")
-        members = sorted(clique)
-        for i, a in enumerate(members):
-            diagonal[a] = diagonal.get(a, 0) + 1
-            for b in members[i + 1:]:
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
+    """Tally, for every actor pair, how many listed cliques hold both.
+
+    The tallies are the product M^T M of the clique x actor incidence
+    matrix M, with the actors in sorted order, so each pair of its strict
+    upper triangle is keyed (a, b) with a < b.
+    """
+    names = sorted(set(nodes))
+    index = {name: i for i, name in enumerate(names)}
+    try:
+        members = [index[m] for clique in report.cliques for m in clique]
+    except KeyError:
+        clique = next(c for c in report.cliques if not set(c) <= index.keys())
+        stray = sorted(set(clique) - index.keys())[0]
+        raise ValueError(f"clique member '{stray}' outside the node set") from None
+    indptr = np.cumsum([0] + [len(c) for c in report.cliques])
+    incidence = csr_matrix(
+        (np.ones(len(members), dtype=np.int64), members, indptr),
+        shape=(len(report.cliques), len(names)),
+    )
+    tally = (incidence.T @ incidence).tocsr()
+    pairs = triu(tally, k=1).tocoo()
+    pair_counts = {
+        (names[a], names[b]): count
+        for a, b, count in zip(pairs.row.tolist(), pairs.col.tolist(), pairs.data.tolist())
+    }
+    diagonal = {
+        names[v]: count for v, count in enumerate(tally.diagonal().tolist()) if count
+    }
     max_pair = None
     if pair_counts:
         best = min(pair_counts.items(), key=lambda item: (-item[1], item[0]))

@@ -6,6 +6,13 @@ from all-ones and, per round, scores each ordered pair (i, j) by finding for
 every neighbor k of i the best-matching neighbor m of j, weighting tie
 agreement by the previous round's equivalence of k and m.  Three rounds make
 the measure sensitive to three-step neighborhoods.
+
+A full round scores one partner j per partner class: the partners whose
+slots carry the same set of keys (the class of the neighbor's row of E and
+the two tie weights) run the same arithmetic, so the others copy its sums.
+The role cases read E only at the ties, so for them the last round is
+scored at the tie pairs (i, j) alone: partner j against the slots of its
+neighbors i, summed in slot order, with the same bits as the full round.
 """
 
 from __future__ import annotations
@@ -26,9 +33,10 @@ CASE_CHARACTERISTICS = {
     "case4": "Many different roles, Greater redundancy than case 3, Lesser chaos than case 3",
 }
 
-# rege keeps up to four dense n x n float64 matrices alive at once, about
-# 4 * n * n * 8 bytes; above this many it raises ValueError instead of
-# exhausting memory.  The default admits n up to 8192.
+# A full round keeps three dense n x n float64 matrices alive at once, plus
+# a mask and a band of rows; the estimate 4 * n * n * 8 bytes covers them.
+# Above this many bytes rege raises ValueError instead of exhausting
+# memory.  The default admits n up to 8192.
 REGE_MEMORY_LIMIT = 2 * 2**30
 
 
@@ -135,6 +143,191 @@ def _partner_groups(indptr, ks, out_w, in_w, pair):
     return partners
 
 
+@dataclass(frozen=True)
+class _Setup:
+    """What every round reads: the slots, their weight pairs, the partners."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    ks: np.ndarray
+    pair: np.ndarray  # weight-pair id per slot
+    pair_out: np.ndarray
+    pair_in: np.ndarray
+    partners: list
+    unmatched_den: np.ndarray
+    isolated: np.ndarray
+
+
+def _setup(g: MentionGraph, iterations: int, weighted: bool) -> _Setup:
+    """Check the arguments and the memory estimate, then build the setup."""
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    n = g.node_count
+    estimate = 4 * n * n * 8
+    if estimate > REGE_MEMORY_LIMIT:
+        raise ValueError(
+            f"REGE on {n} nodes needs about {estimate} bytes "
+            f"(four {n} x {n} float64 matrices), over the limit of "
+            f"{REGE_MEMORY_LIMIT} bytes"
+        )
+    indptr, rows, ks, out_w, in_w = _slots(g, weighted)
+    # Distinct (out_w, in_w) weight pairs; tie factors and denominator
+    # candidates are computed per pair and gathered per key.
+    (pair_out, pair_in), pair = np.unique(
+        np.stack([out_w, in_w]), axis=1, return_inverse=True
+    )
+    return _Setup(
+        indptr=indptr,
+        rows=rows,
+        ks=ks,
+        pair=pair,
+        pair_out=pair_out,
+        pair_in=pair_in,
+        partners=_partner_groups(indptr, ks, out_w, in_w, pair),
+        # One-sided denominators against a partner with no neighbors: every
+        # tie of i is unmatched and counts in full.
+        unmatched_den=np.bincount(rows, weights=out_w + in_w, minlength=n),
+        isolated=np.diff(indptr) == 0,
+    )
+
+
+def _slot_keys(E: np.ndarray, s: _Setup):
+    """Key id per slot, and each key's k and weight pair."""
+    slot_key = _row_classes(E)[s.ks] * len(s.pair_out) + s.pair
+    _, first, inverse = np.unique(slot_key, return_index=True, return_inverse=True)
+    return inverse, s.ks[first], s.pair[first]
+
+
+def _partner_scores(E, partner, key_k, key_pair, s: _Setup):
+    """Partner j's best match and its denominator, per key given.
+
+    Each key is scored on its own, so scoring a subset of the keys gives
+    the same bits for those keys as scoring all of them.
+    """
+    heads, out_j, in_j, dups = partner
+    # E is symmetric, so row m of E holds E[k, m] for every key's k.
+    group_rows = E[heads]
+    for group, m in dups:
+        np.maximum(group_rows[group], E[m], out=group_rows[group])
+    match = group_rows.take(key_k, axis=1)
+    match *= (np.minimum(s.pair_out, out_j) + np.minimum(s.pair_in, in_j)).take(
+        key_pair, axis=1
+    )
+    best = match.max(axis=0)
+    den_candidates = (
+        np.maximum(s.pair_out, out_j) + np.maximum(s.pair_in, in_j)
+    ).take(key_pair, axis=1)
+    # Only the best matches keep their candidate: x / True is x, and
+    # x / False is inf because every candidate is positive.
+    with np.errstate(divide="ignore"):
+        den_candidates /= match == best
+    return best, den_candidates.min(axis=0)
+
+
+def _partner_classes(inverse: np.ndarray, s: _Setup) -> list[int]:
+    """Per partner j, the first partner whose slots carry the same key set."""
+    order = np.lexsort((inverse, s.rows))
+    rows, keys = s.rows[order], inverse[order]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])
+    rows, keys = rows[distinct], keys[distinct]
+    bounds = np.searchsorted(rows, np.arange(len(s.indptr))).tolist()
+    first: dict[bytes, int] = {}
+    return [
+        first.setdefault(keys[a:b].tobytes(), j)
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def _add_transpose(a: np.ndarray, step: int = 128) -> None:
+    """``a += a.T`` in place, a band of rows at a time, with no n x n temporary."""
+    for r in range(0, len(a), step):
+        band = a[r:r + step, r:] + a[r:, r:r + step].T
+        a[r:r + step, r:] = band
+        a[r:, r:r + step] = band.T
+
+
+def _full_round(E: np.ndarray, s: _Setup) -> np.ndarray:
+    """One round over every pair; the next E."""
+    n = len(E)
+    inverse, key_k, key_pair = _slot_keys(E, s)
+    # Row j holds partner j's column of the one-sided sums; only their
+    # symmetric sums below are used, so the layout does not matter.
+    num = np.zeros((n, n))
+    den = np.zeros((n, n))
+    for j, (rep, partner) in enumerate(zip(_partner_classes(inverse, s), s.partners)):
+        if rep != j:
+            num[j] = num[rep]
+            den[j] = den[rep]
+        elif not len(partner[0]):
+            den[j] = s.unmatched_den
+        else:
+            best, den_min = _partner_scores(E, partner, key_k, key_pair, s)
+            num[j] = np.bincount(s.rows, weights=best[inverse], minlength=n)
+            den[j] = np.bincount(s.rows, weights=den_min[inverse], minlength=n)
+    _add_transpose(num)
+    _add_transpose(den)
+    # Weights are positive, so den is 0 only between two isolates, where
+    # num is 0 too.
+    E = np.divide(num, den, out=num, where=den > 0)
+    if s.isolated.any():
+        E[np.ix_(s.isolated, s.isolated)] = 1.0
+    np.fill_diagonal(E, 1.0)
+    return E
+
+
+def _tie_round(E: np.ndarray, s: _Setup) -> np.ndarray:
+    """One round at the slots only: the next E[rows, ks], in slot order.
+
+    E[i, j] at a tie needs partner j's one-sided sum only at i in N(j), so
+    each partner scores only the keys of its neighbors' slots and sums them
+    per neighbor in slot order, which keeps every sum's bits.  The graph
+    has no self-loops, so no slot lies on the diagonal.
+    """
+    inverse, key_k, key_pair = _slot_keys(E, s)
+    # At slot (j, i): partner j's one-sided sums over i's slots.
+    num = np.zeros(len(s.rows))
+    den = np.zeros(len(s.rows))
+    # Scratch per key, reset after each partner.
+    seen = np.zeros(len(key_k), dtype=bool)
+    position = np.zeros(len(key_k), dtype=np.int64)
+    bounds = s.indptr.tolist()
+    for j, partner in enumerate(s.partners):
+        a, b = bounds[j], bounds[j + 1]
+        if a == b:
+            continue
+        # The keys of j's neighbors' slots, in slot order, and for each slot
+        # the neighbor's place in N(j).
+        starts = s.indptr[s.ks[a:b]]
+        counts = s.indptr[s.ks[a:b] + 1] - starts
+        local_row = np.repeat(np.arange(b - a), counts)
+        rank = np.arange(len(local_row)) - (np.cumsum(counts) - counts)[local_row]
+        keys = inverse[starts[local_row] + rank]
+        seen[keys] = True
+        used = np.flatnonzero(seen)
+        seen[used] = False
+        position[used] = np.arange(len(used))
+        local = position[keys]
+        best, den_min = _partner_scores(E, partner, key_k[used], key_pair[used], s)
+        num[a:b] = np.bincount(local_row, weights=best[local], minlength=b - a)
+        den[a:b] = np.bincount(local_row, weights=den_min[local], minlength=b - a)
+    # E[i, j] sums the one-sided values of slot (i, j) and its mirror (j, i).
+    n = len(E)
+    mirror = np.searchsorted(s.rows * n + s.ks, s.ks * n + s.rows)
+    num += num[mirror]
+    den += den[mirror]
+    return num / den  # both ends of a tie have slots, so den > 0
+
+
+def _before_last_round(g: MentionGraph, iterations: int, weighted: bool):
+    """The setup and E after every round but the last."""
+    s = _setup(g, iterations, weighted)
+    E = np.ones((g.node_count, g.node_count))
+    for _ in range(iterations - 1):
+        E = _full_round(E, s)
+    return s, E
+
+
 def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> EquivalenceMatrix:
     """Iterated regular-equivalence similarities over the weighted digraph.
 
@@ -151,76 +344,41 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     slots are merged per weight pair first, and scatters the scores back to
     the slots, so a round costs at most O(K * S) for K keys and S slots.  In
     the first round E is all ones, so K is the number of distinct weight
-    pairs.  The result is the same, bit for bit, as scoring every slot
-    against every slot.
+    pairs.  A partner's scores depend only on the set of keys over its own
+    slots, so partners with equal key sets form a class: one of them is
+    scored and the others copy its sums.  The result is the same, bit for
+    bit, as scoring every slot against every slot.
+
+    The roles section reads E only at the ties; ``_rege_tie_values`` runs
+    the same rounds but the last, and the last only at the tie pairs.
 
     Raises ValueError, before allocating any n x n matrix, when the memory
     estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    n = g.node_count
-    if n == 0:
-        return EquivalenceMatrix((), np.zeros((0, 0)), iterations)
-    estimate = 4 * n * n * 8
-    if estimate > REGE_MEMORY_LIMIT:
-        raise ValueError(
-            f"REGE on {n} nodes needs about {estimate} bytes "
-            f"(four {n} x {n} float64 matrices), over the limit of "
-            f"{REGE_MEMORY_LIMIT} bytes"
-        )
-    indptr, rows, ks, out_w, in_w = _slots(g, weighted)
-    isolated = np.diff(indptr) == 0
-    # One-sided denominators against a partner with no neighbors: every tie
-    # of i is unmatched and counts in full.
-    unmatched_den = np.bincount(rows, weights=out_w + in_w, minlength=n)
-    # Distinct (out_w, in_w) weight pairs; tie factors and denominator
-    # candidates are computed per pair and gathered per key.
-    (pair_out, pair_in), pair = np.unique(
-        np.stack([out_w, in_w]), axis=1, return_inverse=True
-    )
-    partners = _partner_groups(indptr, ks, out_w, in_w, pair)
+    s, E = _before_last_round(g, iterations, weighted)
+    return EquivalenceMatrix(g.nicks, _full_round(E, s), iterations)
 
-    E = np.ones((n, n))
-    for _ in range(iterations):
-        slot_key = _row_classes(E)[ks] * len(pair_out) + pair
-        _, first, inverse = np.unique(slot_key, return_index=True, return_inverse=True)
-        key_k, key_pair = ks[first], pair[first]
-        # Row j holds partner j's column of the one-sided sums; only their
-        # symmetric sums below are used, so the layout does not matter.
-        num = np.zeros((n, n))
-        den = np.zeros((n, n))
-        for j, (heads, out_j, in_j, dups) in enumerate(partners):
-            if not len(heads):
-                den[j] = unmatched_den
-                continue
-            # E is symmetric, so row m of E holds E[k, m] for every key's k.
-            group_rows = E[heads]
-            for group, m in dups:
-                np.maximum(group_rows[group], E[m], out=group_rows[group])
-            match = group_rows.take(key_k, axis=1)
-            match *= (np.minimum(pair_out, out_j) + np.minimum(pair_in, in_j)).take(
-                key_pair, axis=1
-            )
-            best = match.max(axis=0)
-            den_candidates = (
-                np.maximum(pair_out, out_j) + np.maximum(pair_in, in_j)
-            ).take(key_pair, axis=1)
-            # Only the best matches keep their candidate: x / True is x, and
-            # x / False is inf because every candidate is positive.
-            with np.errstate(divide="ignore"):
-                den_candidates /= match == best
-            num[j] = np.bincount(rows, weights=best[inverse], minlength=n)
-            den[j] = np.bincount(
-                rows, weights=den_candidates.min(axis=0)[inverse], minlength=n
-            )
-        num += num.T
-        den += den.T
-        E = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        if isolated.any():
-            E[np.ix_(isolated, isolated)] = 1.0
-        np.fill_diagonal(E, 1.0)
-    return EquivalenceMatrix(g.nicks, E, iterations)
+
+def _rege_tie_values(g: MentionGraph, iterations: int = 3, weighted: bool = True):
+    """``rege(g, iterations, weighted).values`` at the slots, bit for bit.
+
+    Returns (rows, ks, values): the slots (i, k), one per tie of i in
+    either direction, and E[i, k] at each, in slot order.  No n x n matrix
+    is built in the last round.
+    """
+    s, E = _before_last_round(g, iterations, weighted)
+    return s.rows, s.ks, _tie_round(E, s)
+
+
+def _tie_fractions(nicks, rows: np.ndarray, values: np.ndarray, threshold: float):
+    """Per node, the share of its slots whose value exceeds the threshold."""
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
+    n = len(nicks)
+    high = np.bincount(rows[values > threshold], minlength=n)
+    degree = np.bincount(rows, minlength=n)
+    fractions = np.divide(high, degree, out=np.zeros(n), where=degree > 0)
+    return dict(zip(nicks, fractions.tolist()))
 
 
 def high_eq_tie_fraction(
@@ -231,16 +389,10 @@ def high_eq_tie_fraction(
     Counts neighbors (either direction) whose equivalence with the node
     exceeds the threshold; isolated nodes score 0.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
     if e.nicks != g.nicks:
         raise ValueError("equivalence matrix does not match the graph")
-    n = g.node_count
-    indptr, rows, ks, _, _ = _slots(g, weighted=False)
-    high = np.bincount(rows[e.values[rows, ks] > threshold], minlength=n)
-    degree = np.diff(indptr)
-    fractions = np.divide(high, degree, out=np.zeros(n), where=degree > 0)
-    return dict(zip(g.nicks, fractions.tolist()))
+    _, rows, ks, _, _ = _slots(g, weighted=False)
+    return _tie_fractions(g.nicks, rows, e.values[rows, ks], threshold)
 
 
 def classify_roles(

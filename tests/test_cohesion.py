@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from chatnet import cohesion
 from chatnet.cohesion import (
+    CliqueReport,
     clique_comembership,
     clique_participation,
     ego_network,
     maximal_cliques,
 )
-from chatnet.graph import MentionGraph, UndirectedView
+from chatnet.graph import MentionGraph, UndirectedView, write_graph_csv
+from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 
 from oracles import cliques_oracle
 from synth import as_undirected, ids_of, nick, random_ugraph
@@ -147,6 +150,71 @@ def test_comembership_rejects_stray_members(fixture_undirected):
     report = maximal_cliques(fixture_undirected, min_size=3)
     with pytest.raises(ValueError, match="outside the node set"):
         clique_comembership(report, {"alice"})
+
+
+def test_comembership_matches_plain_tally_with_string_order():
+    # Nicks whose string order differs from their numeric order ("b10" <
+    # "b9"); every key is (a, b) with a < b as strings, and the counts match
+    # a plain tally of the sorted members of each clique.
+    rng = random.Random(59)
+    names = [f"{rng.choice('zyxabc')}{v}" for v in range(30)]
+    edges = [(names[u], names[v], 1) for u, v in random_ugraph(rng, 30, 0.3)]
+    g = UndirectedView.from_edge_list(edges)
+    report = maximal_cliques(g, min_size=2)
+    co = clique_comembership(report, set(g.nicks))
+    tally = {}
+    for clique in report.cliques:
+        for a, b in itertools.combinations(sorted(clique), 2):
+            tally[(a, b)] = tally.get((a, b), 0) + 1
+    assert co.pair_counts == tally
+    assert all(type(count) is int for count in co.pair_counts.values())
+    assert co.diagonal == {
+        v: sum(1 for c in report.cliques if v in c)
+        for v in g.nicks
+        if any(v in c for c in report.cliques)
+    }
+
+
+def test_comembership_of_no_cliques_is_empty():
+    co = clique_comembership(CliqueReport((), 3, 0), {"a", "b"})
+    assert (co.pair_counts, co.diagonal, co.max_pair) == ({}, {}, None)
+
+
+def moon_moser_graph(parts):
+    # Complete multipartite graph with parts of three: 3**parts maximal
+    # cliques, the most any graph on 3 * parts nodes has.
+    part = [v // 3 for v in range(3 * parts)]
+    return undirected_of(
+        3 * parts,
+        [(u, v) for u, v in itertools.combinations(range(3 * parts), 2) if part[u] != part[v]],
+    )
+
+
+def test_clique_budget_stops_enumeration(monkeypatch):
+    g = moon_moser_graph(6)
+    monkeypatch.setattr(cohesion, "MAX_CLIQUES", 3**6)
+    assert maximal_cliques(g, min_size=1).count == 3**6
+    monkeypatch.setattr(cohesion, "MAX_CLIQUES", 3**6 - 1)
+    with pytest.raises(ValueError, match="more than 728 maximal cliques"):
+        maximal_cliques(g, min_size=1)
+    # cliques below min_size count against the budget too
+    with pytest.raises(ValueError, match="more than 728 maximal cliques"):
+        maximal_cliques(g, min_size=7)
+
+
+def test_clique_budget_fails_the_cliques_stage(tmp_path, monkeypatch):
+    u = moon_moser_graph(5)
+    path = tmp_path / "moon-moser.csv"
+    edges = [(u.nicks[a], u.nicks[b], w) for a, b, w in u.edges()]
+    write_graph_csv(MentionGraph.from_edge_list(edges), path)
+    cfg = AnalysisConfig(graph_path=str(path), analyses=("stats", "cliques"))
+    text = run_pipeline(cfg).to_json_text()
+    assert '"count": 243' in text
+    assert "max_cliques" not in text.lower()
+    monkeypatch.setattr(cohesion, "MAX_CLIQUES", 100)
+    with pytest.raises(PipelineError, match="more than 100 maximal cliques") as info:
+        run_pipeline(cfg)
+    assert info.value.stage == "cliques"
 
 
 def test_participation_members_score_one(fixture_undirected):

@@ -9,7 +9,13 @@ import pytest
 from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
+    _partner_classes,
+    _rege_tie_values,
     _row_classes,
+    _setup,
+    _slot_keys,
+    _slots,
+    _tie_fractions,
     classify_roles,
     high_eq_tie_fraction,
     rege,
@@ -19,7 +25,7 @@ from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 from chatnet.skeleton import SkeletonPartition, abcd_skeleton
 
 from oracles import rege_reference
-from synth import as_mention_graph, nick, random_digraph
+from synth import as_mention_graph, nick, preferential_attachment_graph, random_digraph
 
 # fixed 5-node weighted digraph exercising asymmetric weights and reciprocity
 FIVE_NODE_EDGES = [
@@ -270,6 +276,84 @@ def test_matrix_is_exactly_symmetric(make_graph, seed):
             assert (matrix == matrix.T).all()
 
 
+def shared_key_digraph(seed):
+    # Fans that each mention one to three of a few hubs, all at one weight
+    # per fan: many partners carry the same key set in the first round
+    # without being twins, so their rows part ways in the second.
+    rng = random.Random(seed)
+    hubs = rng.randint(3, 6)
+    n = rng.randint(30, 60)
+    ties = {}
+    for fan in range(hubs, n - 2):  # the last two nodes stay isolated
+        w = rng.choice((1, 2))
+        for hub in rng.sample(range(hubs), rng.randint(1, 3)):
+            ties[(fan, hub)] = w
+            if rng.random() < 0.2:
+                ties[(hub, fan)] = w
+    for a, b in random_digraph(rng, hubs, 0.3):
+        ties[(a, b)] = rng.choice((1, 3))
+    edges = sorted(ties)
+    return as_mention_graph(n, edges, [ties[e] for e in edges])
+
+
+def several_components(seed):
+    # A twin-heavy, a shared-key and a medium graph side by side, with
+    # their isolates.
+    parts = [twin_heavy_digraph(seed), shared_key_digraph(seed + 10), medium_digraph(seed)]
+    edges, weights, offset = [], [], 0
+    for part in parts:
+        for u, v, w in part.edges():
+            edges.append((u + offset, v + offset))
+            weights.append(w)
+        offset += part.node_count
+    return as_mention_graph(offset, edges, weights)
+
+
+def assert_tie_values_match_rege(g, iterations, weighted):
+    rows, ks, values = _rege_tie_values(g, iterations, weighted)
+    _, slot_rows, slot_ks, _, _ = _slots(g, weighted)
+    assert rows.tolist() == slot_rows.tolist()
+    assert ks.tolist() == slot_ks.tolist()
+    matrix = rege(g, iterations, weighted=weighted).values
+    assert values.tobytes() == matrix[rows, ks].tobytes()
+
+
+def first_round_partner_classes(g, weighted):
+    s = _setup(g, 1, weighted)
+    inverse, _, _ = _slot_keys(np.ones((g.node_count, g.node_count)), s)
+    return len(set(_partner_classes(inverse, s)))
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize(
+    "make_graph", [medium_digraph, twin_heavy_digraph, shared_key_digraph, several_components]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_tie_values_equal_rege_at_every_slot(make_graph, seed, weighted, iterations):
+    assert_tie_values_match_rege(make_graph(seed), iterations, weighted)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_key_graphs_merge_partners(seed):
+    # The graphs above do reach the copied-row path, in both modes.
+    g = shared_key_digraph(seed)
+    for weighted in (True, False):
+        assert first_round_partner_classes(g, weighted) <= g.node_count // 3
+
+
+def test_tie_values_equal_rege_on_the_scale_graph():
+    # The criterion-10 graph: 2,400 nodes, of which 1,440 partner classes
+    # are scored in the first round.
+    g = preferential_attachment_graph(2400, 9400, seed=7)
+    assert first_round_partner_classes(g, True) == 1440
+    rows, ks, values = _rege_tie_values(g, 3)
+    matrix = rege(g, 3)
+    assert values.tobytes() == matrix.values[rows, ks].tobytes()
+    fractions = _tie_fractions(g.nicks, rows, values, 0.5)
+    assert fractions == high_eq_tie_fraction(g, matrix, 0.5)
+
+
 def test_memory_stays_below_five_dense_matrices():
     # The kernel keeps at most four n x n float64 matrices alive at once.
     rng = random.Random(94)
@@ -283,6 +367,29 @@ def test_memory_stays_below_five_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 5 * n * n * 8
+
+
+def test_tie_values_peak_no_higher_than_rege():
+    # The roles section's path (tie values, then fractions) against rege.
+    rng = random.Random(94)
+    n = 800
+    edges = random_digraph(rng, n, 2.0 / n)
+    g = as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
+
+    def peak_of(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def roles_path():
+        rows, _, values = _rege_tie_values(g, 3)
+        _tie_fractions(g.nicks, rows, values, 0.5)
+
+    rege_peak = peak_of(lambda: rege(g, 3))
+    assert peak_of(roles_path) <= rege_peak
 
 
 def test_memory_guard_refuses_before_any_dense_matrix(monkeypatch):
