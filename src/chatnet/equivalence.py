@@ -10,8 +10,9 @@ the measure sensitive to three-step neighborhoods.
 A full round scores one partner j per partner class: the partners whose
 slots carry the same set of keys (the class of the neighbor's row of E and
 the two tie weights) run the same arithmetic, so the others copy its sums.
-The role cases read E only at the ties, so for them the last round is
-scored at the tie pairs (i, j) alone: partner j against the slots of its
+The role cases read E only at the ties, so for them ``rege`` runs the
+rounds before the last and ``high_eq_tie_fraction`` scores the last round
+at the tie pairs (i, j) alone: partner j against the slots of its
 neighbors i, summed in slot order, with the same bits as the full round.
 """
 
@@ -239,8 +240,9 @@ def _partner_classes(inverse: np.ndarray, s: _Setup) -> list[int]:
     ]
 
 
-def _add_transpose(a: np.ndarray, step: int = 128) -> None:
+def _add_transpose(a: np.ndarray) -> None:
     """``a += a.T`` in place, a band of rows at a time, with no n x n temporary."""
+    step = 128
     for r in range(0, len(a), step):
         band = a[r:r + step, r:] + a[r:, r:r + step].T
         a[r:r + step, r:] = band
@@ -319,15 +321,6 @@ def _tie_round(E: np.ndarray, s: _Setup) -> np.ndarray:
     return num / den  # both ends of a tie have slots, so den > 0
 
 
-def _before_last_round(g: MentionGraph, iterations: int, weighted: bool):
-    """The setup and E after every round but the last."""
-    s = _setup(g, iterations, weighted)
-    E = np.ones((g.node_count, g.node_count))
-    for _ in range(iterations - 1):
-        E = _full_round(E, s)
-    return s, E
-
-
 def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> EquivalenceMatrix:
     """Iterated regular-equivalence similarities over the weighted digraph.
 
@@ -349,50 +342,61 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     scored and the others copy its sums.  The result is the same, bit for
     bit, as scoring every slot against every slot.
 
-    The roles section reads E only at the ties; ``_rege_tie_values`` runs
-    the same rounds but the last, and the last only at the tie pairs.
+    The roles section reads E only at the ties: it calls ``rege`` for the
+    rounds before the last and lets ``high_eq_tie_fraction`` score the last
+    one at the tie pairs alone.
 
     Raises ValueError, before allocating any n x n matrix, when the memory
     estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
     """
-    s, E = _before_last_round(g, iterations, weighted)
-    return EquivalenceMatrix(g.nicks, _full_round(E, s), iterations)
+    s = _setup(g, iterations, weighted)
+    E = np.ones((g.node_count, g.node_count))
+    for _ in range(iterations):
+        E = _full_round(E, s)
+    return EquivalenceMatrix(g.nicks, E, iterations)
 
 
-def _rege_tie_values(g: MentionGraph, iterations: int = 3, weighted: bool = True):
-    """``rege(g, iterations, weighted).values`` at the slots, bit for bit.
+def _tie_values(g: MentionGraph, E: np.ndarray, weighted: bool):
+    """The next round after E at the slots: ``rege`` one round on, bit for bit.
 
     Returns (rows, ks, values): the slots (i, k), one per tie of i in
-    either direction, and E[i, k] at each, in slot order.  No n x n matrix
-    is built in the last round.
+    either direction, and the next E[i, k] at each, in slot order.  No
+    n x n matrix is built.
     """
-    s, E = _before_last_round(g, iterations, weighted)
+    s = _setup(g, 1, weighted)
     return s.rows, s.ks, _tie_round(E, s)
 
 
-def _tie_fractions(nicks, rows: np.ndarray, values: np.ndarray, threshold: float):
-    """Per node, the share of its slots whose value exceeds the threshold."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-    n = len(nicks)
-    high = np.bincount(rows[values > threshold], minlength=n)
-    degree = np.bincount(rows, minlength=n)
-    fractions = np.divide(high, degree, out=np.zeros(n), where=degree > 0)
-    return dict(zip(nicks, fractions.tolist()))
-
-
 def high_eq_tie_fraction(
-    g: MentionGraph, e: EquivalenceMatrix, threshold: float = 0.5
+    g: MentionGraph,
+    e: EquivalenceMatrix,
+    threshold: float = 0.5,
+    *,
+    last_round: bool = False,
 ) -> dict[str, float]:
     """Per node, the share of its ties to highly equivalent others.
 
     Counts neighbors (either direction) whose equivalence with the node
     exceeds the threshold; isolated nodes score 0.
+
+    With ``last_round=True``, ``e`` is ``rege(g, k - 1)`` and the fractions
+    are those of ``rege(g, k)``: the last round is scored here at the ties
+    alone, with the same bits as ``rege`` gives there.
     """
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must lie strictly between 0 and 1")
     if e.nicks != g.nicks:
         raise ValueError("equivalence matrix does not match the graph")
-    _, rows, ks, _, _ = _slots(g, weighted=False)
-    return _tie_fractions(g.nicks, rows, e.values[rows, ks], threshold)
+    if last_round:
+        rows, _, values = _tie_values(g, e.values, weighted=True)
+    else:
+        _, rows, ks, _, _ = _slots(g, weighted=False)
+        values = e.values[rows, ks]
+    n = g.node_count
+    high = np.bincount(rows[values > threshold], minlength=n)
+    degree = np.bincount(rows, minlength=n)
+    fractions = np.divide(high, degree, out=np.zeros(n), where=degree > 0)
+    return dict(zip(g.nicks, fractions.tolist()))
 
 
 def classify_roles(

@@ -23,7 +23,7 @@ from .connectivity import (
     lambda_sets,
     top_links,
 )
-from .equivalence import _rege_tie_values, _tie_fractions, classify_roles
+from .equivalence import classify_roles, high_eq_tie_fraction, rege
 from .graph import (
     MentionGraph,
     extract_network,
@@ -350,8 +350,11 @@ def _lambda_section(u, cfg: AnalysisConfig) -> dict:
 
 
 def _roles_section(g: MentionGraph, partition, cfg: AnalysisConfig) -> dict:
-    rows, _, values = _rege_tie_values(g, iterations=cfg.rege_iterations)
-    fractions = _tie_fractions(g.nicks, rows, values, cfg.eq_threshold)
+    # rege runs the rounds before the last, and the fractions score the last
+    # one at the ties only; a single round has none before it.
+    last_round = cfg.rege_iterations > 1
+    matrix = rege(g, iterations=cfg.rege_iterations - last_round)
+    fractions = high_eq_tie_fraction(g, matrix, cfg.eq_threshold, last_round=last_round)
     report = classify_roles(partition, fractions, cfg.tie_cutoff, cfg.people_cutoff)
     components = {}
     for name in SKELETON_LABELS:

@@ -9,13 +9,13 @@ import pytest
 from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
+    _full_round,
     _partner_classes,
-    _rege_tie_values,
     _row_classes,
     _setup,
     _slot_keys,
     _slots,
-    _tie_fractions,
+    _tie_values,
     classify_roles,
     high_eq_tie_fraction,
     rege,
@@ -309,13 +309,27 @@ def several_components(seed):
     return as_mention_graph(offset, edges, weights)
 
 
+def tie_values(g, iterations, weighted):
+    # As the roles section runs it: rege for the rounds before the last,
+    # then the last round at the ties.
+    n = g.node_count
+    before = rege(g, iterations - 1, weighted).values if iterations > 1 else np.ones((n, n))
+    return _tie_values(g, before, weighted)
+
+
 def assert_tie_values_match_rege(g, iterations, weighted):
-    rows, ks, values = _rege_tie_values(g, iterations, weighted)
+    rows, ks, values = tie_values(g, iterations, weighted)
     _, slot_rows, slot_ks, _, _ = _slots(g, weighted)
     assert rows.tolist() == slot_rows.tolist()
     assert ks.tolist() == slot_ks.tolist()
-    matrix = rege(g, iterations, weighted=weighted).values
-    assert values.tobytes() == matrix[rows, ks].tobytes()
+    matrix = rege(g, iterations, weighted=weighted)
+    assert values.tobytes() == matrix.values[rows, ks].tobytes()
+    if iterations > 1 and weighted:
+        before = rege(g, iterations - 1)
+        for threshold in (0.25, 0.5, 0.75):
+            assert high_eq_tie_fraction(
+                g, before, threshold, last_round=True
+            ) == high_eq_tie_fraction(g, matrix, threshold)
 
 
 def first_round_partner_classes(g, weighted):
@@ -344,14 +358,14 @@ def test_shared_key_graphs_merge_partners(seed):
 
 def test_tie_values_equal_rege_on_the_scale_graph():
     # The criterion-10 graph: 2,400 nodes, of which 1,440 partner classes
-    # are scored in the first round.
+    # are scored in the first round.  rege(g, 3) is rege(g, 2) and one more
+    # full round, so the third round is run once each way from one rege(g, 2).
     g = preferential_attachment_graph(2400, 9400, seed=7)
     assert first_round_partner_classes(g, True) == 1440
-    rows, ks, values = _rege_tie_values(g, 3)
-    matrix = rege(g, 3)
-    assert values.tobytes() == matrix.values[rows, ks].tobytes()
-    fractions = _tie_fractions(g.nicks, rows, values, 0.5)
-    assert fractions == high_eq_tie_fraction(g, matrix, 0.5)
+    before = rege(g, 2).values
+    rows, ks, values = _tie_values(g, before, True)
+    full = _full_round(before, _setup(g, 3, True))
+    assert values.tobytes() == full[rows, ks].tobytes()
 
 
 def test_memory_stays_below_five_dense_matrices():
@@ -385,8 +399,7 @@ def test_tie_values_peak_no_higher_than_rege():
             tracemalloc.stop()
 
     def roles_path():
-        rows, _, values = _rege_tie_values(g, 3)
-        _tie_fractions(g.nicks, rows, values, 0.5)
+        high_eq_tie_fraction(g, rege(g, 2), 0.5, last_round=True)
 
     rege_peak = peak_of(lambda: rege(g, 3))
     assert peak_of(roles_path) <= rege_peak

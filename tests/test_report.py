@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from chatnet.equivalence import classify_roles, high_eq_tie_fraction, rege
 from chatnet.graph import MentionGraph, read_graph_csv, write_graph_csv
 from chatnet.report import (
     ALL_ANALYSES,
@@ -15,6 +16,7 @@ from chatnet.report import (
     load_report_schema,
     run_pipeline,
 )
+from chatnet.skeleton import abcd_skeleton
 
 
 def fixture_config(fixture_files, **overrides):
@@ -274,6 +276,25 @@ def test_roles_section_empty_component_marker(fixture_files):
     components = report.section("roles")["components"]
     assert components["D"] == {"empty": True}
     assert components["A"]["characteristics"]
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 4])
+def test_roles_section_equals_full_rege(fixture_files, fixture_graph, iterations):
+    # The section runs the last REGE round at the ties only; its cases must
+    # be those of the full matrix.
+    cfg = fixture_config(fixture_files, analyses=("roles",), rege_iterations=iterations)
+    components = run_pipeline(cfg).section("roles")["components"]
+    matrix = rege(fixture_graph, iterations)
+    fractions = high_eq_tie_fraction(fixture_graph, matrix, cfg.eq_threshold)
+    partition = abcd_skeleton(fixture_graph)
+    expected = classify_roles(partition, fractions, cfg.tie_cutoff, cfg.people_cutoff)
+    for name, case in expected.components.items():
+        if case.empty:
+            assert components[name] == {"empty": True}
+        else:
+            assert components[name]["mean_tie_fraction"] == case.mean_tie_fraction
+            assert components[name]["people_fraction"] == case.people_fraction
+            assert components[name]["case"] == case.case
 
 
 def fractional_weight_csv(tmp_path):
