@@ -10,16 +10,17 @@ the measure sensitive to three-step neighborhoods.
 A full round scores one partner j per partner class: the partners whose
 slots carry the same set of keys (the class of the neighbor's row of E and
 the two tie weights) run the same arithmetic, so the others copy its sums.
-The role cases read E only at the ties, so for them ``rege`` runs the
-rounds before the last and ``high_eq_tie_fraction`` scores the last round
-at the tie pairs (i, j) alone: partner j against the slots of its
-neighbors i, summed in slot order, with the same bits as the full round.
+``rege`` stops one round short, and its result runs the last round when
+read: over every pair for ``values``, and for the role cases at the tie
+pairs (i, j) alone: partner j against the slots of its neighbors i, summed
+in slot order, with the same bits as the full round.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +44,33 @@ REGE_MEMORY_LIMIT = 2 * 2**30
 
 @dataclass(frozen=True)
 class EquivalenceMatrix:
-    """Symmetric similarities in [0, 1] with unit diagonal."""
+    """Symmetric similarities in [0, 1] with unit diagonal.
+
+    Holds what the last round reads: E before it, the row classes of that
+    E, and the setup.  ``values`` runs the last round when first read.
+    """
 
     nicks: tuple[str, ...]
-    values: np.ndarray
     iterations: int
+    _before_last: np.ndarray = field(repr=False)
+    _classes: np.ndarray = field(repr=False)
+    _setup: _Setup = field(repr=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _full_round(self._before_last, self._classes, self._setup)
 
     def value(self, a: str, b: str) -> float:
+        for nick in (a, b):
+            if nick not in self.nicks:
+                raise KeyError(f"unknown node '{nick}'")
         return float(self.values[self.nicks.index(a), self.nicks.index(b)])
+
+    def _ties(self):
+        """The slots (rows, ks) and the last round run at them alone:
+        ``values[rows, ks]`` bit for bit, with no n x n matrix built."""
+        s = self._setup
+        return s.rows, s.ks, _tie_round(self._before_last, self._classes, s)
 
 
 @dataclass(frozen=True)
@@ -192,9 +212,9 @@ def _setup(g: MentionGraph, iterations: int, weighted: bool) -> _Setup:
     )
 
 
-def _slot_keys(E: np.ndarray, s: _Setup):
+def _slot_keys(classes: np.ndarray, s: _Setup):
     """Key id per slot, and each key's k and weight pair."""
-    slot_key = _row_classes(E)[s.ks] * len(s.pair_out) + s.pair
+    slot_key = classes[s.ks] * len(s.pair_out) + s.pair
     _, first, inverse = np.unique(slot_key, return_index=True, return_inverse=True)
     return inverse, s.ks[first], s.pair[first]
 
@@ -249,10 +269,10 @@ def _add_transpose(a: np.ndarray) -> None:
         a[r:, r:r + step] = band.T
 
 
-def _full_round(E: np.ndarray, s: _Setup) -> np.ndarray:
-    """One round over every pair; the next E."""
+def _full_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
+    """One round over every pair, given the row classes of E; the next E."""
     n = len(E)
-    inverse, key_k, key_pair = _slot_keys(E, s)
+    inverse, key_k, key_pair = _slot_keys(classes, s)
     # Row j holds partner j's column of the one-sided sums; only their
     # symmetric sums below are used, so the layout does not matter.
     num = np.zeros((n, n))
@@ -278,7 +298,7 @@ def _full_round(E: np.ndarray, s: _Setup) -> np.ndarray:
     return E
 
 
-def _tie_round(E: np.ndarray, s: _Setup) -> np.ndarray:
+def _tie_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     """One round at the slots only: the next E[rows, ks], in slot order.
 
     E[i, j] at a tie needs partner j's one-sided sum only at i in N(j), so
@@ -286,7 +306,7 @@ def _tie_round(E: np.ndarray, s: _Setup) -> np.ndarray:
     per neighbor in slot order, which keeps every sum's bits.  The graph
     has no self-loops, so no slot lies on the diagonal.
     """
-    inverse, key_k, key_pair = _slot_keys(E, s)
+    inverse, key_k, key_pair = _slot_keys(classes, s)
     # At slot (j, i): partner j's one-sided sums over i's slots.
     num = np.zeros(len(s.rows))
     den = np.zeros(len(s.rows))
@@ -342,56 +362,36 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     scored and the others copy its sums.  The result is the same, bit for
     bit, as scoring every slot against every slot.
 
-    The roles section reads E only at the ties: it calls ``rege`` for the
-    rounds before the last and lets ``high_eq_tie_fraction`` score the last
-    one at the tie pairs alone.
+    ``rege`` runs the setup and every round but the last; the result runs
+    the last one when read (see ``EquivalenceMatrix``).
 
     Raises ValueError, before allocating any n x n matrix, when the memory
     estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
     """
     s = _setup(g, iterations, weighted)
-    E = np.ones((g.node_count, g.node_count))
-    for _ in range(iterations):
-        E = _full_round(E, s)
-    return EquivalenceMatrix(g.nicks, E, iterations)
-
-
-def _tie_values(g: MentionGraph, E: np.ndarray, weighted: bool):
-    """The next round after E at the slots: ``rege`` one round on, bit for bit.
-
-    Returns (rows, ks, values): the slots (i, k), one per tie of i in
-    either direction, and the next E[i, k] at each, in slot order.  No
-    n x n matrix is built.
-    """
-    s = _setup(g, 1, weighted)
-    return s.rows, s.ks, _tie_round(E, s)
+    n = g.node_count
+    E = np.ones((n, n))
+    classes = np.zeros(n, dtype=np.int64)  # the all-ones rows: one class
+    for _ in range(iterations - 1):
+        E = _full_round(E, classes, s)
+        classes = _row_classes(E)
+    return EquivalenceMatrix(g.nicks, iterations, E, classes, s)
 
 
 def high_eq_tie_fraction(
-    g: MentionGraph,
-    e: EquivalenceMatrix,
-    threshold: float = 0.5,
-    *,
-    last_round: bool = False,
+    g: MentionGraph, e: EquivalenceMatrix, threshold: float = 0.5
 ) -> dict[str, float]:
     """Per node, the share of its ties to highly equivalent others.
 
     Counts neighbors (either direction) whose equivalence with the node
-    exceeds the threshold; isolated nodes score 0.
-
-    With ``last_round=True``, ``e`` is ``rege(g, k - 1)`` and the fractions
-    are those of ``rege(g, k)``: the last round is scored here at the ties
-    alone, with the same bits as ``rege`` gives there.
+    exceeds the threshold; isolated nodes score 0.  The last round of ``e``
+    is scored at the ties alone, with the bits of ``e.values`` there.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
     if e.nicks != g.nicks:
         raise ValueError("equivalence matrix does not match the graph")
-    if last_round:
-        rows, _, values = _tie_values(g, e.values, weighted=True)
-    else:
-        _, rows, ks, _, _ = _slots(g, weighted=False)
-        values = e.values[rows, ks]
+    rows, _, values = e._ties()
     n = g.node_count
     high = np.bincount(rows[values > threshold], minlength=n)
     degree = np.bincount(rows, minlength=n)

@@ -350,11 +350,8 @@ def _lambda_section(u, cfg: AnalysisConfig) -> dict:
 
 
 def _roles_section(g: MentionGraph, partition, cfg: AnalysisConfig) -> dict:
-    # rege runs the rounds before the last, and the fractions score the last
-    # one at the ties only; a single round has none before it.
-    last_round = cfg.rege_iterations > 1
-    matrix = rege(g, iterations=cfg.rege_iterations - last_round)
-    fractions = high_eq_tie_fraction(g, matrix, cfg.eq_threshold, last_round=last_round)
+    matrix = rege(g, cfg.rege_iterations)
+    fractions = high_eq_tie_fraction(g, matrix, cfg.eq_threshold)
     report = classify_roles(partition, fractions, cfg.tie_cutoff, cfg.people_cutoff)
     components = {}
     for name in SKELETON_LABELS:

@@ -9,13 +9,10 @@ import pytest
 from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
-    _full_round,
     _partner_classes,
     _row_classes,
-    _setup,
     _slot_keys,
     _slots,
-    _tie_values,
     classify_roles,
     high_eq_tie_fraction,
     rege,
@@ -66,6 +63,8 @@ def test_isolate_conventions():
     assert matrix.value("x", "y") == 1.0
     assert matrix.value("x", "a") == 0.0
     assert matrix.value("x", "x") == 1.0
+    with pytest.raises(KeyError, match="unknown node 'nobody'"):
+        matrix.value("x", "nobody")
 
 
 def test_five_node_fixture_matches_literal_reference():
@@ -309,33 +308,25 @@ def several_components(seed):
     return as_mention_graph(offset, edges, weights)
 
 
-def tie_values(g, iterations, weighted):
-    # As the roles section runs it: rege for the rounds before the last,
-    # then the last round at the ties.
-    n = g.node_count
-    before = rege(g, iterations - 1, weighted).values if iterations > 1 else np.ones((n, n))
-    return _tie_values(g, before, weighted)
-
-
 def assert_tie_values_match_rege(g, iterations, weighted):
-    rows, ks, values = tie_values(g, iterations, weighted)
+    # One rege result, its last round run both ways: at the ties, as the
+    # roles section reads it, and over every pair for values.
+    matrix = rege(g, iterations, weighted=weighted)
+    rows, ks, values = matrix._ties()
+    assert "values" not in vars(matrix)  # the tie path builds no n x n matrix
     _, slot_rows, slot_ks, _, _ = _slots(g, weighted)
     assert rows.tolist() == slot_rows.tolist()
     assert ks.tolist() == slot_ks.tolist()
-    matrix = rege(g, iterations, weighted=weighted)
     assert values.tobytes() == matrix.values[rows, ks].tobytes()
-    if iterations > 1 and weighted:
-        before = rege(g, iterations - 1)
-        for threshold in (0.25, 0.5, 0.75):
-            assert high_eq_tie_fraction(
-                g, before, threshold, last_round=True
-            ) == high_eq_tie_fraction(g, matrix, threshold)
+    for threshold in (0.25, 0.5, 0.75):
+        assert_tie_fractions_match_tally(g, matrix, threshold)
 
 
 def first_round_partner_classes(g, weighted):
-    s = _setup(g, 1, weighted)
-    inverse, _, _ = _slot_keys(np.ones((g.node_count, g.node_count)), s)
-    return len(set(_partner_classes(inverse, s)))
+    # rege(g, 1) holds the setup and the one class of the all-ones start.
+    matrix = rege(g, 1, weighted=weighted)
+    inverse, _, _ = _slot_keys(matrix._classes, matrix._setup)
+    return len(set(_partner_classes(inverse, matrix._setup)))
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
@@ -358,25 +349,21 @@ def test_shared_key_graphs_merge_partners(seed):
 
 def test_tie_values_equal_rege_on_the_scale_graph():
     # The criterion-10 graph: 2,400 nodes, of which 1,440 partner classes
-    # are scored in the first round.  rege(g, 3) is rege(g, 2) and one more
-    # full round, so the third round is run once each way from one rege(g, 2).
+    # are scored in the first round.
     g = preferential_attachment_graph(2400, 9400, seed=7)
     assert first_round_partner_classes(g, True) == 1440
-    before = rege(g, 2).values
-    rows, ks, values = _tie_values(g, before, True)
-    full = _full_round(before, _setup(g, 3, True))
-    assert values.tobytes() == full[rows, ks].tobytes()
+    assert_tie_values_match_rege(g, 3, True)
 
 
 def test_memory_stays_below_five_dense_matrices():
-    # The kernel keeps at most four n x n float64 matrices alive at once.
+    # Three full rounds keep at most four n x n float64 matrices alive at once.
     rng = random.Random(94)
     n = 800
     edges = random_digraph(rng, n, 2.0 / n)
     g = as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
     tracemalloc.start()
     try:
-        rege(g, 3)
+        rege(g, 3).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,7 +371,8 @@ def test_memory_stays_below_five_dense_matrices():
 
 
 def test_tie_values_peak_no_higher_than_rege():
-    # The roles section's path (tie values, then fractions) against rege.
+    # The roles section's path (the last round at the ties, then fractions)
+    # against three full rounds.
     rng = random.Random(94)
     n = 800
     edges = random_digraph(rng, n, 2.0 / n)
@@ -399,9 +387,9 @@ def test_tie_values_peak_no_higher_than_rege():
             tracemalloc.stop()
 
     def roles_path():
-        high_eq_tie_fraction(g, rege(g, 2), 0.5, last_round=True)
+        high_eq_tie_fraction(g, rege(g, 3), 0.5)
 
-    rege_peak = peak_of(lambda: rege(g, 3))
+    rege_peak = peak_of(lambda: rege(g, 3).values)
     assert peak_of(roles_path) <= rege_peak
 
 

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from chatnet.equivalence import classify_roles, high_eq_tie_fraction, rege
+from chatnet import equivalence
+from chatnet.equivalence import classify_roles, rege
 from chatnet.graph import MentionGraph, read_graph_csv, write_graph_csv
 from chatnet.report import (
     ALL_ANALYSES,
@@ -284,8 +285,12 @@ def test_roles_section_equals_full_rege(fixture_files, fixture_graph, iterations
     # be those of the full matrix.
     cfg = fixture_config(fixture_files, analyses=("roles",), rege_iterations=iterations)
     components = run_pipeline(cfg).section("roles")["components"]
-    matrix = rege(fixture_graph, iterations)
-    fractions = high_eq_tie_fraction(fixture_graph, matrix, cfg.eq_threshold)
+    values = rege(fixture_graph, iterations).values
+    fractions = {}
+    for v, name in enumerate(fixture_graph.nicks):
+        neighbors = set(fixture_graph.out_neighbors(v)) | set(fixture_graph.in_neighbors(v))
+        high = sum(1 for w in neighbors if values[v, w] > cfg.eq_threshold)
+        fractions[name] = high / len(neighbors) if neighbors else 0.0
     partition = abcd_skeleton(fixture_graph)
     expected = classify_roles(partition, fractions, cfg.tie_cutoff, cfg.people_cutoff)
     for name, case in expected.components.items():
@@ -295,6 +300,20 @@ def test_roles_section_equals_full_rege(fixture_files, fixture_graph, iterations
             assert components[name]["mean_tie_fraction"] == case.mean_tie_fraction
             assert components[name]["people_fraction"] == case.people_fraction
             assert components[name]["case"] == case.case
+
+
+def test_roles_section_builds_one_setup(fixture_files, monkeypatch):
+    # rege builds the slot table once, and the tie fractions reuse it.
+    calls = []
+    slots = equivalence._slots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return slots(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_slots", counted)
+    run_pipeline(fixture_config(fixture_files, analyses=("roles",)))
+    assert len(calls) == 1
 
 
 def fractional_weight_csv(tmp_path):
