@@ -20,10 +20,11 @@ Massive Graphs" (ICDM 2016):
   graph edge (Nagamochi & Ibaraki 1992);
 * the hub pass, which proves lambda(v, r) = deg(v) for many nodes v at once
   against the node r of largest degree.  A super source gets an arc of
-  capacity deg(v) to each node of a batch whose degrees sum to at most
-  deg(r), and one max-flow runs from it to r.  By flow decomposition, the
-  flow paths that leave the source through a saturated arc form a feasible
-  v-r flow of value deg(v) on their own.
+  capacity deg(v) to each node of a batch, and one max-flow runs from it to
+  r.  By flow decomposition, the flow paths that leave the source through a
+  saturated arc form a feasible v-r flow of value deg(v) on their own.
+  Members compete for shared bottlenecks, so the batches' degree budget
+  adapts to how many members they saturate.
 
 Certificates, lambda sets and top links all read components at a threshold,
 from one helper.
@@ -68,8 +69,9 @@ class GomoryHuTree:
     Indexed by node id: ``up`` holds each node's parent (-1 at a component
     root) and ``capacity`` the value of the edge to it.  Both arrays are
     read-only, since the tree is cached on its view.  ``flows`` is the number
-    of max-flows run to build the tree.  Disconnected inputs yield a forest
-    and cross-component connectivity is 0.
+    of max-flows run to build the tree, and ``hub_flows`` how many of them
+    the hub pass ran; the rest are Gusfield steps.  Disconnected inputs
+    yield a forest and cross-component connectivity is 0.
     """
 
     nicks: tuple[str, ...]
@@ -77,6 +79,7 @@ class GomoryHuTree:
     capacity: np.ndarray
     mode: str
     flows: int
+    hub_flows: int
 
     @property
     def parent(self) -> dict[str, str | None]:
@@ -364,14 +367,23 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified):
 
     The hub r is the first node of largest degree.  The candidates are the
     nodes v != r that ``certified`` does not already join to r at deg(v),
-    taken in (degree, id) order; each batch takes candidates until the next
-    one would push its total degree past deg(r).  A super source, node k of
-    one (k+1)-node capacity matrix, gets an arc of capacity deg(v) to each
-    member v and one max-flow runs from it to r.  A member whose arc is
-    saturated has lambda(v, r) = deg(v): the flow paths that leave the
-    source through v form a feasible v-r flow on their own.  A batch costs
-    one max-flow and saves at most one per node it proves, so the pass
-    stops after the first batch that proves fewer than two.
+    taken once each in (degree, id) order.  A batch takes the next
+    candidate, then more until the next one would push its total degree
+    past the budget.  A super source, node k of one (k+1)-node capacity
+    matrix, gets an arc of capacity deg(v) to each member v and one
+    max-flow runs from it to r.  A member whose arc is saturated has
+    lambda(v, r) = deg(v): the flow paths that leave the source through v
+    form a feasible v-r flow on their own.  An unsaturated member is not
+    disproven; it lost a competition for a shared bottleneck, and smaller
+    batches compete less.  So the budget starts at deg(r) // 8, halves
+    after a batch that saturates fewer than half of its members, and
+    doubles, up to deg(r), after a batch that saturates at least three
+    quarters.  A batch costs one max-flow and saves at most one
+    per node it proves.  A batch of at most two members that leaves one
+    unsaturated saved at most the flow it cost, and batches cannot get much
+    smaller, so the pass stops after it.  A small batch that saturates all
+    of its members pays for itself, so a starting budget that fits only one
+    candidate does not end the pass.
 
     Returns the edges as (heads, tails, weights) arrays, and the number of
     max-flows run.
@@ -394,9 +406,10 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified):
     source_arcs = ext.data[caps.nnz :]  # row k of ext, one arc per node
     proven: list[int] = []
     flows = start = 0
+    budget = degree[hub] // 8
     while start < len(candidates):
-        end, total = start, 0
-        while end < len(candidates) and total + candidates[end][0] <= degree[hub]:
+        end, total = start + 1, candidates[start][0]
+        while end < len(candidates) and total + candidates[end][0] <= budget:
             total += candidates[end][0]
             end += 1
         batch = [v for _, v in candidates[start:end]]
@@ -407,8 +420,12 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified):
         flows += 1
         saturated = [v for v in batch if sent[v] == degree[v]]
         proven += saturated
-        if len(saturated) < 2:
+        if len(batch) <= 2 and len(saturated) < len(batch):
             break
+        if 2 * len(saturated) < len(batch):
+            budget //= 2
+        elif 4 * len(saturated) >= 3 * len(batch):
+            budget = min(2 * budget, degree[hub])
     heads = np.array(proven, dtype=np.int64)
     tails = np.full(len(proven), hub, dtype=np.int64)
     weights = np.array([degree[v] for v in proven], dtype=np.int64)
@@ -426,8 +443,13 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
     otherwise one max-flow finds a cut.  The certificate holds every graph
     edge with its MA bound, plus an edge (v, r, deg v) for each node v that
     the hub pass proves, before the Gusfield loop, to be joined to the
-    largest-degree node r at its own degree (``_hub_edges``).  ``flows``
-    counts the hub pass's max-flows too.
+    largest-degree node r at its own degree (``_hub_edges``): batches of
+    candidates share one max-flow from a super source, under a degree budget
+    that starts at deg(r) // 8, halves after a batch that proves fewer than
+    half of its members and doubles, up to deg(r), after one that proves at
+    least three quarters; the pass stops after a batch of at most two
+    members that leaves one unsaturated.  ``flows`` counts the hub pass's
+    max-flows too, and ``hub_flows`` counts them alone.
     The tree is built once per (view, mode) and kept on the view.
     """
     _check_mode(mode)
@@ -442,7 +464,7 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
     components = np.split(members, np.cumsum(np.bincount(labels))[:-1])[:ncomp]
     up = np.full(u.node_count, -1, dtype=np.int64)
     capacity = np.zeros(u.node_count, dtype=np.int64)
-    flows = 0
+    flows = hub_flows = 0
     for comp in components:
         k = len(comp)
         if k == 1:
@@ -452,7 +474,7 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
         q = _ma_bounds(caps).tocoo()
         bounds = (q.row, q.col, q.data)
         hub_edges, batches = _hub_edges(caps, degree, _certifier(k, *bounds))
-        flows += batches
+        hub_flows += batches
         certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)
         tree = np.zeros(k, dtype=np.int64)  # local parents
@@ -482,7 +504,7 @@ def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
         capacity[comp[1:]] = flow_val[1:]
     up.flags.writeable = False
     capacity.flags.writeable = False
-    tree = GomoryHuTree(u.nicks, up, capacity, mode, flows)
+    tree = GomoryHuTree(u.nicks, up, capacity, mode, flows + hub_flows, hub_flows)
     u.cut_trees[mode] = tree
     return tree
 

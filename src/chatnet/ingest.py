@@ -177,7 +177,12 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileSt
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
     messages = []
     skipped = 0
-    lines = text.splitlines()
+    # Lines end at \n only (the text-mode read turns \r\n and \r into \n).
+    # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
+    # U+2028 and U+2029, and \x1d is mIRC's italic code.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line starts none
     for line in lines:
         msg = parse_line(line, date)
         if msg is None:

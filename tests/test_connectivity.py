@@ -394,14 +394,15 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     fixture_files, fixture_undirected, monkeypatch
 ):
     # lambda_sets and top_links both need the weighted tree; the report must
-    # build it once, so every max-flow run is one the tree records.
+    # build it once, so every max-flow run is one the tree records.  A hub
+    # pass flow starts at the super source, the one node with no arc in.
     calls = []
     trees = []
     real_flow, real_tree = connectivity.maximum_flow, connectivity.gomory_hu
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:])
-        return real_flow(*args, **kwargs)
+    def counting(csgraph, source, sink):
+        calls.append(csgraph[:, source].nnz == 0)
+        return real_flow(csgraph, source, sink)
 
     def recording(*args, **kwargs):
         trees.append(real_tree(*args, **kwargs))
@@ -420,6 +421,7 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     tree = trees[0]
     assert tree.mode == "weighted"
     assert len(calls) == tree.flows
+    assert sum(calls) == tree.hub_flows
     # the pendant steps of the fixture are certified without a max-flow
     components, _ = connected_components(fixture_undirected.csr(), directed=False)
     assert tree.flows < fixture_undirected.node_count - components

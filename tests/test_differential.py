@@ -10,7 +10,8 @@ import random
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from chatnet import connectivity
 from chatnet.centrality import hits
@@ -230,8 +231,8 @@ CERTIFIED_FLOWS = {
     ("pendant", 42, "weighted"): 34,
     ("pendant", 48, "unit"): 40,
     ("pendant", 48, "weighted"): 39,
-    ("components", 60, "unit"): 36,
-    ("components", 60, "weighted"): 34,
+    ("components", 60, "unit"): 38,
+    ("components", 60, "weighted"): 36,
 }
 
 
@@ -303,14 +304,37 @@ def test_hub_pass_proves_connectivity_equal_to_degree(kind, n, mode):
         assert proven >= n // 4
 
 
+def recorded_hub_batches(view, mode):
+    # The hub passes of the view's components, and the members of each
+    # batch in the order run, read from the super source's arcs.
+    batches = []
+    real_flow = connectivity.maximum_flow
+
+    def recording(ext, source, sink):
+        batches.append(np.flatnonzero(ext[source].toarray()).tolist())
+        return real_flow(ext, source, sink)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connectivity, "maximum_flow", recording)
+        passes = list(hub_passes(view, mode))
+    return passes, batches
+
+
 @pytest.mark.parametrize("mode", ["unit", "weighted"])
 @pytest.mark.parametrize("n", [60, 100])
 def test_hub_certified_cut_tree_matches_networkx_on_all_pairs(n, mode):
     weighted = certificate_graph("pa", n)
-    ((_, _, _, hub, flows),) = hub_passes(as_undirected(n, weighted), mode)
-    # The pass stops after a batch that proves fewer than two nodes, so
-    # two proven nodes mean that the first batch proved at least two.
-    assert len(hub[0]) >= 2 and flows >= 2
+    passes, batches = recorded_hub_batches(as_undirected(n, weighted), mode)
+    ((_, _, _, (proven, _, _), flows),) = passes
+    assert flows == len(batches) >= 2
+    # The pass stops only after a batch of at most two members that leaves
+    # one unsaturated, so every batch before the last had more than two
+    # members or saturated them all; and the certificate the tree is built
+    # from holds at least two proven nodes.
+    proven = set(proven.tolist())
+    assert len(proven) >= 2
+    for batch in batches[:-1]:
+        assert len(batch) > 2 or proven.issuperset(batch), batch
     assert_all_pairs_match_networkx(n, weighted, mode)
 
 
@@ -349,6 +373,92 @@ def test_pendant_heavy_cut_tree_skips_flows():
     tree = gomory_hu(view, "weighted")
     assert sum(1 for p in tree.up.tolist() if p < 0) == 1
     assert tree.flows < n - 1
+
+
+def chat_shaped_ugraph(seed, n):
+    # A chat channel: a core of regulars who talk with Zipf-like activity
+    # (weight 1/rank), five regulars of middling rank with twelve followers
+    # each who reach everyone else only through them, and pendant users who
+    # address one regular.  Shuffled ids, integral weights.  Connected.
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    core, rest = ids[: n * 7 // 20], ids[n * 7 // 20 :]
+    activity = [1.0 / (rank + 1) for rank in range(len(core))]
+    edges = {}
+
+    def add(a, b, w):
+        key = (min(a, b), max(a, b))
+        if a != b:
+            edges[key] = edges.get(key, 0) + w
+
+    for i in range(1, len(core)):
+        add(core[i], rng.choices(core[:i], activity[:i])[0], rng.randint(1, 3))
+    for _ in range(4 * len(core)):
+        a, b = rng.choices(core, activity, k=2)
+        add(a, b, rng.randint(1, 4))
+    for g in range(5):
+        group, rest = rest[:12], rest[12:]
+        for v in group:
+            add(v, core[30 + 5 * g], rng.randint(1, 4))
+            if rng.random() < 0.5:
+                add(v, rng.choice(group), rng.randint(1, 2))
+    for v in rest:
+        add(v, rng.choices(core, activity)[0], rng.randint(1, 3))
+    return [(a, b, w) for (a, b), w in sorted(edges.items())]
+
+
+def full_budget_first_batch(n, weighted, mode):
+    # The hub pass's first batch under a fixed budget of deg(r), and how
+    # many of its members scipy's max-flow saturates with the super source
+    # laid out as the hub pass lays it out: node n, an arc to every node.
+    # Which members a maximum flow saturates depends on the solver, so this
+    # runs the solver the hub pass runs.
+    view = as_undirected(n, weighted)
+    ((comp, degree, bounds, _, _),) = hub_passes(view, mode)
+    assert comp.tolist() == list(range(n))  # local ids are node ids
+    certified = connectivity._certifier(n, *bounds)
+    hub = degree.index(max(degree))
+    batch, total = [], 0
+    for d, v in sorted((degree[v], v) for v in range(n) if v != hub and not certified(v, hub, degree[v])):
+        if total + d > degree[hub]:
+            break
+        batch.append(v)
+        total += d
+    caps = connectivity._capacities(view.csr(), mode)
+    arcs = np.zeros(n, dtype=np.int64)
+    arcs[batch] = [degree[v] for v in batch]
+    ext = csr_matrix(
+        (
+            np.concatenate([caps.data, arcs]),
+            np.concatenate([caps.indices, np.arange(n, dtype=caps.indices.dtype)]),
+            np.append(caps.indptr, caps.nnz + n),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    sent = maximum_flow(ext, n, hub).flow[n].toarray().ravel()
+    return batch, int((sent[batch] == arcs[batch]).sum())
+
+
+# mode -> (flows, hub_flows) of the chat-shaped graph's cut tree.
+CHAT_SHAPED_FLOWS = {"unit": (69, 10), "weighted": (68, 5)}
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+def test_chat_shaped_cut_tree_matches_networkx_on_all_pairs(mode):
+    n = 200
+    weighted = chat_shaped_ugraph(1200, n)
+    # Followers compete for their regular's links into the core, so a
+    # batch whose degrees may sum to deg(r) saturates fewer than half of
+    # its members; the adaptive budget's smaller batches prove more.
+    batch, saturated = full_budget_first_batch(n, weighted, mode)
+    assert 2 * saturated < len(batch)
+    view = as_undirected(n, weighted)
+    ((_, _, _, (proven, _, _), _),) = hub_passes(view, mode)
+    assert len(proven) > saturated
+    tree = gomory_hu(view, mode)
+    assert (tree.flows, tree.hub_flows) == CHAT_SHAPED_FLOWS[mode]
+    assert_all_pairs_match_networkx(n, weighted, mode)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -19,6 +19,7 @@ from chatnet.ingest import (
     read_manifest,
     write_corpus_jsonl,
 )
+from chatnet.graph import extract_network
 from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 
 DAY = dt.date(2011, 6, 2)
@@ -125,6 +126,30 @@ def test_parse_corpus_counts_add_up(tmp_path):
     assert corpus.skipped_count == 0
     for st in corpus.file_stats:
         assert st.parsed + st.skipped == st.total_lines
+
+
+@pytest.mark.parametrize(
+    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_parse_corpus_splits_lines_at_newlines_only(tmp_path, mark):
+    # str.splitlines breaks at each of these; inside a line they are body
+    # text (\x1d is mIRC's italic code), and a line of one is skipped.
+    path = tmp_path / "2011-06-02.txt"
+    path.write_text(
+        f"[08:43] <mdz> {mark}see{mark} lifeless: ok\n"
+        f"{mark}\n"
+        f"[08:44] <lifeless> mdz:{mark}right\n",
+        encoding="utf-8",
+    )
+    corpus = parse_corpus([(str(path), DAY)])
+    (stats,) = corpus.file_stats
+    assert (stats.total_lines, stats.parsed, stats.skipped) == (3, 2, 1)
+    assert [(m.nick, m.body) for m in corpus.messages] == [
+        ("mdz", f"{mark}see{mark} lifeless: ok"),
+        ("lifeless", f"mdz:{mark}right"),
+    ]
+    g = extract_network(corpus, build_roster(corpus))
+    assert sorted(g.edges_by_nick()) == [("lifeless", "mdz", 1), ("mdz", "lifeless", 1)]
 
 
 def test_parse_corpus_notice_only_file(tmp_path):
