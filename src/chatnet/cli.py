@@ -12,16 +12,19 @@ from dataclasses import fields, replace
 from . import __version__
 from .centrality import degree_centrality, hits
 from .cohesion import ego_network, maximal_cliques
+from .connectivity import top_links
 from .equivalence import rege
-from .graph import format_weight, write_graph_csv
-from .ingest import discover_log_files, parse_corpus, read_manifest, write_corpus_jsonl
+from .graph import format_weight, mutual_ties_view, to_undirected, write_graph_csv
+from .ingest import write_corpus_jsonl
 from .report import (
     ALL_ANALYSES,
     EXPORT_FORMATS,
     AnalysisConfig,
     PipelineError,
+    check_config,
     export_graph,
     load_config_file,
+    load_corpus,
     load_input_graph,
     run_pipeline,
     split_list,
@@ -64,16 +67,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _input_flags(parser: argparse.ArgumentParser, graph_ok: bool = True) -> None:
+def _input_flags(parser: argparse.ArgumentParser, builds_graph: bool = True) -> None:
     parser.add_argument(
         "inputs",
         nargs="*",
         help="log files/directories, a corpus .jsonl, or a graph .csv"
-        if graph_ok
+        if builds_graph
         else "log files/directories or a corpus .jsonl",
     )
     parser.add_argument("--manifest", help="CSV manifest of path,YYYY-MM-DD lines")
-    parser.add_argument("--roster", help="prior participant list, one nick per line")
+    if builds_graph:
+        parser.add_argument("--roster", help="prior participant list, one nick per line")
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored; parsing is serial"
     )
@@ -89,34 +93,35 @@ def _build_config(args) -> AnalysisConfig:
         for f in fields(AnalysisConfig)
         if getattr(args, f.name, None) is not None
     }
-    inputs = list(getattr(args, "inputs", []))
-    if getattr(args, "manifest", None):
+    # Each input source is its own field, so validation rejects any two.
+    inputs = args.inputs
+    if args.manifest:
         overrides["manifest_path"] = args.manifest
-    elif len(inputs) == 1 and inputs[0].endswith(".jsonl"):
+    if len(inputs) == 1 and inputs[0].endswith(".jsonl"):
         overrides["corpus_path"] = inputs[0]
     elif len(inputs) == 1 and inputs[0].endswith(".csv"):
         overrides["graph_path"] = inputs[0]
-    else:
+    elif inputs:
         overrides["log_paths"] = tuple(inputs)
     if getattr(args, "roster", None):
         overrides["roster_path"] = args.roster
-    return replace(cfg, **overrides)
+    return check_config(replace(cfg, **overrides))
 
 
 def _cmd_ingest(args) -> int:
-    files = read_manifest(args.manifest) if args.manifest else discover_log_files(args.inputs)
-    corpus = parse_corpus(files, threads=args.threads)
+    corpus = load_corpus(_build_config(args))
     write_corpus_jsonl(corpus, args.output)
     print(
-        f"parsed {corpus.message_count} messages "
-        f"({corpus.skipped_count} lines skipped) from {len(files)} files -> {args.output}",
+        f"read {corpus.message_count} messages "
+        f"({corpus.skipped_count} lines skipped) over {len(corpus.file_stats)} day(s) "
+        f"-> {args.output}",
         file=sys.stderr,
     )
     return 0
 
 
 def _cmd_extract(args) -> int:
-    graph = load_input_graph(_build_config(args), args.threads)
+    graph = load_input_graph(_build_config(args))
     write_graph_csv(graph, args.output)
     print(
         f"extracted {graph.node_count} nodes, {graph.edge_count} edges -> {args.output}",
@@ -149,9 +154,6 @@ def _analyze_csv(what: str, graph, cfg) -> str:
         for nick in graph.nicks:
             writer.writerow([nick, bt.label[nick], sk.label[nick]])
     elif what == "toplinks":
-        from .connectivity import top_links
-        from .graph import to_undirected
-
         links = top_links(to_undirected(graph), cfg.top_links_count)
         writer.writerow(["node_a", "node_b", "score"])
         for (a, b), score in links:
@@ -167,13 +169,11 @@ def _analyze_csv(what: str, graph, cfg) -> str:
 def _cmd_analyze(args) -> int:
     cfg = _build_config(args)
     if args.what in _CSV_ANALYSES:
-        graph = load_input_graph(cfg, args.threads)
+        graph = load_input_graph(cfg)
         text = _analyze_csv(args.what, graph, cfg)
     elif args.what == "cliques":
         # full membership lists, not just the report summary
-        from .graph import mutual_ties_view, to_undirected
-
-        graph = load_input_graph(cfg, args.threads)
+        graph = load_input_graph(cfg)
         view = mutual_ties_view(graph) if args.mutual_ties else to_undirected(graph)
         report = maximal_cliques(view, cfg.clique_min_size)
         text = json.dumps(
@@ -200,7 +200,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_export(args) -> int:
     cfg = _build_config(args)
-    graph = load_input_graph(cfg, args.threads)
+    graph = load_input_graph(cfg)
     if args.ego:
         graph = ego_network(graph, args.ego).graph
     node_attrs = None
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse logs into a corpus JSONL")
-    _input_flags(p, graph_ok=False)
+    _input_flags(p, builds_graph=False)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_ingest)
 

@@ -170,6 +170,19 @@ def _coerce_date(value) -> dt.date:
     return dt.date.fromisoformat(str(value))
 
 
+def split_lines(text: str) -> list[str]:
+    r"""The lines of a text read in text mode, where only \n ends a line.
+
+    Python's line splitting would also break at \x0b, \x0c, \x1c-\x1e,
+    \x85, U+2028 and U+2029; here they are text, as in a log message
+    (\x1d is mIRC's italic code) or a comment.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line starts none
+    return lines
+
+
 def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileStats]:
     try:
         text = Path(path).read_text(encoding="utf-8", errors="replace")
@@ -177,12 +190,7 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileSt
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
     messages = []
     skipped = 0
-    # Lines end at \n only (the text-mode read turns \r\n and \r into \n).
-    # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85,
-    # U+2028 and U+2029, and \x1d is mIRC's italic code.
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last line starts none
+    lines = split_lines(text)
     for line in lines:
         msg = parse_line(line, date)
         if msg is None:
@@ -193,12 +201,13 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileSt
     return messages, stats
 
 
-def parse_corpus(files: Sequence[tuple[str, object]], threads: int = 1) -> ChatCorpus:
+def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     """Parse log files given as (path, date) pairs, in the order given.
 
-    ``threads`` is accepted and ignored; the output never depends on it.
-    Parsing is regex-bound and holds the GIL, so a thread pool measured
-    slower than one thread.
+    Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
+    measured slower than one thread.  The only thread knob left is
+    ``run_pipeline``'s ``threads`` (the CLI's ``--threads``), kept for
+    compatibility and ignored.
     """
     entries = [(str(path), _coerce_date(date)) for path, date in files]
     if not entries:
@@ -271,7 +280,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
 def read_roster_file(path) -> list[str]:
     """Prior participant list: one nick per line, '#' comments allowed."""
     nicks = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in split_lines(Path(path).read_text(encoding="utf-8")):
         entry = raw.strip()
         if entry and not entry.startswith("#"):
             nicks.append(entry)
@@ -323,7 +332,7 @@ def read_manifest(path) -> list[tuple[str, dt.date]]:
     """Explicit file-to-date mapping: CSV lines ``path,YYYY-MM-DD``."""
     entries = []
     base = Path(path).parent
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

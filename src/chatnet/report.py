@@ -34,12 +34,14 @@ from .graph import (
     to_undirected,
 )
 from .ingest import (
+    ChatCorpus,
     build_roster,
     discover_log_files,
     parse_corpus,
     read_corpus_jsonl,
     read_manifest,
     read_roster_file,
+    split_lines,
 )
 from .skeleton import (
     BOWTIE_LABELS,
@@ -79,10 +81,11 @@ class PipelineError(Exception):
 class AnalysisConfig:
     """Inputs plus every algorithm parameter the report depends on.
 
-    Exactly one of ``log_paths``/``manifest_path``, ``corpus_path``, or
-    ``graph_path`` selects the input.  This class is the one declaration of
-    the parameters: the report echo, the config file and the CLI read its
-    fields.
+    Exactly one of ``log_paths``, ``manifest_path``, ``corpus_path`` and
+    ``graph_path`` selects the input; ``roster_path`` adds prior nicks to
+    the roster built from messages, so it cannot go with a graph CSV.  This
+    class is the one declaration of the parameters: the report echo, the
+    config file and the CLI read its fields.
     """
 
     log_paths: tuple[str, ...] = ()
@@ -109,12 +112,17 @@ class AnalysisConfig:
 
     def validate(self) -> None:
         sources = [
-            bool(self.log_paths or self.manifest_path),
+            bool(self.log_paths),
+            self.manifest_path is not None,
             self.corpus_path is not None,
             self.graph_path is not None,
         ]
         if sum(sources) != 1:
-            raise ValueError("exactly one input source (logs, corpus, or graph) required")
+            raise ValueError(
+                "exactly one input source (logs, manifest, corpus, or graph) required"
+            )
+        if self.graph_path is not None and self.roster_path is not None:
+            raise ValueError("a roster needs messages to match; a graph CSV has none")
         if self.min_nick_length < 1:
             raise ValueError("min_nick_length must be at least 1")
         if not 0 < self.hits_tolerance < math.inf:
@@ -191,7 +199,7 @@ def load_config_file(path) -> dict:
     """
     defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -375,7 +383,31 @@ def _roles_section(g: MentionGraph, partition, cfg: AnalysisConfig) -> dict:
     }
 
 
-def load_input_graph(cfg: AnalysisConfig, threads: int = 1) -> MentionGraph:
+def check_config(config: AnalysisConfig) -> AnalysisConfig:
+    """The config itself if it validates, else PipelineError at stage "config"."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise PipelineError("config", str(exc)) from exc
+    return config
+
+
+def load_corpus(cfg: AnalysisConfig) -> ChatCorpus:
+    """Read the config's corpus JSONL, or parse its manifest's or logs' files.
+
+    A graph CSV holds no messages, so it is an error here.  Failures raise
+    ValueError or OSError.
+    """
+    if cfg.graph_path is not None:
+        raise ValueError(f"'{cfg.graph_path}' is a graph CSV, not logs or a corpus")
+    if cfg.corpus_path is not None:
+        return read_corpus_jsonl(cfg.corpus_path)
+    if cfg.manifest_path is not None:
+        return parse_corpus(read_manifest(cfg.manifest_path))
+    return parse_corpus(discover_log_files(cfg.log_paths))
+
+
+def load_input_graph(cfg: AnalysisConfig) -> MentionGraph:
     """Validate the config and build the mention graph from its input source.
 
     Failures raise ValueError or OSError.
@@ -383,14 +415,7 @@ def load_input_graph(cfg: AnalysisConfig, threads: int = 1) -> MentionGraph:
     cfg.validate()
     if cfg.graph_path is not None:
         return read_graph_csv(cfg.graph_path)
-    if cfg.corpus_path is not None:
-        corpus = read_corpus_jsonl(cfg.corpus_path)
-    else:
-        if cfg.manifest_path is not None:
-            files = read_manifest(cfg.manifest_path)
-        else:
-            files = discover_log_files(cfg.log_paths)
-        corpus = parse_corpus(files, threads=threads)
+    corpus = load_corpus(cfg)
     prior = read_roster_file(cfg.roster_path) if cfg.roster_path else ()
     roster = build_roster(corpus, prior_nicks=prior)
     return extract_network(
@@ -404,15 +429,13 @@ def load_input_graph(cfg: AnalysisConfig, threads: int = 1) -> MentionGraph:
 def run_pipeline(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:
     """Ingest, extract, run the enabled analyses in fixed order, and report.
 
-    Deterministic for a fixed configuration and input regardless of
-    ``threads``; any stage failure raises PipelineError naming the stage.
+    ``threads`` is accepted and ignored, kept so that callers passing it
+    still work; the report never depends on it.  Any stage failure raises
+    PipelineError naming the stage.
     """
+    check_config(config)
     try:
-        config.validate()
-    except ValueError as exc:
-        raise PipelineError("config", str(exc)) from exc
-    try:
-        graph = load_input_graph(config, threads)
+        graph = load_input_graph(config)
     except (OSError, ValueError) as exc:
         raise PipelineError("input", str(exc)) from exc
 

@@ -1,6 +1,8 @@
 import argparse
 import json
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from chatnet.cli import build_parser, main
 from chatnet.report import ALL_ANALYSES, INPUT_FIELDS, AnalysisConfig, load_config_file
 
 PARAMETERS = [f.name for f in fields(AnalysisConfig) if f.name not in INPUT_FIELDS]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MALFORMED_RECORDS = [
     "[1,2]",
@@ -170,6 +174,67 @@ def test_cli_ingest_with_manifest(fixture_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["corpus.jsonl", "2012-01-01.jsonl"])
+def test_cli_ingest_reads_a_corpus_back(data_dir, tmp_path, capsys, name):
+    # a date in a .jsonl name does not make the corpus a log file
+    golden = (data_dir / "corpus.golden.jsonl").read_bytes()
+    source = tmp_path / name
+    source.write_bytes(golden)
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", str(source), "-o", str(out)]) == 0
+    assert out.read_bytes() == golden
+    capsys.readouterr()
+
+
+def test_cli_ingest_rejects_a_graph_csv(data_dir, tmp_path, capsys):
+    graph = data_dir / "graph.golden.csv"
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", str(graph), "-o", str(out)]) == 1
+    assert f"chatnet: ingest: '{graph}' is a graph CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_ingest_takes_no_roster(fixture_files, tmp_path, capsys):
+    log = fixture_files[0][0]
+    with pytest.raises(SystemExit) as info:
+        main(["ingest", log, "--roster", "people.txt", "-o", str(tmp_path / "c.jsonl")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --roster" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "extract", "report"])
+def test_cli_logs_and_manifest_fail_at_config(fixture_files, tmp_path, capsys, command):
+    (first, date), (second, _) = fixture_files
+    manifest = tmp_path / "files.csv"
+    manifest.write_text(f"{first},{date}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, second, "--manifest", str(manifest), "-o", str(out)]) == 1
+    assert "chatnet: config: exactly one input source" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["report"], ["export", "--format", "dot"]], ids=["report", "export"]
+)
+def test_cli_rejects_roster_with_graph_csv(data_dir, tmp_path, capsys, command):
+    graph = str(data_dir / "graph.golden.csv")
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.txt")
+    assert main([*command, graph, "--roster", missing, "-o", str(out)]) == 1
+    assert "chatnet: config: a roster needs messages" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reads_log_paths_from_config_file(fixture_files, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    logs = ", ".join(path for path, _ in fixture_files)
+    cfg.write_text(f"log_paths = {logs}\nanalyses = stats\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["report", "--config", str(cfg), "-o", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["stats"]["nodes"] == 5
+    capsys.readouterr()
+
+
 def test_cli_reports_stage_on_error(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main(["report", str(tmp_path / "missing.csv"), "-o", str(report)])
@@ -314,3 +379,25 @@ def test_cli_case_sensitive_flag(fixture_files, tmp_path, capsys):
     )
     assert json.loads(out.read_text(encoding="utf-8"))["config"]["case_insensitive"] is False
     capsys.readouterr()
+
+
+def _readme_commands():
+    # `chatnet ...` lines in the README's ```sh blocks
+    commands, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").split("\n"):
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("chatnet "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 13
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")

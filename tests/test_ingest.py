@@ -17,12 +17,16 @@ from chatnet.ingest import (
     parse_line,
     read_corpus_jsonl,
     read_manifest,
+    read_roster_file,
     write_corpus_jsonl,
 )
 from chatnet.graph import extract_network
-from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
+from chatnet.report import AnalysisConfig, PipelineError, load_config_file, run_pipeline
 
 DAY = dt.date(2011, 6, 2)
+
+# str.splitlines breaks at each of these; inside a line they are text.
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 SAMPLE_LINE = "[08:43] <mdz> lifeless: ok, it sounds like you're agreeing with me, then"
 
@@ -128,12 +132,10 @@ def test_parse_corpus_counts_add_up(tmp_path):
         assert st.parsed + st.skipped == st.total_lines
 
 
-@pytest.mark.parametrize(
-    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-)
+@pytest.mark.parametrize("mark", NOT_NEWLINES)
 def test_parse_corpus_splits_lines_at_newlines_only(tmp_path, mark):
-    # str.splitlines breaks at each of these; inside a line they are body
-    # text (\x1d is mIRC's italic code), and a line of one is skipped.
+    # Inside a line the mark is body text (\x1d is mIRC's italic code), and
+    # a line of one is skipped.
     path = tmp_path / "2011-06-02.txt"
     path.write_text(
         f"[08:43] <mdz> {mark}see{mark} lifeless: ok\n"
@@ -179,12 +181,6 @@ def test_parse_corpus_requires_increasing_dates(tmp_path):
     path.write_text("[01:00] <a> x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="strictly increasing"):
         parse_corpus([(str(path), "2011-01-02"), (str(path), "2011-01-01")])
-
-
-def test_parse_corpus_threads_match_serial(fixture_files):
-    serial = parse_corpus(fixture_files, threads=1)
-    threaded = parse_corpus(fixture_files, threads=4)
-    assert serial == threaded
 
 
 def test_fixture_corpus_shape(fixture_corpus):
@@ -299,6 +295,29 @@ def test_read_manifest(tmp_path):
     manifest.write_text("day1.log\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad manifest line"):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize("mark", NOT_NEWLINES)
+def test_read_roster_file_splits_lines_at_newlines_only(tmp_path, mark):
+    roster = tmp_path / "people.txt"
+    roster.write_text(f"# regulars {mark} ops\nalice\n", encoding="utf-8")
+    assert read_roster_file(roster) == ["alice"]
+
+
+@pytest.mark.parametrize("mark", NOT_NEWLINES)
+def test_read_manifest_splits_lines_at_newlines_only(tmp_path, mark):
+    manifest = tmp_path / "files.csv"
+    manifest.write_text(
+        f"# retired{mark}day0.log,2010-12-31\nday1.log,2011-01-01\n", encoding="utf-8"
+    )
+    assert read_manifest(manifest) == [(str(tmp_path / "day1.log"), dt.date(2011, 1, 1))]
+
+
+@pytest.mark.parametrize("mark", NOT_NEWLINES)
+def test_load_config_file_splits_lines_at_newlines_only(tmp_path, mark):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# tuned {mark} by hand\ntop_k = 4\n", encoding="utf-8")
+    assert load_config_file(cfg) == {"top_k": 4}
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,15 @@ def test_config_file_empty_analyses_is_a_bad_value(tmp_path):
     assert str(info.value).startswith(f"{cfg_file}:2: bad value for analyses: ")
 
 
+@pytest.mark.parametrize(
+    "inputs",
+    [{}, {"log_paths": ("2012-03-15.txt",), "manifest_path": "m.csv"}],
+)
+def test_validate_requires_exactly_one_input_source(inputs):
+    with pytest.raises(ValueError, match="exactly one input source"):
+        AnalysisConfig(**inputs).validate()
+
+
 def test_validate_rejects_no_analyses():
     with pytest.raises(ValueError, match="analyses"):
         AnalysisConfig(graph_path="g.csv", analyses=()).validate()
