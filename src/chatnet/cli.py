@@ -94,13 +94,19 @@ def _build_config(args) -> AnalysisConfig:
         if getattr(args, f.name, None) is not None
     }
     # Each input source is its own field, so validation rejects any two.
+    # A corpus or graph file is a whole input, never one log among others.
     inputs = args.inputs
     if args.manifest:
         overrides["manifest_path"] = args.manifest
-    if len(inputs) == 1 and inputs[0].endswith(".jsonl"):
-        overrides["corpus_path"] = inputs[0]
-    elif len(inputs) == 1 and inputs[0].endswith(".csv"):
-        overrides["graph_path"] = inputs[0]
+    whole = [path for path in inputs if path.endswith((".jsonl", ".csv"))]
+    if whole and len(inputs) > 1:
+        raise PipelineError(
+            "config", f"'{whole[0]}' is a corpus JSONL or graph CSV, so it must be the only input"
+        )
+    if whole and whole[0].endswith(".jsonl"):
+        overrides["corpus_path"] = whole[0]
+    elif whole:
+        overrides["graph_path"] = whole[0]
     elif inputs:
         overrides["log_paths"] = tuple(inputs)
     if getattr(args, "roster", None):

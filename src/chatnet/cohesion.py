@@ -112,7 +112,8 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
                 )
             found.append(tuple(clique))
             return
-        pivot = min(cand | excl, key=lambda c: (-len(cand & nbr[c]), c))
+        # any pivot gives the same cliques; the first of most neighbors in cand
+        pivot = max(cand | excl, key=lambda c: len(cand & nbr[c]))
         for v in sorted(cand - nbr[pivot]):
             clique.append(v)
             expand(clique, cand & nbr[v], excl & nbr[v])
@@ -128,7 +129,8 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
         expand([v], later, earlier)
 
     kept = [tuple(sorted(c)) for c in found if len(c) >= min_size]
-    kept.sort(key=lambda c: (-len(c), tuple(u.nicks[v] for v in c)))
+    # ids ascend with nicks, so id order is member-name order
+    kept.sort(key=lambda c: (-len(c), c))
     cliques = tuple(tuple(u.nicks[v] for v in c) for c in kept)
     max_size = max((len(c) for c in cliques), default=0)
     return CliqueReport(cliques, min_size, max_size)

@@ -259,12 +259,16 @@ def extract_network(
     with short everyday words and would flood the graph with false ties.
     With ``case_insensitive=False`` a mention must match the canonical
     (case-folded) nick exactly.
+
+    A message's tokens meet the matchable nicks in one set intersection.
+    An ASCII body is lowercased whole before it is split into tokens; any
+    other body folds token by token, since folding it whole can make ASCII
+    token characters out of others (``ſ`` to ``s``, Kelvin ``K`` to ``k``).
     """
     if not roster.counts:
         raise ValueError("no participants")
-    matchable = frozenset(
-        nick for nick in roster.counts if len(nick) >= min_nick_length
-    )
+    # a set, not a frozenset, so that each intersection is a mutable set
+    matchable = {nick for nick in roster.counts if len(nick) >= min_nick_length}
     weights: dict[tuple[str, str], int] = {}
     for msg in corpus.messages:
         if msg.kind != USER_MESSAGE:
@@ -272,11 +276,15 @@ def extract_network(
         sender = msg.nick.casefold()
         if sender not in roster.counts:
             continue
-        mentioned = set()
-        for token in _TOKEN_RE.findall(msg.body):
-            key = token.casefold() if case_insensitive else token
-            if key in matchable and key != sender:
-                mentioned.add(key)
+        body = msg.body
+        if not case_insensitive:
+            tokens = _TOKEN_RE.findall(body)
+        elif body.isascii():
+            tokens = _TOKEN_RE.findall(body.lower())
+        else:
+            tokens = [token.casefold() for token in _TOKEN_RE.findall(body)]
+        mentioned = matchable.intersection(tokens)
+        mentioned.discard(sender)
         for target in mentioned:
             key = (sender, target)
             weights[key] = weights.get(key, 0) + 1

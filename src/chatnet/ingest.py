@@ -33,21 +33,35 @@ _STATUS_PREFIXES = "@+"
 # cannot carry most of them, and a bare \r breaks the CSV edge list.
 CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
 
-_TIME = r"\[(\d{1,2}):(\d{2})(?::(\d{2}))?\]"
-_NICK = rf"([^\s<>{CONTROL_CHARS}]+)"
-_USER_RE = re.compile(_TIME + rf" <{_NICK}>(?: (.*))?$")
-_ACTION_RE = re.compile(_TIME + rf" \* {_NICK}(?: (.*))?$")
-_NOTICE_RE = re.compile(_TIME + r" (?:\*\*\*|===) (.+)$")
-_NOTICE_EVENT_RE = re.compile(
-    rf"^{_NICK} (?:\[[^\]]*\] )?"
-    r"(?:has joined|has left|has parted|has quit|changed the topic)\b"
+# One grammar for every line shape, anchored at both ends of a line.  The
+# text after "] " picks the shape: "<" a message, "* " an action, "*** " or
+# "=== " a notice, so the three branches are exclusive.  A nick drops its
+# status markers and must keep one other character.  No part of a line
+# matches \n, so the pattern finds whole lines in a whole file.  Text read
+# in text mode holds no \r, and parse_line strips a trailing one.
+_NICK = (
+    rf"[{_STATUS_PREFIXES}]*"
+    rf"([^\s<>{_STATUS_PREFIXES}{CONTROL_CHARS}][^\s<>{CONTROL_CHARS}]*)"
+)
+_LINE_RE = re.compile(
+    r"^\[(\d{1,2}:\d{2})(?::\d{2})?\] (?:"
+    rf"<{_NICK}>(?: (.*))?"
+    rf"|\* {_NICK}(?: (.*))?"
+    rf"|(?:\*\*\*|===) ({_NICK} (?:\[[^\]\n]*\] )?"
+    r"(?:has joined|has left|has parted|has quit|changed the topic)\b.*)"
+    r")$",
+    re.MULTILINE,
 )
 _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatMessage:
-    """One parsed log line attributed to a sender."""
+    """One parsed log line attributed to a sender.
+
+    A corpus holds one message per line, so it is slotted; the readers
+    share each date, clock and nick string among the messages of a file.
+    """
 
     date: dt.date
     time: str  # "HH:MM", channel-local 24h clock
@@ -66,21 +80,26 @@ class ChatMessage:
 
     @classmethod
     def from_record(cls, record: dict) -> "ChatMessage":
-        if not isinstance(record, dict):
-            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-        for name in ("date", "time", "nick", "body", "kind"):
-            if not isinstance(record[name], str):
-                raise ValueError(f"field {name!r} must be a string")
-        kind = record["kind"]
-        if kind not in KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        return cls(
-            date=dt.date.fromisoformat(record["date"]),
-            time=record["time"],
-            nick=record["nick"],
-            body=record["body"],
-            kind=kind,
-        )
+        return _message_from_record(record, {}, {})
+
+
+def _message_from_record(record, dates: dict, strings: dict) -> ChatMessage:
+    # ``dates`` maps each date text read so far to its date, ``strings`` each
+    # time, nick and kind text to the one copy the messages share.
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    for name in ("date", "time", "nick", "body", "kind"):
+        if not isinstance(record[name], str):
+            raise ValueError(f"field {name!r} must be a string")
+    date, time, nick, kind = record["date"], record["time"], record["nick"], record["kind"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown message kind {kind!r}")
+    if date not in dates:
+        dates[date] = dt.date.fromisoformat(date)
+    shared = strings.setdefault
+    return ChatMessage(
+        dates[date], shared(time, time), shared(nick, nick), record["body"], shared(kind, kind)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,41 +146,48 @@ class Roster:
         return nick.casefold() in self.counts
 
 
-def _clock(hh: str, mm: str) -> str | None:
+def _clock(clock: str) -> str | None:
+    hh, mm = clock.split(":")
     h, m = int(hh), int(mm)
     if h > 23 or m > 59:
         return None
     return f"{h:02d}:{m:02d}"
 
 
+def _messages(rows, date: dt.date) -> list[ChatMessage]:
+    # Messages from the groups of _LINE_RE matches, one tuple per line.
+    # Messages share one string per clock and per nick.
+    clocks: dict[str, str | None] = {}
+    nicks: dict[str, str] = {}
+    messages = []
+    for clock, user, said, actor, did, notice, noticer in rows:
+        try:
+            time = clocks[clock]
+        except KeyError:
+            time = clocks[clock] = _clock(clock)
+        if time is None:
+            continue
+        if user:
+            nick, body, kind = user, said, USER_MESSAGE
+        elif actor:
+            nick, body, kind = actor, did, ACTION
+        else:
+            nick, body, kind = noticer, notice, SYSTEM
+        messages.append(ChatMessage(date, time, nicks.setdefault(nick, nick), body, kind))
+    return messages
+
+
 def parse_line(line: str, date: dt.date) -> ChatMessage | None:
     """Parse one physical log line for the given file date.
 
     Returns None for anything that does not match the message, action, or
-    recognized-notice grammars; callers count those lines as skipped.
+    recognized-notice grammars; callers count those lines as skipped.  The
+    grammar is the one ``parse_corpus`` runs over whole files, matched here
+    against the whole line, so text after an inner \\n makes no match.
     """
-    line = line.rstrip("\r\n")
-    for pattern, kind in ((_USER_RE, USER_MESSAGE), (_ACTION_RE, ACTION)):
-        m = pattern.match(line)
-        if m:
-            hh, mm, _sec, nick, body = m.groups()
-            time = _clock(hh, mm)
-            nick = nick.lstrip(_STATUS_PREFIXES)
-            if time is None or not nick:
-                return None
-            return ChatMessage(date, time, nick, body or "", kind)
-    m = _NOTICE_RE.match(line)
-    if m:
-        hh, mm, _sec, rest = m.groups()
-        time = _clock(hh, mm)
-        event = _NOTICE_EVENT_RE.match(rest)
-        if time is None or event is None:
-            return None
-        nick = event.group(1).lstrip(_STATUS_PREFIXES)
-        if not nick:
-            return None
-        return ChatMessage(date, time, nick, rest, SYSTEM)
-    return None
+    m = _LINE_RE.fullmatch(line.rstrip("\r\n"))
+    messages = _messages([m.groups("")] if m else [], date)
+    return messages[0] if messages else None
 
 
 def _coerce_date(value) -> dt.date:
@@ -188,22 +214,21 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileSt
         text = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
-    messages = []
-    skipped = 0
-    lines = split_lines(text)
-    for line in lines:
-        msg = parse_line(line, date)
-        if msg is None:
-            skipped += 1
-        else:
-            messages.append(msg)
-    stats = FileStats(path, date, len(messages), skipped, len(lines))
+    messages = _messages(_LINE_RE.findall(text), date)
+    total = len(split_lines(text))
+    stats = FileStats(path, date, len(messages), total - len(messages), total)
     return messages, stats
 
 
 def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     """Parse log files given as (path, date) pairs, in the order given.
 
+    Each file is decoded whole and read by one pass of the line grammar
+    that ``parse_line`` uses, so a file's messages are exactly
+    ``parse_line`` of each of its ``split_lines``.  Within a file the
+    messages share one string per clock and per nick; with slotted messages
+    that holds about 185 bytes per message, body included, on chat-shaped
+    logs.
     Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
     measured slower than one thread.  The only thread knob left is
     ``run_pipeline``'s ``threads`` (the CLI's ``--threads``), kept for
@@ -255,8 +280,11 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     """Load a corpus previously written by ``write_corpus_jsonl``.
 
     Per-date file stats are synthesized (the JSONL stream does not retain the
-    original per-file skip counts).
+    original per-file skip counts).  The messages share their dates, clocks
+    and nicks as parsed logs do.
     """
+    dates: dict[str, dt.date] = {}
+    strings: dict[str, str] = {}
     messages = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -264,7 +292,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
             if not line:
                 continue
             try:
-                messages.append(ChatMessage.from_record(json.loads(line)))
+                messages.append(_message_from_record(json.loads(line), dates, strings))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
     per_date: dict[dt.date, int] = {}

@@ -1,16 +1,20 @@
 """Brute-force reference implementations used to check the fast paths.
 
 Everything here trades time for obviousness: transitive closures, subset
-enumeration, remove-and-recount, exhaustive 2-partitions.  Nothing imports
-package internals beyond public constructors, so the two routes stay
+enumeration, remove-and-recount, exhaustive 2-partitions, and the log-line
+grammar as three regexes tried one line at a time.  Nothing imports package
+internals beyond public constructors and constants, so the two routes stay
 independent.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
+
+from chatnet.ingest import ACTION, SYSTEM, USER_MESSAGE, ChatMessage
 
 
 def closure(n, edges):
@@ -274,3 +278,78 @@ def rege_reference(n, weight_of, iterations):
             updated[(i, i)] = 1.0
         E = updated
     return E
+
+
+# The line-by-line log parser: one regex per line shape, tried in turn.
+_STATUS_PREFIXES = "@+"
+CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
+_TIME = r"\[(\d{1,2}):(\d{2})(?::(\d{2}))?\]"
+_NICK = rf"([^\s<>{CONTROL_CHARS}]+)"
+_USER_RE = re.compile(_TIME + rf" <{_NICK}>(?: (.*))?$")
+_ACTION_RE = re.compile(_TIME + rf" \* {_NICK}(?: (.*))?$")
+_NOTICE_RE = re.compile(_TIME + r" (?:\*\*\*|===) (.+)$")
+_NOTICE_EVENT_RE = re.compile(
+    rf"^{_NICK} (?:\[[^\]]*\] )?"
+    r"(?:has joined|has left|has parted|has quit|changed the topic)\b"
+)
+
+
+def _clock(hh: str, mm: str) -> str | None:
+    h, m = int(hh), int(mm)
+    if h > 23 or m > 59:
+        return None
+    return f"{h:02d}:{m:02d}"
+
+
+def parse_line_oracle(line, date):
+    """One physical log line as a ChatMessage, or None for a skipped line."""
+    line = line.rstrip("\r\n")
+    for pattern, kind in ((_USER_RE, USER_MESSAGE), (_ACTION_RE, ACTION)):
+        m = pattern.match(line)
+        if m:
+            hh, mm, _sec, nick, body = m.groups()
+            time = _clock(hh, mm)
+            nick = nick.lstrip(_STATUS_PREFIXES)
+            if time is None or not nick:
+                return None
+            return ChatMessage(date, time, nick, body or "", kind)
+    m = _NOTICE_RE.match(line)
+    if m:
+        hh, mm, _sec, rest = m.groups()
+        time = _clock(hh, mm)
+        event = _NOTICE_EVENT_RE.match(rest)
+        if time is None or event is None:
+            return None
+        nick = event.group(1).lstrip(_STATUS_PREFIXES)
+        if not nick:
+            return None
+        return ChatMessage(date, time, nick, rest, SYSTEM)
+    return None
+
+
+# Characters legal in IRC nicks; anything else is a token boundary.
+_TOKEN_RE = re.compile(r"[0-9A-Za-z\[\]\\`_^{|}-]+")
+
+
+def mention_weights_oracle(messages, roster_nicks, min_nick_length, case_insensitive):
+    """(sender, target) -> number of user messages in which sender names target.
+
+    Every token is folded on its own, so folding can never create a token.
+    """
+    matchable = frozenset(nick for nick in roster_nicks if len(nick) >= min_nick_length)
+    weights = {}
+    for msg in messages:
+        if msg.kind != USER_MESSAGE:
+            continue
+        sender = msg.nick.casefold()
+        if sender not in roster_nicks:
+            continue
+        mentioned = set()
+        for token in _TOKEN_RE.findall(msg.body):
+            key = token.casefold() if case_insensitive else token
+            if key in matchable and key != sender:
+                mentioned.add(key)
+        for target in mentioned:
+            key = (sender, target)
+            weights[key] = weights.get(key, 0) + 1
+    return weights

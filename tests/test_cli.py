@@ -213,6 +213,28 @@ def test_cli_logs_and_manifest_fail_at_config(fixture_files, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "report"])
+@pytest.mark.parametrize("whole", ["corpus", "graph"])
+def test_cli_corpus_or_graph_among_inputs_fails_at_config(
+    fixture_files, data_dir, tmp_path, capsys, command, whole
+):
+    # Two corpora, or a graph CSV beside a log, were once read as IRC logs.
+    corpus = tmp_path / "2012-01-01.jsonl"
+    corpus.write_bytes((data_dir / "corpus.golden.jsonl").read_bytes())
+    if whole == "corpus":
+        second = tmp_path / "2012-01-02.jsonl"
+        second.write_bytes(corpus.read_bytes())
+        inputs = [str(corpus), str(second)]
+    else:
+        inputs = [fixture_files[0][0], str(data_dir / "graph.golden.csv")]
+    named = inputs[0] if whole == "corpus" else inputs[1]
+    out = tmp_path / "out"
+    assert main([command, *inputs, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"chatnet: config: '{named}' is a corpus JSONL or graph CSV" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["report"], ["export", "--format", "dot"]], ids=["report", "export"]
 )

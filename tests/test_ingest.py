@@ -1,6 +1,8 @@
 import datetime as dt
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -349,3 +351,38 @@ def test_corpus_nick_with_control_character_is_an_input_error(tmp_path):
     with pytest.raises(PipelineError, match=r"'a\\x01b' contains a control character") as info:
         run_pipeline(AnalysisConfig(corpus_path=str(path)))
     assert info.value.stage == "input"
+
+
+WORDS = "the a is on it apt grub boot kernel fix try log disk wifi thanks yes no".split()
+
+
+def test_parsed_corpus_holds_under_240_bytes_per_message(tmp_path):
+    # A day of busy channel: 300 nicks, bodies of 2 to 12 words, actions and
+    # notices mixed in.  Messages share their clock and nick strings and
+    # carry no per-instance dict, about 185 bytes each; one string per
+    # clock and nick per message, as before, held about 320.
+    rng = random.Random(15)
+    nicks = [f"user{k}" for k in range(300)]
+    lines = []
+    for i in range(20_000):
+        stamp = f"[{i // 60 % 24:02d}:{i % 60:02d}]"
+        who = rng.choice(nicks)
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(f"{stamp} *** {who} has joined #help")
+        elif roll < 0.1:
+            lines.append(f"{stamp} * {who} nods")
+        else:
+            words = rng.choices(WORDS, k=rng.randint(2, 12))
+            lines.append(f"{stamp} <{who}> {rng.choice(nicks)}: {' '.join(words)}")
+    log = tmp_path / "2011-06-02.txt"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = parse_corpus([(str(log), DAY)])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert corpus.message_count == 20_000
+    assert held / corpus.message_count <= 240
