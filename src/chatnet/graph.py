@@ -170,19 +170,16 @@ class UndirectedView(_CSRGraph):
 
     Clique, block, and connectivity analyses are defined on undirected
     structure, so they consume this view rather than the digraph.  It is
-    stored as one symmetric CSR; the cut trees built on the view are cached
-    on it.
+    stored as one symmetric CSR.
     """
 
-    __slots__ = ("cut_trees",)
+    __slots__ = ()
 
     def __init__(self, nicks: Iterable[str], adjacency: csr_matrix):
         super().__init__(tuple(nicks))
         if adjacency.diagonal().any():
             raise ValueError("self-loop in undirected view")
         self._adj = adjacency
-        # mode -> cut tree; filled by connectivity.gomory_hu
-        self.cut_trees: dict = {}
 
     @classmethod
     def from_edge_list(

@@ -37,8 +37,8 @@ CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
 # text after "] " picks the shape: "<" a message, "* " an action, "*** " or
 # "=== " a notice, so the three branches are exclusive.  A nick drops its
 # status markers and must keep one other character.  No part of a line
-# matches \n, so the pattern finds whole lines in a whole file.  Text read
-# in text mode holds no \r, and parse_line strips a trailing one.
+# matches \n, so the pattern finds whole lines in a whole file.  Trailing \r
+# characters are dropped, as parse_line strips them; an inner \r is text.
 _NICK = (
     rf"[{_STATUS_PREFIXES}]*"
     rf"([^\s<>{_STATUS_PREFIXES}{CONTROL_CHARS}][^\s<>{CONTROL_CHARS}]*)"
@@ -49,7 +49,7 @@ _LINE_RE = re.compile(
     rf"|\* {_NICK}(?: (.*))?"
     rf"|(?:\*\*\*|===) ({_NICK} (?:\[[^\]\n]*\] )?"
     r"(?:has joined|has left|has parted|has quit|changed the topic)\b.*)"
-    r")$",
+    r")(?<!\r)\r*$",
     re.MULTILINE,
 )
 _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
@@ -77,10 +77,6 @@ class ChatMessage:
             "body": self.body,
             "kind": self.kind,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ChatMessage":
-        return _message_from_record(record, {}, {})
 
 
 def _message_from_record(record, dates: dict, strings: dict) -> ChatMessage:
@@ -196,8 +192,14 @@ def _coerce_date(value) -> dt.date:
     return dt.date.fromisoformat(str(value))
 
 
+def read_text(path, errors: str = "strict") -> str:
+    r"""A UTF-8 file's text as stored: \r and \r\n are not turned into \n."""
+    with open(path, encoding="utf-8", errors=errors, newline="") as fh:
+        return fh.read()
+
+
 def split_lines(text: str) -> list[str]:
-    r"""The lines of a text read in text mode, where only \n ends a line.
+    r"""The lines of a text, where only \n ends a line.
 
     Python's line splitting would also break at \x0b, \x0c, \x1c-\x1e,
     \x85, U+2028 and U+2029; here they are text, as in a log message
@@ -211,7 +213,7 @@ def split_lines(text: str) -> list[str]:
 
 def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileStats]:
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        text = read_text(path, errors="replace")
     except OSError as exc:
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
     messages = _messages(_LINE_RE.findall(text), date)
@@ -286,7 +288,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
     messages = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -308,7 +310,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
 def read_roster_file(path) -> list[str]:
     """Prior participant list: one nick per line, '#' comments allowed."""
     nicks = []
-    for raw in split_lines(Path(path).read_text(encoding="utf-8")):
+    for raw in split_lines(read_text(path)):
         entry = raw.strip()
         if entry and not entry.startswith("#"):
             nicks.append(entry)
@@ -360,7 +362,7 @@ def read_manifest(path) -> list[tuple[str, dt.date]]:
     """Explicit file-to-date mapping: CSV lines ``path,YYYY-MM-DD``."""
     entries = []
     base = Path(path).parent
-    for lineno, raw in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
+    for lineno, raw in enumerate(split_lines(read_text(path)), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -41,6 +41,7 @@ from .ingest import (
     read_corpus_jsonl,
     read_manifest,
     read_roster_file,
+    read_text,
     split_lines,
 )
 from .skeleton import (
@@ -199,7 +200,7 @@ def load_config_file(path) -> dict:
     """
     defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
-    for lineno, raw in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), 1):
+    for lineno, raw in enumerate(split_lines(read_text(path)), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

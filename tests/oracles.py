@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to check the fast paths.
 
 Everything here trades time for obviousness: transitive closures, subset
-enumeration, remove-and-recount, exhaustive 2-partitions, and the log-line
-grammar as three regexes tried one line at a time.  Nothing imports package
-internals beyond public constructors and constants, so the two routes stay
-independent.
+enumeration, remove-and-recount, exhaustive 2-partitions, top links read
+from the whole cut tree, and the log-line grammar as three regexes tried
+one line at a time.  Nothing imports package internals beyond public
+constructors, constants and the public ``gomory_hu``, so the two routes
+stay independent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import itertools
 import re
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from chatnet.connectivity import gomory_hu
 from chatnet.ingest import ACTION, SYSTEM, USER_MESSAGE, ChatMessage
 
 
@@ -201,6 +205,39 @@ def all_pairs_min_cut(n, weighted_edges):
             value = float(cut_weight[separating].min())
             lam[a, b] = lam[b, a] = value
     return lam
+
+
+def top_links_by_full_tree(u, k):
+    """Top links ranked from the whole weighted cut tree of the view.
+
+    Every edge is scored: at each distinct tree value, descending, the
+    edges whose ends share a component of the tree's edges at or above it
+    score that value.  Ties by edge weight, then by nick pair.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    edges = list(u.edges())
+    if not edges:
+        return []
+    tree = gomory_hu(u, "weighted")
+    n = len(tree.up)
+    children = np.flatnonzero(tree.up >= 0)
+    parents, caps = tree.up[children], tree.capacity[children]
+    ends = np.array([(a, b) for a, b, _ in edges], dtype=np.int64)
+    scores = np.zeros(len(edges))
+    remaining = np.arange(len(edges))
+    for value in np.unique(caps)[::-1]:
+        kept = caps >= value
+        adj = csr_matrix((np.ones(kept.sum()), (children[kept], parents[kept])), shape=(n, n))
+        labels = connected_components(adj, directed=False)[1]
+        a, b = ends[remaining].T
+        joined = labels[a] == labels[b]
+        scores[remaining[joined]] = float(value)
+        remaining = remaining[~joined]
+    scores = scores.tolist()
+    named = [(u.nicks[a], u.nicks[b]) for a, b, _ in edges]
+    order = sorted(range(len(edges)), key=lambda e: (-scores[e], -edges[e][2], named[e]))
+    return [(named[e], scores[e]) for e in order[:k]]
 
 
 def hits_eigen_oracle(n, edges, iterations=20000):

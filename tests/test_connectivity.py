@@ -17,7 +17,7 @@ from chatnet.connectivity import (
 from chatnet.graph import UndirectedView, to_undirected
 from chatnet.report import AnalysisConfig, run_pipeline
 
-from oracles import all_pairs_min_cut, blocks_oracle, cutpoints_oracle
+from oracles import all_pairs_min_cut, blocks_oracle, cutpoints_oracle, top_links_by_full_tree
 from synth import as_undirected, ids_of, nick, random_ugraph
 
 # two unit triangles joined by one bridge
@@ -332,25 +332,24 @@ def test_connectivity_scaling_properties():
         assert base_sets == scaled_sets
 
 
-def test_lambda_sets_and_top_links_share_one_sweep(fixture_graph, monkeypatch):
-    # The weighted tree's threshold components are computed once, whichever
-    # of lambda_sets and top_links asks first.
-    view = to_undirected(fixture_graph)
-    tree = gomory_hu(view, "weighted")
-    calls = []
-    real_labels = connectivity._labels_at
+def test_top_links_builds_no_full_cut_tree(fixture_undirected, monkeypatch):
+    # top_links scores its candidates from the cut trees of their ends, at
+    # most two of them, and never asks for the full tree.
+    expected = top_links_by_full_tree(fixture_undirected, 5)
+    trees = []
+    real_cut_tree = connectivity._cut_tree
 
-    def counting(*args):
-        calls.append(args[-1])
-        return real_labels(*args)
+    def recording(*args):
+        trees.append(real_cut_tree(*args))
+        return trees[-1]
 
-    monkeypatch.setattr(connectivity, "_labels_at", counting)
-    levels = lambda_sets(view, "weighted").levels
-    links = top_links(view, 5)
-    assert links and top_links(view, 5) == links
-    assert lambda_sets(view, "weighted").levels == levels
-    assert sorted(calls) == sorted(np.unique(tree.capacity[tree.up >= 0]).tolist())
-    assert [value for value, _ in tree.sweep] == [value for value, _ in levels]
+    def refuse(*args, **kwargs):
+        raise AssertionError("top_links built the full cut tree")
+
+    monkeypatch.setattr(connectivity, "gomory_hu", refuse)
+    monkeypatch.setattr(connectivity, "_cut_tree", recording)
+    assert top_links(fixture_undirected, 5) == expected
+    assert 1 <= len(trees) <= 2
 
 
 def test_top_links_bridge_graph_ranking():
@@ -384,32 +383,33 @@ def test_top_links_k_validation(fixture_undirected):
     assert len(top_links(fixture_undirected, k=99)) == fixture_undirected.edge_count
 
 
-def test_cut_tree_is_kept_on_the_view():
-    view = bridge_graph()
-    assert gomory_hu(view, "weighted") is gomory_hu(view, "weighted")
-    assert gomory_hu(view, "unit") is not gomory_hu(view, "weighted")
-
-
 def test_weighted_lambda_report_builds_one_cut_tree(
     fixture_files, fixture_undirected, monkeypatch
 ):
-    # lambda_sets and top_links both need the weighted tree; the report must
-    # build it once, so every max-flow run is one the tree records.  A hub
-    # pass flow starts at the super source, the one node with no arc in.
+    # Weighted lambda_sets builds the one full tree; top_links scores its
+    # candidates from smaller trees of their own.  Every max-flow run is
+    # one that a tree records.  A hub pass flow starts at the super source,
+    # the one node with no arc in.
     calls = []
-    trees = []
+    full, trees = [], []
     real_flow, real_tree = connectivity.maximum_flow, connectivity.gomory_hu
+    real_cut_tree = connectivity._cut_tree
 
     def counting(csgraph, source, sink):
         calls.append(csgraph[:, source].nnz == 0)
         return real_flow(csgraph, source, sink)
 
     def recording(*args, **kwargs):
-        trees.append(real_tree(*args, **kwargs))
+        full.append(real_tree(*args, **kwargs))
+        return full[-1]
+
+    def recording_cut_tree(*args, **kwargs):
+        trees.append(real_cut_tree(*args, **kwargs))
         return trees[-1]
 
     monkeypatch.setattr(connectivity, "maximum_flow", counting)
     monkeypatch.setattr(connectivity, "gomory_hu", recording)
+    monkeypatch.setattr(connectivity, "_cut_tree", recording_cut_tree)
     cfg = AnalysisConfig(
         log_paths=tuple(path for path, _ in fixture_files),
         analyses=("lambda",),
@@ -417,11 +417,11 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     )
     report = run_pipeline(cfg)
     assert report.section("lambda")["top_links"]
-    assert len(trees) == 2 and trees[0] is trees[1]
-    tree = trees[0]
+    (tree,) = full
     assert tree.mode == "weighted"
-    assert len(calls) == tree.flows
-    assert sum(calls) == tree.hub_flows
+    assert any(t is tree for t in trees) and 2 <= len(trees) <= 3
+    assert len(calls) == sum(t.flows for t in trees)
+    assert sum(calls) == sum(t.hub_flows for t in trees)
     # the pendant steps of the fixture are certified without a max-flow
     components, _ = connected_components(fixture_undirected.csr(), directed=False)
     assert tree.flows < fixture_undirected.node_count - components

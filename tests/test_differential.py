@@ -2,7 +2,8 @@
 
 Each test checks one routine (SCCs, bow-tie, cut tree and its certificate,
 top links, maximal cliques, blocks, HITS) against an independent networkx
-computation.
+computation; top links are also checked against the ranking read from the
+whole cut tree (``oracles.top_links_by_full_tree``).
 """
 
 import itertools
@@ -20,6 +21,7 @@ from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_
 from chatnet.graph import to_undirected
 from chatnet.skeleton import bowtie, strongly_connected_components
 
+from oracles import top_links_by_full_tree
 from synth import (
     as_mention_graph,
     as_undirected,
@@ -202,22 +204,25 @@ def pa_ugraph(seed, n):
     return list(to_undirected(preferential_attachment_graph(n, int(3.5 * n), seed)).edges())
 
 
-def hub_passes(view, mode):
-    # Per component of two or more nodes, as gomory_hu builds it: the
-    # component's ids ascending, its degrees, the MA bound edges, and the
-    # hub pass's edges and max-flow count.
+def hub_passes(view, mode, terminal=None):
+    # Per component of two or more terminals (every node unless a mask is
+    # given), as connectivity._cut_tree builds it: the component's ids
+    # ascending, its degrees, the MA bound edges, and the hub pass's edges
+    # and max-flow count.
+    if terminal is None:
+        terminal = np.ones(view.node_count, dtype=bool)
     adj = view.csr()
     ncomp, labels = connected_components(adj, directed=False)
     for c in range(ncomp):
         comp = np.flatnonzero(labels == c)
-        if len(comp) < 2:
+        if terminal[comp].sum() < 2:
             continue
         caps = connectivity._capacities(adj[comp][:, comp], mode)
         degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
         q = connectivity._ma_bounds(caps).tocoo()
         bounds = (q.row, q.col, q.data)
         certified = connectivity._certifier(len(comp), *bounds)
-        hub, flows = connectivity._hub_edges(caps, degree, certified)
+        hub, flows = connectivity._hub_edges(caps, degree, certified, terminal[comp])
         yield comp, degree, bounds, hub, flows
 
 
@@ -472,6 +477,89 @@ def test_top_links_scores_match_min_cut(seed):
     rng = random.Random(seed)
     for (a, b), score in rng.sample(links, min(60, len(links))):
         assert score == nx.minimum_cut_value(reference, a, b), (a, b)
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("kind, n", [("components", 60), ("pendant", 48), ("pa", 60)])
+def test_terminal_cut_tree_matches_networkx_on_terminal_pairs(kind, n, mode):
+    weighted = certificate_graph(kind, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, mode)
+    rng = random.Random(1400 + n)
+    for size in (2, 5, n // 3):
+        terminal = np.zeros(n, dtype=bool)
+        terminal[rng.sample(range(n), size)] = True
+        for comp, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
+            assert terminal[comp[proven]].all()
+        tree = connectivity._cut_tree(view, mode, terminal)
+        # the tree joins terminals only
+        assert (tree.up[~terminal] < 0).all()
+        assert terminal[tree.up[tree.up >= 0]].all()
+        for a, b in itertools.combinations(np.flatnonzero(terminal).tolist(), 2):
+            expected = nx.minimum_cut_value(reference, nick(a), nick(b))
+            assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
+
+
+def grid_ugraph(rows, cols):
+    at = [[r * cols + c for c in range(cols)] for r in range(rows)]
+    across = [(at[r][c], at[r][c + 1], 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(at[r][c], at[r + 1][c], 1) for r in range(rows - 1) for c in range(cols)]
+    return across + down
+
+
+# (name, n, weighted edges): tie-heavy graphs, where many edges share one
+# bound and one score, and graphs of several components.
+TOP_LINK_GRAPHS = [
+    *((f"cycle{n}", n, [(v, (v + 1) % n, 2) for v in range(n)]) for n in (5, 12, 30)),
+    *(
+        (f"complete{n}", n, [(a, b, 3) for a, b in itertools.combinations(range(n), 2)])
+        for n in (4, 7, 10)
+    ),
+    *((f"grid{r}x{c}", r * c, grid_ugraph(r, c)) for r, c in ((3, 4), (5, 6))),
+    *((f"components{seed}", 60, multi_component_ugraph(1300 + seed, 60)) for seed in range(3)),
+    ("pendant", 48, certificate_graph("pendant", 48)),
+    ("pa", 100, certificate_graph("pa", 100)),
+]
+
+
+@pytest.mark.parametrize("name, n, weighted", TOP_LINK_GRAPHS, ids=[g[0] for g in TOP_LINK_GRAPHS])
+def test_top_links_match_the_full_tree(name, n, weighted):
+    view = as_undirected(n, weighted)
+    m = view.edge_count
+    for k in sorted({1, 2, m // 2 or 1, m, m + 3}):
+        assert top_links(view, k) == top_links_by_full_tree(view, k), k
+
+
+def top_links_and_terminals(view, k):
+    # top_links, and the terminal mask of each cut tree it built.
+    terminals = []
+    real_cut_tree = connectivity._cut_tree
+
+    def recording(u, mode, terminal):
+        terminals.append(terminal.copy())
+        return real_cut_tree(u, mode, terminal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connectivity, "_cut_tree", recording)
+        links = top_links(view, k)
+    return links, terminals
+
+
+def test_top_links_run_a_second_round_only_past_the_kth_score():
+    # Two heavy triangles joined by a light bridge between the nodes of
+    # largest degree: the bridge has the largest bound and the least score,
+    # so every other edge's bound outranks round 1's best score.
+    weighted = [(0, 1, 10), (1, 2, 10), (0, 2, 10), (3, 4, 10), (4, 5, 10), (3, 5, 10), (2, 3, 1)]
+    view = as_undirected(6, weighted)
+    links, terminals = top_links_and_terminals(view, 1)
+    assert links == top_links_by_full_tree(view, 1) == [((nick(0), nick(1)), 20.0)]
+    assert [np.flatnonzero(t).tolist() for t in terminals] == [[2, 3], list(range(6))]
+    # In an equal-weight complete graph every bound is the edge's score.
+    weighted = [(a, b, 3) for a, b in itertools.combinations(range(8), 2)]
+    view = as_undirected(8, weighted)
+    links, terminals = top_links_and_terminals(view, 3)
+    assert links == top_links_by_full_tree(view, 3)
+    assert len(terminals) == 1 and terminals[0].sum() < 8
 
 
 def planted_clique_ugraph(seed, n):

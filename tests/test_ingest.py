@@ -27,8 +27,9 @@ from chatnet.report import AnalysisConfig, PipelineError, load_config_file, run_
 
 DAY = dt.date(2011, 6, 2)
 
-# str.splitlines breaks at each of these; inside a line they are text.
-NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# str.splitlines breaks at each of these, and text mode reads \r as \n;
+# inside a line they are text.
+NOT_NEWLINES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 SAMPLE_LINE = "[08:43] <mdz> lifeless: ok, it sounds like you're agreeing with me, then"
 
@@ -156,6 +157,21 @@ def test_parse_corpus_splits_lines_at_newlines_only(tmp_path, mark):
     assert sorted(g.edges_by_nick()) == [("lifeless", "mdz", 1), ("mdz", "lifeless", 1)]
 
 
+def test_parse_corpus_reads_crlf_files_as_lf_files(tmp_path):
+    lines = [SAMPLE_LINE, "[08:45] * fabbione nods", "[08:46] *** mdz has quit", "noise"]
+    lines.append("[08:47] <mdz> ")
+    stats = []
+    for name, end in (("2011-06-01.txt", "\n"), ("2011-06-02.txt", "\r\n")):
+        text = "".join(line + end for line in lines)
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+        corpus = parse_corpus([(str(tmp_path / name), name[:10])])
+        stats.append(corpus.file_stats[0])
+        assert [(m.nick, m.body) for m in corpus.messages] == [
+            ("mdz", SAMPLE_LINE[14:]), ("fabbione", "nods"), ("mdz", "mdz has quit"), ("mdz", "")
+        ]
+    assert [(st.parsed, st.skipped, st.total_lines) for st in stats] == [(4, 1, 5)] * 2
+
+
 def test_parse_corpus_notice_only_file(tmp_path):
     path = tmp_path / "2011-01-01.txt"
     path.write_text(
@@ -227,6 +243,14 @@ def test_read_corpus_jsonl_rejects_bad_records(tmp_path):
         with pytest.raises(PipelineError, match="bad corpus record") as info:
             run_pipeline(AnalysisConfig(corpus_path=str(path)))
         assert info.value.stage == "input"
+
+
+def test_read_corpus_jsonl_splits_lines_at_newlines_only(tmp_path):
+    # \r is JSON whitespace between tokens, not the end of a record.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(GOOD_RECORD.replace(", ", ",\r ") + "\r\n", encoding="utf-8", newline="")
+    (msg,) = read_corpus_jsonl(path).messages
+    assert (msg.nick, msg.body) == ("a", "b")
 
 
 def test_build_roster_sample_senders():

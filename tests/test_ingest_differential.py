@@ -8,7 +8,6 @@ files and bodies, derandomized and without an example database.
 """
 
 import datetime as dt
-from pathlib import Path
 
 import pytest
 
@@ -108,8 +107,9 @@ def test_parse_corpus_matches_oracle_per_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("logs") / "2011-06-02.txt"
     path.write_text(text, encoding="utf-8")
     corpus = parse_corpus([(str(path), DAY)])
-    # the oracle sees the lines as parse_corpus reads them, in text mode
-    read = split_lines(Path(path).read_text(encoding="utf-8", errors="replace"))
+    # the oracle sees the lines as stored, \r included
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        read = split_lines(fh.read())
     expected = [parse_line_oracle(line, DAY) for line in read]
     parsed = tuple(msg for msg in expected if msg is not None)
     assert corpus.messages == parsed
