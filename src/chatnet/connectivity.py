@@ -30,6 +30,7 @@ a threshold, from one helper.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -38,10 +39,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (
     breadth_first_order,
     connected_components,
+    depth_first_order,
     maximum_flow,
 )
 
-from .graph import UndirectedView
+from .graph import UndirectedView, with_virtual_root
 
 MODES = ("unit", "weighted")
 
@@ -143,73 +145,39 @@ class LambdaHierarchy:
 
 
 def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
-    """Single depth-first sweep with low-point computation.
+    """Blocks and cutpoints from one depth-first search (Hopcroft & Tarjan).
 
-    Every edge lands in exactly one block; isolated nodes form singleton
-    blocks of their own.
+    The search starts at a virtual node n with an arc to every node, so it
+    takes the components in order of their smallest id.  The tree edge into
+    v opens a block when no arc from v's subtree reaches above v's parent,
+    and joins its parent's block otherwise.  The cutpoints are the nodes in
+    two or more blocks; isolated nodes form singleton blocks of their own.
     """
-    n = u.node_count
-    adj = u.csr()
-    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cutpoints: set[int] = set()
-    blocks: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if indptr[root] == indptr[root + 1]:
-            disc[root] = timer
-            timer += 1
-            blocks.append(frozenset((root,)))
-            continue
-        root_children = 0
-        disc[root] = low[root] = timer
-        timer += 1
-        # rows of the CSR list neighbors in ascending id order
-        work = [(root, iter(indices[indptr[root]:indptr[root + 1]]))]
-        while work:
-            v, neighbors = work[-1]
-            advanced = False
-            for w in neighbors:
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    work.append((w, iter(indices[indptr[w]:indptr[w + 1]])))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    # back edge, seen from the descendant side only
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            work.pop()
-            if not work:
-                continue
-            above = work[-1][0]
-            if low[v] >= disc[above]:
-                members = set()
-                while True:
-                    x, y = edge_stack.pop()
-                    members.add(x)
-                    members.add(y)
-                    if (x, y) == (above, v):
-                        break
-                blocks.append(frozenset(members))
-                if above != root or root_children > 1:
-                    cutpoints.add(above)
-            if low[v] < low[above]:
-                low[above] = low[v]
-    named = [frozenset(u.nicks[v] for v in b) for b in blocks]
+    n, adj = u.node_count, u.csr()
+    degree = np.diff(adj.indptr)
+    order, up = depth_first_order(with_virtual_root(adj, np.arange(n)), n)
+    disc = np.empty(n + 1, dtype=np.intp)
+    disc[order] = np.arange(n + 1)
+    # low[v]: the earliest discovery that a non-tree arc from v's subtree reaches
+    rows = np.repeat(np.arange(n), degree)
+    back = adj.indices != up[rows]
+    low = disc.copy()
+    np.minimum.at(low, rows[back], disc[adj.indices[back]])
+    low, up, disc, order = low.tolist(), up.tolist(), disc.tolist(), order[1:].tolist()
+    for v in reversed(order):
+        low[up[v]] = min(low[up[v]], low[v])
+    block, members = {}, []
+    for v in order:
+        p = up[v]
+        if p < n and low[v] >= disc[p]:
+            block[v] = len(members)
+            members.append({p, v})
+        elif p < n:
+            block[v] = block[p]
+            members[block[v]].add(v)
+    members += [{v} for v in np.flatnonzero(degree == 0).tolist()]
+    cutpoints = [v for v, k in Counter(v for b in members for v in b).items() if k > 1]
+    named = [frozenset(u.nicks[v] for v in b) for b in members]
     named.sort(key=lambda b: (-len(b), tuple(sorted(b))))
     return BlockReport(
         cutpoints=frozenset(u.nicks[v] for v in cutpoints),

@@ -187,23 +187,11 @@ class UndirectedView(_CSRGraph):
         triples: Iterable[tuple[str, str, float]],
         extra_nodes: Iterable[str] = (),
     ) -> "UndirectedView":
-        """Build a standalone undirected graph; duplicate/reversed pairs sum."""
-        nodes = set(extra_nodes)
-        raw: dict[tuple[str, str], float] = {}
-        for a, b, w in triples:
-            nodes.add(a)
-            nodes.add(b)
-            key = (a, b) if a <= b else (b, a)
-            raw[key] = raw.get(key, 0) + w
-        nicks = tuple(sorted(nodes))
-        index = {nick: i for i, nick in enumerate(nicks)}
-        us = [index[a] for a, _ in raw]
-        vs = [index[b] for _, b in raw]
-        n = len(nicks)
-        both = csr_matrix(
-            (list(raw.values()) * 2, (us + vs, vs + us)), shape=(n, n), dtype=np.float64
-        )
-        return cls(nicks, both)
+        """Build a standalone undirected graph; duplicate/reversed pairs sum.
+
+        Weights are checked as ``MentionGraph`` checks them.
+        """
+        return to_undirected(MentionGraph.from_edge_list(triples, extra_nodes))
 
     @property
     def edge_count(self) -> int:
@@ -316,6 +304,19 @@ def to_undirected(g: MentionGraph) -> UndirectedView:
     """
     adj = g.csr()
     return UndirectedView(g.nicks, adj + adj.T)
+
+
+def with_virtual_root(adj: csr_matrix, seeds: np.ndarray) -> csr_matrix:
+    """``adj`` plus a node n with an arc to each seed id, all weights 1.
+
+    One search from n covers everything that any seed reaches, and enters
+    the seeds in the order given.
+    """
+    n, k = adj.shape[0], len(seeds)
+    return csr_matrix(
+        (np.ones(adj.nnz + k), np.append(adj.indices, seeds), np.append(adj.indptr, adj.nnz + k)),
+        shape=(n + 1, n + 1),
+    )
 
 
 def mutual_ties_view(g: MentionGraph) -> UndirectedView:

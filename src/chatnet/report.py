@@ -194,15 +194,16 @@ def _coerce_config_value(default, raw: str):
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into config overrides.
 
-    Keys are ``AnalysisConfig`` field names; unknown keys are an error and
-    '#' starts a comment.  Values take the type of the field's default
+    Keys are ``AnalysisConfig`` field names; unknown keys are an error.  A
+    line whose first non-blank character is '#' is a comment; a '#' further
+    on is part of the value.  Values take the type of the field's default
     (booleans accept true/false style words, tuples are comma-separated).
     """
     defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
     for lineno, raw in enumerate(split_lines(read_text(path)), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")

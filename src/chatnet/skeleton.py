@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .graph import MentionGraph
+from .graph import MentionGraph, with_virtual_root
 
 BOWTIE_LABELS = ("SCC", "IN", "OUT", "TUBES", "INTENDRILS", "OUTTENDRILS", "OTHERS")
 SKELETON_LABELS = ("A", "B", "C", "D")
@@ -91,17 +91,9 @@ def _core_mask(g: MentionGraph) -> np.ndarray:
 
 def _reach(adj: csr_matrix, seeds: np.ndarray) -> np.ndarray:
     # Nodes reachable from any seed (seeds included): one breadth-first
-    # search from a virtual node n with an arc to every seed.
+    # search from a virtual node with an arc to every seed.
     n = adj.shape[0]
-    seeds = np.flatnonzero(seeds)
-    extended = csr_matrix(
-        (
-            np.concatenate([adj.data, np.ones(len(seeds))]),
-            np.concatenate([adj.indices, seeds]),
-            np.append(adj.indptr, adj.nnz + len(seeds)),
-        ),
-        shape=(n + 1, n + 1),
-    )
+    extended = with_virtual_root(adj, np.flatnonzero(seeds))
     reached = np.zeros(n + 1, dtype=bool)
     reached[breadth_first_order(extended, n, return_predecessors=False)] = True
     return reached[:n]

@@ -589,10 +589,16 @@ def test_maximal_cliques_match_find_cliques(seed, min_size):
     assert report.max_clique_size == max(len(c) for c in expected)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(10))
 def test_blocks_match_biconnected_components(seed):
-    n = SIZES[seed % len(SIZES)]
-    weighted = multi_component_ugraph(500 + seed, n)
+    # Seeds 0-5: several components and isolates; 6-9: one chat-shaped
+    # component of bridges and pendant chains.
+    if seed < 6:
+        n = SIZES[seed % len(SIZES)]
+        weighted = multi_component_ugraph(500 + seed, n)
+    else:
+        n = SIZES[seed - 6]
+        weighted = pendant_bridge_ugraph(1300 + seed, n)
     reference = to_nx_graph(n, weighted, "unit")
     cutpoints = set(nx.articulation_points(reference))
     assert cutpoints
@@ -603,6 +609,27 @@ def test_blocks_match_biconnected_components(seed):
     assert report.cutpoints == cutpoints
     assert sorted(report.blocks, key=sorted) == sorted(expected, key=sorted)
     assert report.largest_block_size == max(len(b) for b in expected)
+
+
+def test_blocks_take_one_search_over_every_component(monkeypatch):
+    # Twenty paths, twenty triangles and ten isolates: fifty components,
+    # all reached from the virtual root in one search.
+    calls = []
+    search = connectivity.depth_first_order
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "depth_first_order", counted)
+    weighted = []
+    for c in range(40):
+        a, b, d = 3 * c, 3 * c + 1, 3 * c + 2
+        weighted += [(a, b, 1), (b, d, 1)] + ([(a, d, 1)] if c % 2 else [])
+    report = articulation_points_and_blocks(as_undirected(3 * 40 + 10, weighted))
+    assert len(calls) == 1
+    assert report.block_count == 2 * 20 + 20 + 10
+    assert report.cutpoints == {nick(3 * c + 1) for c in range(0, 40, 2)}
 
 
 def assert_same_ranking(ours, reference, gap=1e-8):

@@ -363,6 +363,20 @@ def test_undirected_from_edge_list_merges_reversed():
     assert u.weight(u.id_of("a"), u.id_of("b")) == 5
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (0, "non-positive weight 0"),
+        (-2, "non-positive weight -2"),
+        (float("nan"), "non-positive weight nan"),
+        (2**60 + 1, "not exactly representable"),
+    ],
+)
+def test_undirected_from_edge_list_rejects_bad_weights(weight, message):
+    with pytest.raises(ValueError, match=message):
+        UndirectedView.from_edge_list([("aa", "bb", weight)])
+
+
 def test_subgraph_is_induced():
     g = as_mention_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     sub = g.subgraph({g.id_of(nick(0)), g.id_of(nick(1)), g.id_of(nick(2))})

@@ -159,7 +159,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("top_k", "ten"), ("eq_threshold", "half"), ("hits_weighted", "maybe")],
+    [
+        ("top_k", "ten"),
+        ("eq_threshold", "half"),
+        ("hits_weighted", "maybe"),
+        # a '#' after a value is not a comment
+        ("top_k", "4  # a note"),
+    ],
 )
 def test_config_file_bad_value_names_its_location(tmp_path, key, value):
     cfg_file = tmp_path / "analysis.cfg"
@@ -178,6 +184,16 @@ def test_config_file_empty_analyses_is_a_bad_value(tmp_path):
     with pytest.raises(ValueError) as info:
         load_config_file(cfg_file)
     assert str(info.value).startswith(f"{cfg_file}:2: bad value for analyses: ")
+
+
+def test_config_file_keeps_a_hash_inside_a_value(tmp_path):
+    # Only a line that starts with '#' is a comment; IRC channel names
+    # often put one inside a path.
+    cfg_file = tmp_path / "analysis.cfg"
+    cfg_file.write_text(
+        "  # logs of one channel\nlog_paths = /data/#ubuntu, day#2.log\n", encoding="utf-8"
+    )
+    assert load_config_file(cfg_file) == {"log_paths": ("/data/#ubuntu", "day#2.log")}
 
 
 @pytest.mark.parametrize(
