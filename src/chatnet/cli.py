@@ -98,12 +98,12 @@ def _build_config(args) -> AnalysisConfig:
     inputs = args.inputs
     if args.manifest:
         overrides["manifest_path"] = args.manifest
-    whole = [path for path in inputs if path.endswith((".jsonl", ".csv"))]
+    whole = [path for path in inputs if path.lower().endswith((".jsonl", ".csv"))]
     if whole and len(inputs) > 1:
         raise PipelineError(
             "config", f"'{whole[0]}' is a corpus JSONL or graph CSV, so it must be the only input"
         )
-    if whole and whole[0].endswith(".jsonl"):
+    if whole and whole[0].lower().endswith(".jsonl"):
         overrides["corpus_path"] = whole[0]
     elif whole:
         overrides["graph_path"] = whole[0]

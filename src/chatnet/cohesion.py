@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,33 +67,14 @@ def _rows(u: UndirectedView) -> list[list[int]]:
     return [indices[indptr[v]:indptr[v + 1]] for v in range(u.node_count)]
 
 
-def _degeneracy_order(rows: list[list[int]]) -> list[int]:
-    # Repeatedly peel the minimum-degree vertex (smallest id on ties); keeps
-    # candidate sets small on sparse community graphs.
-    n = len(rows)
-    degree = [len(row) for row in rows]
-    removed = [False] * n
-    heap = [(degree[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in rows[v]:
-            if not removed[w]:
-                degree[w] -= 1
-                heapq.heappush(heap, (degree[w], w))
-    return order
-
-
 def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
     """Enumerate maximal cliques by pivoting branch and bound.
 
-    The outer loop runs in degeneracy order so each maximal clique is emitted
-    exactly once; output order is canonical regardless of input order.
+    One search over the whole node set emits each maximal clique exactly
+    once (Tomita, Tanaka & Takahashi 2006).  It has no outer degeneracy
+    ordering: that ordering only tightens the worst-case bound, and it was
+    measured slower on every graph tried, chat-shaped ones included.  Output
+    order is canonical regardless of input order.
     Raises ValueError on finding more than ``MAX_CLIQUES`` maximal cliques.
     """
     if min_size < 1:
@@ -121,13 +101,9 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
             cand.discard(v)
             excl.add(v)
 
-    order = _degeneracy_order(rows)
-    rank = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in nbr[v] if rank[w] > rank[v]}
-        earlier = {w for w in nbr[v] if rank[w] < rank[v]}
-        expand([v], later, earlier)
+    expand([], set(range(len(rows))), set())
 
+    # min_size >= 1 drops the empty clique an empty view reports
     kept = [tuple(sorted(c)) for c in found if len(c) >= min_size]
     # ids ascend with nicks, so id order is member-name order
     kept.sort(key=lambda c: (-len(c), c))

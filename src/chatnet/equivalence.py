@@ -94,13 +94,12 @@ class RoleCaseReport:
     components: dict[str, ComponentRoleCase]
 
 
-def _slots(g: MentionGraph, weighted: bool):
+def _slots(g: MentionGraph):
     """Neighbor slots (i, k), one per neighbor k of i in either direction.
 
     Slots run by i, then by k ascending, so node j's slots are the slice
     ``indptr[j]:indptr[j + 1]``.  Per slot, ``out_w`` is w(i -> k) and
-    ``in_w`` is w(k -> i), 0 where the arc is absent; with
-    ``weighted=False`` every arc weighs 1.
+    ``in_w`` is w(k -> i), 0 where the arc is absent.
     """
     adj = g.csr()
     n = g.node_count
@@ -110,11 +109,10 @@ def _slots(g: MentionGraph, weighted: bool):
     in_keys = dst * n + src  # ... and the in-tie of slot (t, s)
     keys = np.union1d(out_keys, in_keys)
     rows, ks = np.divmod(keys, n)
-    weights = adj.data if weighted else np.ones_like(adj.data)
     out_w = np.zeros(len(keys))
-    out_w[np.searchsorted(keys, out_keys)] = weights
+    out_w[np.searchsorted(keys, out_keys)] = adj.data
     in_w = np.zeros(len(keys))
-    in_w[np.searchsorted(keys, in_keys)] = weights
+    in_w[np.searchsorted(keys, in_keys)] = adj.data
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr, rows, ks, out_w, in_w
@@ -179,7 +177,7 @@ class _Setup:
     isolated: np.ndarray
 
 
-def _setup(g: MentionGraph, iterations: int, weighted: bool) -> _Setup:
+def _setup(g: MentionGraph, iterations: int) -> _Setup:
     """Check the arguments and the memory estimate, then build the setup."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -191,7 +189,7 @@ def _setup(g: MentionGraph, iterations: int, weighted: bool) -> _Setup:
             f"(four {n} x {n} float64 matrices), over the limit of "
             f"{REGE_MEMORY_LIMIT} bytes"
         )
-    indptr, rows, ks, out_w, in_w = _slots(g, weighted)
+    indptr, rows, ks, out_w, in_w = _slots(g)
     # Distinct (out_w, in_w) weight pairs; tie factors and denominator
     # candidates are computed per pair and gathered per key.
     (pair_out, pair_in), pair = np.unique(
@@ -341,7 +339,7 @@ def _tie_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     return num / den  # both ends of a tie have slots, so den > 0
 
 
-def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> EquivalenceMatrix:
+def rege(g: MentionGraph, iterations: int = 3) -> EquivalenceMatrix:
     """Iterated regular-equivalence similarities over the weighted digraph.
 
     Conventions for empty neighborhoods: two isolates are perfectly
@@ -368,7 +366,7 @@ def rege(g: MentionGraph, iterations: int = 3, weighted: bool = True) -> Equival
     Raises ValueError, before allocating any n x n matrix, when the memory
     estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
     """
-    s = _setup(g, iterations, weighted)
+    s = _setup(g, iterations)
     n = g.node_count
     E = np.ones((n, n))
     classes = np.zeros(n, dtype=np.int64)  # the all-ones rows: one class

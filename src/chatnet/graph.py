@@ -355,7 +355,7 @@ def read_graph_csv(path) -> MentionGraph:
     extraction produces, so export/import round-trips.
     """
     weights: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -193,8 +193,10 @@ def _coerce_date(value) -> dt.date:
 
 
 def read_text(path, errors: str = "strict") -> str:
-    r"""A UTF-8 file's text as stored: \r and \r\n are not turned into \n."""
-    with open(path, encoding="utf-8", errors=errors, newline="") as fh:
+    r"""A UTF-8 file's text as stored, less a leading byte-order mark: \r and
+    \r\n are not turned into \n.
+    """
+    with open(path, encoding="utf-8-sig", errors=errors, newline="") as fh:
         return fh.read()
 
 
@@ -288,7 +290,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
     messages = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -70,6 +72,17 @@ EXPORT_FORMATS = ("dot", "graphml", "csv")
 INPUT_FIELDS = ("log_paths", "manifest_path", "corpus_path", "graph_path", "roster_path")
 
 
+# What a config field may hold, by the type of its default; None marks a path.
+_FIELD_TYPES = {
+    type(None): ("a path or None", (str, os.PathLike, type(None))),
+    tuple: ("a tuple", (tuple, list)),
+    bool: ("a bool", (bool,)),
+    int: ("an integer", (numbers.Integral,)),
+    float: ("a number", (numbers.Real,)),
+    str: ("a string", (str,)),
+}
+
+
 class PipelineError(Exception):
     """Failure in a named pipeline stage; no partial report is emitted."""
 
@@ -112,6 +125,11 @@ class AnalysisConfig:
     analyses: tuple[str, ...] = ALL_ANALYSES
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, types = _FIELD_TYPES[type(f.default)]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValueError(f"{f.name} must be {kind}, got {type(value).__name__} {value!r}")
         sources = [
             bool(self.log_paths),
             self.manifest_path is not None,

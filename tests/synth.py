@@ -37,6 +37,11 @@ def as_mention_graph(n: int, edges, weights=None) -> MentionGraph:
     return MentionGraph.from_edge_list(triples, extra_nodes=[nick(v) for v in range(n)])
 
 
+def binarized(g: MentionGraph) -> MentionGraph:
+    """The same nodes and arcs, every arc of weight 1."""
+    return MentionGraph(g.nicks, {(a, b): 1 for a, b, _ in g.edges_by_nick()})
+
+
 def as_undirected(n: int, weighted_edges) -> UndirectedView:
     triples = [(nick(u), nick(v), w) for u, v, w in weighted_edges]
     return UndirectedView.from_edge_list(triples, extra_nodes=[nick(v) for v in range(n)])

@@ -174,15 +174,24 @@ def test_cli_ingest_with_manifest(fixture_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("name", ["corpus.jsonl", "2012-01-01.jsonl"])
+@pytest.mark.parametrize("name", ["corpus.jsonl", "2012-01-01.jsonl", "2012-01-01.JSONL"])
 def test_cli_ingest_reads_a_corpus_back(data_dir, tmp_path, capsys, name):
-    # a date in a .jsonl name does not make the corpus a log file
+    # a date in a .jsonl name, of either case, does not make the corpus a log file
     golden = (data_dir / "corpus.golden.jsonl").read_bytes()
     source = tmp_path / name
     source.write_bytes(golden)
     out = tmp_path / "out.jsonl"
     assert main(["ingest", str(source), "-o", str(out)]) == 0
     assert out.read_bytes() == golden
+    capsys.readouterr()
+
+
+def test_cli_reads_an_upper_case_csv_suffix_as_a_graph(data_dir, tmp_path, capsys):
+    graph = tmp_path / "2012-01-01.CSV"
+    graph.write_bytes((data_dir / "graph.golden.csv").read_bytes())
+    out = tmp_path / "r.json"
+    assert main(["report", str(graph), "--analyses", "stats", "-o", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["stats"]["nodes"] == 5
     capsys.readouterr()
 
 

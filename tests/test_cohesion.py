@@ -76,6 +76,9 @@ def test_edgeless_graph_cases():
     assert maximal_cliques(g, min_size=2).cliques == ()
     singles = maximal_cliques(g, min_size=1)
     assert singles.cliques == ((nick(0),), (nick(1),), (nick(2),))
+    # no nodes: no clique at all, not the empty one
+    empty = maximal_cliques(undirected_of(0, []), min_size=1)
+    assert (empty.cliques, empty.max_clique_size) == ((), 0)
 
 
 def test_enumeration_independent_of_input_order():

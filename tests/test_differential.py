@@ -576,10 +576,19 @@ def planted_clique_ugraph(seed, n):
 
 
 @pytest.mark.parametrize("min_size", [1, 3, 4])
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(10))
 def test_maximal_cliques_match_find_cliques(seed, min_size):
-    n = SIZES[seed % len(SIZES)]
-    weighted = planted_clique_ugraph(400 + seed, n)
+    # Seeds 0-3: planted cliques; 4-9: chat-shaped graphs, where the first
+    # pivot of the search over all nodes is a hub.
+    if seed < 4:
+        n = SIZES[seed]
+        weighted = planted_clique_ugraph(400 + seed, n)
+    elif seed < 6:
+        n = 200
+        weighted = chat_shaped_ugraph(1400 + seed, n)
+    else:
+        n = SIZES[seed - 6]
+        weighted = pendant_bridge_ugraph(1600 + seed, n)
     found = list(nx.find_cliques(to_nx_graph(n, weighted, "unit")))
     assert max(len(c) for c in found) >= 4
     expected = {frozenset(c) for c in found if len(c) >= min_size}

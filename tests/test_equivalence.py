@@ -22,7 +22,13 @@ from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 from chatnet.skeleton import SkeletonPartition, abcd_skeleton
 
 from oracles import rege_reference
-from synth import as_mention_graph, nick, preferential_attachment_graph, random_digraph
+from synth import (
+    as_mention_graph,
+    binarized,
+    nick,
+    preferential_attachment_graph,
+    random_digraph,
+)
 
 # fixed 5-node weighted digraph exercising asymmetric weights and reciprocity
 FIVE_NODE_EDGES = [
@@ -35,6 +41,11 @@ FIVE_NODE_EDGES = [
 
 def five_node_graph():
     return MentionGraph.from_edge_list(FIVE_NODE_EDGES)
+
+
+def weighed(g, weighted):
+    # rege reads the weights as stored; an unweighted case takes a binarized copy
+    return g if weighted else binarized(g)
 
 
 def reference_matrix(g, iterations, weighted=True):
@@ -75,16 +86,6 @@ def test_five_node_fixture_matches_literal_reference():
         for i in range(g.node_count):
             for j in range(g.node_count):
                 assert abs(matrix.values[i, j] - expected[(i, j)]) <= 1e-12
-
-
-def test_unweighted_option_binarizes():
-    g = five_node_graph()
-    binary = MentionGraph.from_edge_list(
-        [(a, b, 1) for a, b, _ in FIVE_NODE_EDGES]
-    )
-    assert np.array_equal(
-        rege(g, 3, weighted=False).values, rege(binary, 3).values
-    )
 
 
 def test_matrix_properties_random_graphs():
@@ -174,7 +175,7 @@ def medium_digraph(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_medium_graphs_match_literal_reference(seed, weighted, iterations):
     g = medium_digraph(seed)
-    matrix = rege(g, iterations, weighted=weighted).values
+    matrix = rege(weighed(g, weighted), iterations).values
     expected = reference_matrix(g, iterations, weighted)
     reference = np.array(
         [[expected[(i, j)] for j in range(g.node_count)] for i in range(g.node_count)]
@@ -227,8 +228,8 @@ def test_merged_classes_match_literal_reference(seed, weighted, iterations):
     n = g.node_count
     # each twin's row of E equals its original's after two rounds, so the
     # third round scores one key for several slots
-    assert len(np.unique(rege(g, 2, weighted=weighted).values, axis=0)) <= n - 4
-    matrix = rege(g, iterations, weighted=weighted).values
+    assert len(np.unique(rege(weighed(g, weighted), 2).values, axis=0)) <= n - 4
+    matrix = rege(weighed(g, weighted), iterations).values
     expected = reference_matrix(g, iterations, weighted)
     reference = np.array([[expected[(i, j)] for j in range(n)] for i in range(n)])
     assert np.abs(matrix - reference).max() <= 1e-12
@@ -271,7 +272,7 @@ def test_matrix_is_exactly_symmetric(make_graph, seed):
     g = make_graph(seed)
     for weighted in (True, False):
         for iterations in (1, 2, 3):
-            matrix = rege(g, iterations, weighted=weighted).values
+            matrix = rege(weighed(g, weighted), iterations).values
             assert (matrix == matrix.T).all()
 
 
@@ -311,10 +312,11 @@ def several_components(seed):
 def assert_tie_values_match_rege(g, iterations, weighted):
     # One rege result, its last round run both ways: at the ties, as the
     # roles section reads it, and over every pair for values.
-    matrix = rege(g, iterations, weighted=weighted)
+    g = weighed(g, weighted)
+    matrix = rege(g, iterations)
     rows, ks, values = matrix._ties()
     assert "values" not in vars(matrix)  # the tie path builds no n x n matrix
-    _, slot_rows, slot_ks, _, _ = _slots(g, weighted)
+    _, slot_rows, slot_ks, _, _ = _slots(g)
     assert rows.tolist() == slot_rows.tolist()
     assert ks.tolist() == slot_ks.tolist()
     assert values.tobytes() == matrix.values[rows, ks].tobytes()
@@ -324,7 +326,7 @@ def assert_tie_values_match_rege(g, iterations, weighted):
 
 def first_round_partner_classes(g, weighted):
     # rege(g, 1) holds the setup and the one class of the all-ones start.
-    matrix = rege(g, 1, weighted=weighted)
+    matrix = rege(weighed(g, weighted), 1)
     inverse, _, _ = _slot_keys(matrix._classes, matrix._setup)
     return len(set(_partner_classes(inverse, matrix._setup)))
 
@@ -457,7 +459,8 @@ def test_tie_fraction_matches_hand_tally(fixture_graph):
 @pytest.mark.parametrize("seed", range(4))
 def test_tie_fraction_matches_tally_on_medium_graphs(seed, weighted):
     g = medium_digraph(seed)
-    matrix = rege(g, 3, weighted=weighted)
+    g = weighed(g, weighted)
+    matrix = rege(g, 3)
     for threshold in (0.25, 0.5, 0.75):
         assert_tie_fractions_match_tally(g, matrix, threshold)
 

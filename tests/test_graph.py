@@ -291,6 +291,12 @@ def test_csv_golden(fixture_graph, data_dir):
     assert graph_csv_text(fixture_graph) == golden
 
 
+def test_csv_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("\ufeffsource,target,weight\na,b,2\n", encoding="utf-8")
+    assert list(read_graph_csv(path).edges_by_nick()) == [("a", "b", 2)]
+
+
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\nx,y,1\n", encoding="utf-8")

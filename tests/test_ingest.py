@@ -172,6 +172,14 @@ def test_parse_corpus_reads_crlf_files_as_lf_files(tmp_path):
     assert [(st.parsed, st.skipped, st.total_lines) for st in stats] == [(4, 1, 5)] * 2
 
 
+def test_parse_corpus_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "2011-06-02.txt"
+    path.write_text(f"\ufeff{SAMPLE_LINE}\n[08:45] * fabbione nods\n", encoding="utf-8")
+    corpus = parse_corpus([(str(path), DAY)])
+    assert [m.nick for m in corpus.messages] == ["mdz", "fabbione"]
+    assert corpus.skipped_count == 0
+
+
 def test_parse_corpus_notice_only_file(tmp_path):
     path = tmp_path / "2011-01-01.txt"
     path.write_text(
@@ -249,6 +257,13 @@ def test_read_corpus_jsonl_splits_lines_at_newlines_only(tmp_path):
     # \r is JSON whitespace between tokens, not the end of a record.
     path = tmp_path / "corpus.jsonl"
     path.write_text(GOOD_RECORD.replace(", ", ",\r ") + "\r\n", encoding="utf-8", newline="")
+    (msg,) = read_corpus_jsonl(path).messages
+    assert (msg.nick, msg.body) == ("a", "b")
+
+
+def test_read_corpus_jsonl_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\ufeff" + GOOD_RECORD + "\n", encoding="utf-8")
     (msg,) = read_corpus_jsonl(path).messages
     assert (msg.nick, msg.body) == ("a", "b")
 
@@ -343,6 +358,12 @@ def test_read_manifest_splits_lines_at_newlines_only(tmp_path, mark):
 def test_load_config_file_splits_lines_at_newlines_only(tmp_path, mark):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# tuned {mark} by hand\ntop_k = 4\n", encoding="utf-8")
+    assert load_config_file(cfg) == {"top_k": 4}
+
+
+def test_load_config_file_drops_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufefftop_k = 4\n", encoding="utf-8")
     assert load_config_file(cfg) == {"top_k": 4}
 
 

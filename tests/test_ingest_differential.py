@@ -108,7 +108,7 @@ def test_parse_corpus_matches_oracle_per_line(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8")
     corpus = parse_corpus([(str(path), DAY)])
     # the oracle sees the lines as stored, \r included
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         read = split_lines(fh.read())
     expected = [parse_line_oracle(line, DAY) for line in read]
     parsed = tuple(msg for msg in expected if msg is not None)

@@ -2,6 +2,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,30 @@ def test_validate_rejects_no_analyses():
 def test_validate_requires_finite_positive_hits_tolerance(tolerance):
     with pytest.raises(ValueError, match="hits_tolerance must be positive and finite"):
         AnalysisConfig(graph_path="g.csv", hits_tolerance=tolerance).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("top_k", "3"),
+        ("top_k", True),
+        ("hits_max_iterations", 3.0),
+        ("eq_threshold", "0.5"),
+        ("case_insensitive", 1),
+        ("analyses", "stats"),
+        ("log_paths", "logs/2014-01-01.txt"),
+        ("roster_path", 5),
+    ],
+)
+def test_wrong_config_type_fails_the_config_stage(field, value):
+    inputs = {} if field == "log_paths" else {"graph_path": "g.csv"}
+    with pytest.raises(PipelineError, match=f"config: {field} must be") as info:
+        run_pipeline(AnalysisConfig(**inputs, **{field: value}))
+    assert info.value.stage == "config"
+
+
+def test_config_takes_an_int_for_a_float_and_a_path_object():
+    AnalysisConfig(graph_path=Path("g.csv"), tie_cutoff=1, hits_tolerance=1).validate()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
