@@ -2,14 +2,18 @@
 blocks, pairwise edge connectivity, the all-pairs cut tree, lambda sets, and
 the top links by information flow.
 
-Edge connectivity is exact max-flow = min-cut with integer capacities.  The
-cut tree uses Gusfield's construction (no contraction), so a single tree
-answers every pairwise query by a path minimum.  Gusfield's step (s, t)
-needs some minimum s-t cut, and any one will do: the tree's path minima are
-the pairwise connectivities whichever minimum cuts it was built from.  So a
-step whose connectivity is certified to equal the smaller (weighted) degree
-of s and t takes the trivial cut, {s} or V minus {t}, without a max-flow.
-The certificate is a set of edges, each weighted by a proven lower bound on
+Edge connectivity is exact max-flow = min-cut with integer capacities.  A
+single cut tree answers every pairwise query by a path minimum.  It is
+built per biconnected block: edge-disjoint paths may share a cutpoint, so
+the connectivity of two nodes is the least per-block connectivity along
+the blocks between them, and the blocks' trees glue at the cutpoints.  A
+bridge is a tree edge of its own weight.  A larger block takes Gusfield's
+construction (no contraction).  Gusfield's step (s, t) needs some minimum
+s-t cut, and any one will do: the tree's path minima are the pairwise
+connectivities whichever minimum cuts it was built from.  So a step whose
+connectivity is certified to equal the smaller (weighted) degree of s and
+t takes the trivial cut, {s} or V minus {t}, without a max-flow.  The
+certificate is a set of edges, each weighted by a proven lower bound on
 the connectivity of its ends; s and t in one component of the edges whose
 weight reaches a value are certified at that value, because connectivity is
 transitive (lambda(a, c) >= min(lambda(a, b), lambda(b, c))).  Its edges
@@ -17,10 +21,11 @@ come from two sources, as in Akiba et al., "Cut Tree Construction from
 Massive Graphs" (ICDM 2016):
 
 * one maximum-adjacency ordering, which bounds the connectivity across each
-  graph edge (Nagamochi & Ibaraki 1992);
+  edge of the block (Nagamochi & Ibaraki 1992);
 * the hub pass, which proves lambda(v, r) = deg(v) for many nodes v at once
-  against the node r of largest degree, by batched max-flows from a super
-  source (its rules are in ``_hub_edges``).
+  against the node r of largest degree, by max-flows from a super source
+  to batches of nodes that do not compete for a bottleneck (its rules are
+  in ``_hub_edges``).
 
 Top links score their candidate edges from the cut tree of those edges'
 ends alone.  Certificates, lambda sets and top links all read components at
@@ -30,7 +35,6 @@ a threshold, from one helper.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -144,43 +148,66 @@ class LambdaHierarchy:
         return seen
 
 
-def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
-    """Blocks and cutpoints from one depth-first search (Hopcroft & Tarjan).
+def _dfs_blocks(adj: csr_matrix):
+    """Blocks from one depth-first search (Hopcroft & Tarjan).
 
     The search starts at a virtual node n with an arc to every node, so it
     takes the components in order of their smallest id.  The tree edge into
     v opens a block when no arc from v's subtree reaches above v's parent,
-    and joins its parent's block otherwise.  The cutpoints are the nodes in
-    two or more blocks; isolated nodes form singleton blocks of their own.
+    and joins its parent's block otherwise.  A block's head, the parent of
+    the node that opens it, is the one member outside that node's subtree:
+    its attachment cutpoint, or the first node of its component.
+
+    Returns the nodes in discovery order, each node's parent (n at the first
+    node of a component), and per block the node that opens it and its
+    members but the head, ascending; blocks are numbered in the order they
+    open.
     """
-    n, adj = u.node_count, u.csr()
-    degree = np.diff(adj.indptr)
+    n = adj.shape[0]
     order, up = depth_first_order(with_virtual_root(adj, np.arange(n)), n)
     disc = np.empty(n + 1, dtype=np.intp)
     disc[order] = np.arange(n + 1)
     # low[v]: the earliest discovery that a non-tree arc from v's subtree reaches
-    rows = np.repeat(np.arange(n), degree)
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
     back = adj.indices != up[rows]
     low = disc.copy()
     np.minimum.at(low, rows[back], disc[adj.indices[back]])
-    low, up, disc, order = low.tolist(), up.tolist(), disc.tolist(), order[1:].tolist()
-    for v in reversed(order):
-        low[up[v]] = min(low[up[v]], low[v])
-    block, members = {}, []
-    for v in order:
-        p = up[v]
+    order, up = order[1:], up[:n]
+    low, parent, disc = low.tolist(), up.tolist(), disc.tolist()
+    for v in reversed(order.tolist()):
+        low[parent[v]] = min(low[parent[v]], low[v])
+    block, openers = [-1] * n, []
+    for v in order.tolist():
+        p = parent[v]
         if p < n and low[v] >= disc[p]:
-            block[v] = len(members)
-            members.append({p, v})
+            block[v] = len(openers)
+            openers.append(v)
         elif p < n:
             block[v] = block[p]
-            members[block[v]].add(v)
-    members += [{v} for v in np.flatnonzero(degree == 0).tolist()]
-    cutpoints = [v for v, k in Counter(v for b in members for v in b).items() if k > 1]
-    named = [frozenset(u.nicks[v] for v in b) for b in members]
+    block = np.array(block, dtype=np.intp)
+    grouped = np.argsort(block, kind="stable")[np.count_nonzero(block < 0) :]
+    members = np.split(grouped, np.cumsum(np.bincount(block[block >= 0]))[:-1])
+    # np.split leaves one empty piece when there is no block
+    return order, up, np.array(openers, dtype=np.intp), members[: len(openers)]
+
+
+def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
+    """Blocks and cutpoints of the view, from ``_dfs_blocks``.
+
+    The cutpoints are the nodes in two or more blocks; isolated nodes form
+    singleton blocks of their own.
+    """
+    n, adj = u.node_count, u.csr()
+    _, up, openers, members = _dfs_blocks(adj)
+    heads = up[openers]
+    # a node is in the blocks it heads, and in the block of its tree edge
+    count = np.bincount(heads, minlength=n) + (up < n)
+    blocks = [[h, *m.tolist()] for h, m in zip(heads.tolist(), members)]
+    blocks += [[v] for v in np.flatnonzero(np.diff(adj.indptr) == 0).tolist()]
+    named = [frozenset(u.nicks[v] for v in b) for b in blocks]
     named.sort(key=lambda b: (-len(b), tuple(sorted(b))))
     return BlockReport(
-        cutpoints=frozenset(u.nicks[v] for v in cutpoints),
+        cutpoints=frozenset(u.nicks[v] for v in np.flatnonzero(count > 1).tolist()),
         blocks=tuple(named),
         largest_block_size=max((len(b) for b in named), default=0),
     )
@@ -309,39 +336,53 @@ def _certifier(k: int, heads, tails, weights):
     return certified
 
 
+def _locally_cut(caps: csr_matrix, degree: list[int], hub: int) -> np.ndarray:
+    """Nodes v with a neighbor x != hub that holds 2 w(v, x) > deg x.
+
+    The cut around {v, x} weighs deg v + deg x - 2 w(v, x) < deg v and
+    separates v from the hub, so lambda(v, hub) < deg v.
+    """
+    rows = np.repeat(np.arange(caps.shape[0]), np.diff(caps.indptr))
+    heavy = (caps.indices != hub) & (2 * caps.data > np.asarray(degree)[caps.indices])
+    cut = np.zeros(caps.shape[0], dtype=bool)
+    cut[rows[heavy]] = True
+    return cut
+
+
 def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndarray):
     """Certificate edges (v, r, deg v) proven by batched flows into the hub r.
 
     The hub r is the first node of largest degree.  The candidates are the
     terminals v != r that ``certified`` does not already join to r at
-    deg(v), taken once each in (degree, id) order.  A batch takes the next
-    candidate, then more until the next one would push its total degree
-    past the budget.  A super source, node k of one (k+1)-node capacity
-    matrix, gets an arc of capacity deg(v) to each member v and one
-    max-flow runs from it to r.  A member whose arc is saturated has
-    lambda(v, r) = deg(v): the flow paths that leave the source through v
-    form a feasible v-r flow on their own.  An unsaturated member is not
-    disproven; it lost a competition for a shared bottleneck, and smaller
-    batches compete less.  So the budget starts at deg(r) // 8, halves
-    after a batch that saturates fewer than half of its members, and
-    doubles, up to deg(r), after a batch that saturates at least three
-    quarters.  A batch costs one max-flow and saves at most one
-    per node it proves.  A batch of at most two members that leaves one
-    unsaturated saved at most the flow it cost, and batches cannot get much
-    smaller, so the pass stops after it.  A small batch that saturates all
-    of its members pays for itself, so a starting budget that fits only one
-    candidate does not end the pass.
+    deg(v) and that ``_locally_cut`` does not rule out, in (degree, id)
+    order.  A super source, node k of one (k+1)-node capacity matrix, gets
+    an arc of capacity deg(v) to each member v of a batch, and one max-flow
+    runs from it to r.  A member whose arc is saturated has lambda(v, r) =
+    deg(v): the flow paths that leave the source through v form a feasible
+    v-r flow on their own.  Members that compete for a bottleneck cannot
+    all be saturated; two adjacent members v and w never are, since the cut
+    around {v, w} weighs deg v + deg w - 2 w(v, w).  So a batch takes the
+    pending candidates in order, each one that keeps three rules:
+
+    * no member is adjacent to another;
+    * every node x != r receives at most deg(x) / 2 from members' edges;
+    * the members' degrees sum to at most deg(r).
+
+    The first pending candidate always fits, so no batch is empty.  An
+    unsaturated member is not tried again, and the pass stops after a batch
+    that proves none of its members.
 
     Returns the edges as (heads, tails, weights) arrays, and the number of
     max-flows run.
     """
     k = caps.shape[0]
     hub = int(np.argmax(degree))
-    candidates = sorted(
+    pending = sorted(
         (degree[v], v)
-        for v in np.flatnonzero(terminal).tolist()
+        for v in np.flatnonzero(terminal & ~_locally_cut(caps, degree, hub)).tolist()
         if v != hub and not certified(v, hub, degree[v])
     )
+    pending = [v for _, v in pending]
     ext = csr_matrix(
         (
             np.concatenate([caps.data, np.zeros(k, dtype=caps.data.dtype)]),
@@ -351,68 +392,103 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndar
         shape=(k + 1, k + 1),
     )
     source_arcs = ext.data[caps.nnz :]  # row k of ext, one arc per node
+    indptr, indices, weights = caps.indptr.tolist(), caps.indices.tolist(), caps.data.tolist()
     proven: list[int] = []
-    flows = start = 0
-    budget = degree[hub] // 8
-    while start < len(candidates):
-        end, total = start + 1, candidates[start][0]
-        while end < len(candidates) and total + candidates[end][0] <= budget:
-            total += candidates[end][0]
-            end += 1
-        batch = [v for _, v in candidates[start:end]]
-        start = end
+    flows = 0
+    while pending:
+        batch, left = [], []
+        member, received, total = [False] * k, [0] * k, 0
+        for at, v in enumerate(pending):
+            if total + degree[v] > degree[hub]:
+                left += pending[at:]  # every later candidate is at least as large
+                break
+            arcs = list(zip(indices[indptr[v] : indptr[v + 1]], weights[indptr[v] : indptr[v + 1]]))
+            if all(not member[x] and (x == hub or 2 * (received[x] + w) <= degree[x]) for x, w in arcs):
+                batch.append(v)
+                member[v], total = True, total + degree[v]
+                for x, w in arcs:
+                    received[x] += w
+            else:
+                left.append(v)
+        pending = left
         source_arcs[:] = 0
         source_arcs[batch] = [degree[v] for v in batch]
         sent = maximum_flow(ext, k, hub).flow[k].toarray().ravel()
         flows += 1
         saturated = [v for v in batch if sent[v] == degree[v]]
-        proven += saturated
-        if len(batch) <= 2 and len(saturated) < len(batch):
+        if not saturated:
             break
-        if 2 * len(saturated) < len(batch):
-            budget //= 2
-        elif 4 * len(saturated) >= 3 * len(batch):
-            budget = min(2 * budget, degree[hub])
+        proven += saturated
     heads = np.array(proven, dtype=np.int64)
     tails = np.full(len(proven), hub, dtype=np.int64)
     weights = np.array([degree[v] for v in proven], dtype=np.int64)
     return (heads, tails, weights), flows
 
 
-def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTree:
-    """Gusfield cut tree of the nodes in the boolean mask ``terminal``.
+def _separators(order: np.ndarray, up: np.ndarray, openers: np.ndarray, terminal: np.ndarray):
+    """Whether each node separates two terminals of its component.
 
-    Steps run at the terminals alone, but max-flows and certificates run on
-    the whole component, so path minima are the terminals' connectivities;
-    any other node is a root of its own.  A step (i, t) needs some minimum
-    i-t cut.  When i and t share a component of the certificate's edges
-    whose bound reaches min(deg i, deg t), the trivial cut, {i} or V minus
-    {t} for whichever has that degree, is one and no max-flow is run.  The
-    certificate holds every graph edge with its MA bound, plus an edge
-    (v, r, deg v) for each terminal v that the hub pass (``_hub_edges``)
-    proves.  ``flows`` counts the hub pass's max-flows too, and
-    ``hub_flows`` counts them alone.
+    The sides of a node are the subtrees of the blocks it heads, each below
+    the node that opens the block, and the rest of its component.  Terminal
+    counts per subtree take one pass up the search tree of ``_dfs_blocks``.
+    """
+    n = len(up)
+    below, parent = terminal.astype(np.int64).tolist() + [0], up.tolist()
+    for v in reversed(order.tolist()):
+        below[parent[v]] += below[v]
+    below = np.array(below[:n])
+    # the discovery order holds each component as one run from its first node
+    first = np.maximum.accumulate(np.where(up[order] == n, np.arange(n), 0))
+    total = np.empty(n, dtype=np.int64)
+    total[order] = below[order[first]]
+    heads = up[openers]
+    sides = np.bincount(heads, weights=below[openers] > 0, minlength=n)
+    rest = total - terminal - np.bincount(heads, weights=below[openers], minlength=n)
+    return sides + (rest > 0) >= 2
+
+
+def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTree:
+    """Cut tree of the nodes in the boolean mask ``terminal``, per block.
+
+    A block's steps are its terminals and its nodes that separate two
+    terminals (``_separators``), so every path between two terminals enters
+    and leaves each block at a step and path minima are exact for every
+    pair of terminals; any other node is a root of its own.  A block's tree
+    is rooted at its head (``_dfs_blocks``) when that is a step, so the
+    trees glue into one per component.  A bridge is a tree edge of its
+    weight.  A larger block takes Gusfield steps on its own edges and
+    degrees.  A step (i, t) needs some minimum i-t cut.  When i and t share
+    a component of the certificate's edges whose bound reaches min(deg i,
+    deg t), the trivial cut, {i} or V minus {t} for whichever has that
+    degree, is one and no max-flow is run.  The certificate holds every edge
+    of the block with its MA bound, plus an edge (v, r, deg v) for each step
+    v that the hub pass (``_hub_edges``) proves.  ``flows`` counts the hub
+    passes' max-flows too, and ``hub_flows`` counts them alone.
     """
     _check_mode(mode)
-    adj = u.csr()
-    ncomp, labels = connected_components(adj, directed=False)
-    # Members ascending within each component; its first terminal is its
-    # root.  np.split leaves one empty piece for an empty view.
-    members = np.argsort(labels, kind="stable")
-    components = np.split(members, np.cumsum(np.bincount(labels))[:-1])[:ncomp]
-    up = np.full(u.node_count, -1, dtype=np.int64)
-    capacity = np.zeros(u.node_count, dtype=np.int64)
+    n = u.node_count
+    caps = _capacities(u.csr(), mode)
+    order, parent, openers, members = _dfs_blocks(caps)
+    step = terminal | _separators(order, parent, openers, terminal)
+    up = np.full(n, -1, dtype=np.int64)
+    capacity = np.zeros(n, dtype=np.int64)
+    bridges = openers[[len(m) == 1 for m in members]]
+    bridges = bridges[step[bridges] & step[parent[bridges]]]
+    up[bridges] = parent[bridges]
+    capacity[bridges] = np.asarray(caps[bridges, parent[bridges]]).ravel()
     flows = hub_flows = 0
-    for comp in components:
-        steps = np.flatnonzero(terminal[comp])  # local ids of the terminals
-        if len(steps) < 2:
+    for head, others in zip(parent[openers].tolist(), members):
+        # local 0 is the head, and the first step the root
+        block = np.append(head, others)
+        steps = np.flatnonzero(step[block])
+        if len(others) < 2 or len(steps) < 2:
             continue
-        k = len(comp)
-        caps = _capacities(adj[comp][:, comp], mode)
-        degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
-        q = _ma_bounds(caps).tocoo()
+        k = len(block)
+        local_caps = caps[block][:, block]
+        degree = np.asarray(local_caps.sum(axis=1)).ravel().tolist()
+        q = _ma_bounds(local_caps).tocoo()
         bounds = (q.row, q.col, q.data)
-        hub_edges, batches = _hub_edges(caps, degree, _certifier(k, *bounds), terminal[comp])
+        hub_edges, batches = _hub_edges(local_caps, degree, _certifier(k, *bounds), step[block])
         hub_flows += batches
         certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)
@@ -425,10 +501,10 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
             if certified(i, t, value):
                 side = local == i if degree[i] == value else local != t
             else:
-                result = maximum_flow(caps, i, t)
+                result = maximum_flow(local_caps, i, t)
                 flows += 1
                 value = result.flow_value
-                side = _source_side(caps, result.flow, i)
+                side = _source_side(local_caps, result.flow, i)
             moved = side & (tree == t)
             moved[i] = False
             tree[moved] = i
@@ -440,15 +516,15 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
                 flow_val[t] = value
             else:
                 flow_val[i] = value
-        up[comp[steps[1:]]] = comp[tree[steps[1:]]]
-        capacity[comp[steps[1:]]] = flow_val[steps[1:]]
+        up[block[steps[1:]]] = block[tree[steps[1:]]]
+        capacity[block[steps[1:]]] = flow_val[steps[1:]]
     up.flags.writeable = False
     capacity.flags.writeable = False
     return GomoryHuTree(u.nicks, up, capacity, mode, flows + hub_flows, hub_flows)
 
 
 def gomory_hu(u: UndirectedView, mode: str = "unit") -> GomoryHuTree:
-    """Gusfield cut tree per connected component: ``_cut_tree`` of every node."""
+    """Cut tree per connected component: ``_cut_tree`` of every node."""
     return _cut_tree(u, mode, np.ones(u.node_count, dtype=bool))
 
 
@@ -492,7 +568,7 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     whose bound ranks above round 1's k-th result, if there are more, from
     the tree of theirs.  Its k-th result ranks no lower, so no third round.
     k >= m builds the full tree; a mid-range k, two large ones: at k = m/2
-    the seed-7 pa graph ran 716 max-flows against the full tree's 427.
+    the seed-7 pa graph ran 478 max-flows against the full tree's 270.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

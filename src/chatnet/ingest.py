@@ -333,8 +333,9 @@ def date_from_filename(path) -> dt.date | None:
 def discover_log_files(paths: Iterable[str]) -> list[tuple[str, dt.date]]:
     """Resolve files/directories to (path, date) pairs via the name convention.
 
-    Directories are scanned non-recursively for ``*.txt`` and ``*.log``.
-    The result is sorted by date; undatable filenames are an error.
+    Directories are scanned non-recursively for ``*.txt`` and ``*.log``,
+    in any letter case.  The result is sorted by date; undatable filenames
+    are an error.
     """
     candidates: list[Path] = []
     for p in paths:
@@ -343,7 +344,7 @@ def discover_log_files(paths: Iterable[str]) -> list[tuple[str, dt.date]]:
             candidates.extend(
                 entry
                 for entry in sorted(path.iterdir())
-                if entry.suffix in (".txt", ".log") and entry.is_file()
+                if entry.suffix.lower() in (".txt", ".log") and entry.is_file()
             )
         else:
             candidates.append(path)

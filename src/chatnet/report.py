@@ -81,6 +81,11 @@ _FIELD_TYPES = {
     float: ("a number", (numbers.Real,)),
     str: ("a string", (str,)),
 }
+# The members of the tuple fields.
+_MEMBER_TYPES = {
+    "log_paths": ("paths", (str, os.PathLike)),
+    "analyses": ("strings", (str,)),
+}
 
 
 class PipelineError(Exception):
@@ -130,6 +135,12 @@ class AnalysisConfig:
             kind, types = _FIELD_TYPES[type(f.default)]
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 raise ValueError(f"{f.name} must be {kind}, got {type(value).__name__} {value!r}")
+        for name, (kind, types) in _MEMBER_TYPES.items():
+            for member in getattr(self, name):
+                if not isinstance(member, types):
+                    raise ValueError(
+                        f"{name} must be a tuple of {kind}, got {type(member).__name__} {member!r}"
+                    )
         sources = [
             bool(self.log_paths),
             self.manifest_path is not None,

@@ -11,8 +11,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from chatnet import connectivity
 from chatnet.centrality import hits
@@ -205,39 +203,40 @@ def pa_ugraph(seed, n):
 
 
 def hub_passes(view, mode, terminal=None):
-    # Per component of two or more terminals (every node unless a mask is
-    # given), as connectivity._cut_tree builds it: the component's ids
-    # ascending, its degrees, the MA bound edges, and the hub pass's edges
-    # and max-flow count.
+    # Per block of three or more nodes and two or more steps (every node
+    # unless a terminal mask is given), as connectivity._cut_tree builds
+    # it: the block's ids, head first, its degrees, the MA bound edges, and
+    # the hub pass's edges and max-flow count.
     if terminal is None:
         terminal = np.ones(view.node_count, dtype=bool)
-    adj = view.csr()
-    ncomp, labels = connected_components(adj, directed=False)
-    for c in range(ncomp):
-        comp = np.flatnonzero(labels == c)
-        if terminal[comp].sum() < 2:
+    caps = connectivity._capacities(view.csr(), mode)
+    order, parent, openers, members = connectivity._dfs_blocks(caps)
+    step = terminal | connectivity._separators(order, parent, openers, terminal)
+    for head, rest in zip(parent[openers].tolist(), members):
+        block = np.append(head, rest)
+        if len(rest) < 2 or step[block].sum() < 2:
             continue
-        caps = connectivity._capacities(adj[comp][:, comp], mode)
-        degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
-        q = connectivity._ma_bounds(caps).tocoo()
+        local = caps[block][:, block]
+        degree = np.asarray(local.sum(axis=1)).ravel().tolist()
+        q = connectivity._ma_bounds(local).tocoo()
         bounds = (q.row, q.col, q.data)
-        certified = connectivity._certifier(len(comp), *bounds)
-        hub, flows = connectivity._hub_edges(caps, degree, certified, terminal[comp])
-        yield comp, degree, bounds, hub, flows
+        certified = connectivity._certifier(len(block), *bounds)
+        hub, flows = connectivity._hub_edges(local, degree, certified, step[block])
+        yield block, degree, bounds, hub, flows
 
 
 # (graph, n, mode) -> max-flows of the cut tree, the hub pass's included.
 CERTIFIED_FLOWS = {
-    ("pendant", 30, "unit"): 24,
-    ("pendant", 30, "weighted"): 24,
-    ("pendant", 36, "unit"): 26,
-    ("pendant", 36, "weighted"): 25,
-    ("pendant", 42, "unit"): 31,
-    ("pendant", 42, "weighted"): 34,
-    ("pendant", 48, "unit"): 40,
-    ("pendant", 48, "weighted"): 39,
-    ("components", 60, "unit"): 38,
-    ("components", 60, "weighted"): 36,
+    ("pendant", 30, "unit"): 12,
+    ("pendant", 30, "weighted"): 12,
+    ("pendant", 36, "unit"): 16,
+    ("pendant", 36, "weighted"): 16,
+    ("pendant", 42, "unit"): 18,
+    ("pendant", 42, "weighted"): 21,
+    ("pendant", 48, "unit"): 22,
+    ("pendant", 48, "weighted"): 21,
+    ("components", 60, "unit"): 28,
+    ("components", 60, "weighted"): 28,
 }
 
 
@@ -310,8 +309,8 @@ def test_hub_pass_proves_connectivity_equal_to_degree(kind, n, mode):
 
 
 def recorded_hub_batches(view, mode):
-    # The hub passes of the view's components, and the members of each
-    # batch in the order run, read from the super source's arcs.
+    # The hub passes of the view's blocks, each with the members of its
+    # batches in the order run, read from the super source's arcs.
     batches = []
     real_flow = connectivity.maximum_flow
 
@@ -322,30 +321,52 @@ def recorded_hub_batches(view, mode):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connectivity, "maximum_flow", recording)
         passes = list(hub_passes(view, mode))
-    return passes, batches
+    ends = np.cumsum([flows for *_, flows in passes]).tolist()
+    return [(p, batches[lo:hi]) for p, lo, hi in zip(passes, [0, *ends], ends)]
 
 
 @pytest.mark.parametrize("mode", ["unit", "weighted"])
 @pytest.mark.parametrize("n", [60, 100])
 def test_hub_certified_cut_tree_matches_networkx_on_all_pairs(n, mode):
     weighted = certificate_graph("pa", n)
-    passes, batches = recorded_hub_batches(as_undirected(n, weighted), mode)
-    ((_, _, _, (proven, _, _), flows),) = passes
+    view = as_undirected(n, weighted)
+    (((block, degree, bounds, (proven, _, _), flows), batches),) = recorded_hub_batches(view, mode)
     assert flows == len(batches) >= 2
-    # The pass stops only after a batch of at most two members that leaves
-    # one unsaturated, so every batch before the last had more than two
-    # members or saturated them all; and the certificate the tree is built
-    # from holds at least two proven nodes.
+    caps = connectivity._capacities(view.csr(), mode)[block][:, block]
+    hub = degree.index(max(degree))
+    certified = connectivity._certifier(len(block), *bounds)
+    cut = connectivity._locally_cut(caps, degree, hub)
+    candidates = sorted(
+        (degree[v], v) for v in range(len(block)) if v != hub and not cut[v] and not certified(v, hub, degree[v])
+    )
+    # Each candidate joins one batch at most, the first pending one always
+    # does, and within a batch: no member is adjacent to another, every
+    # other node but the hub receives at most half its degree from the
+    # members, and the members' degrees sum to at most the hub's.  Every
+    # batch before the last proves a member, and the pass stops after the
+    # first batch that proves none or when no candidate is left.
     proven = set(proven.tolist())
+    tried = []
+    for batch in batches:
+        assert next(v for _, v in candidates if v not in tried) in batch
+        tried += batch
+        assert caps[batch][:, batch].nnz == 0
+        received = np.asarray(caps[batch].sum(axis=0)).ravel()
+        received[hub] = 0
+        assert (2 * received <= np.array(degree)).all()
+        assert sum(degree[v] for v in batch) <= degree[hub]
+    assert len(tried) == len(set(tried)) and set(tried) <= {v for _, v in candidates}
+    assert all(proven & set(batch) for batch in batches[:-1])
+    assert len(tried) == len(candidates) or not proven & set(batches[-1])
     assert len(proven) >= 2
-    for batch in batches[:-1]:
-        assert len(batch) > 2 or proven.issuperset(batch), batch
     assert_all_pairs_match_networkx(n, weighted, mode)
 
 
 @pytest.mark.parametrize("mode", ["unit", "weighted"])
 @pytest.mark.parametrize("seed", range(4))
 def test_hub_pass_never_proves_a_member_behind_a_light_bridge(seed, mode, monkeypatch):
+    # The cut tree gives the hub pass one block at a time, but the pass is
+    # sound on any connected graph: here the whole graph, bridges included.
     n = (30, 36, 42, 48)[seed]
     weighted = pendant_bridge_ugraph(1100 + seed, n)
     reference = to_nx_graph(n, weighted, mode)
@@ -357,8 +378,11 @@ def test_hub_pass_never_proves_a_member_behind_a_light_bridge(seed, mode, monkey
         return real_flow(ext, source, sink)
 
     monkeypatch.setattr(connectivity, "maximum_flow", recording)
-    ((comp, degree, _, (proven, _, _), _),) = hub_passes(as_undirected(n, weighted), mode)
-    assert comp.tolist() == list(range(n))  # local ids are node ids
+    caps = connectivity._capacities(as_undirected(n, weighted).csr(), mode)
+    degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
+    q = connectivity._ma_bounds(caps).tocoo()
+    certified = connectivity._certifier(n, q.row, q.col, q.data)
+    (proven, _, _), _ = connectivity._hub_edges(caps, degree, certified, np.ones(n, dtype=bool))
     hub = nick(degree.index(max(degree)))
     behind = set()
     for a, b in nx.bridges(reference):
@@ -413,57 +437,69 @@ def chat_shaped_ugraph(seed, n):
     return [(a, b, w) for (a, b), w in sorted(edges.items())]
 
 
-def full_budget_first_batch(n, weighted, mode):
-    # The hub pass's first batch under a fixed budget of deg(r), and how
-    # many of its members scipy's max-flow saturates with the super source
-    # laid out as the hub pass lays it out: node n, an arc to every node.
-    # Which members a maximum flow saturates depends on the solver, so this
-    # runs the solver the hub pass runs.
-    view = as_undirected(n, weighted)
-    ((comp, degree, bounds, _, _),) = hub_passes(view, mode)
-    assert comp.tolist() == list(range(n))  # local ids are node ids
-    certified = connectivity._certifier(n, *bounds)
-    hub = degree.index(max(degree))
-    batch, total = [], 0
-    for d, v in sorted((degree[v], v) for v in range(n) if v != hub and not certified(v, hub, degree[v])):
-        if total + d > degree[hub]:
-            break
-        batch.append(v)
-        total += d
-    caps = connectivity._capacities(view.csr(), mode)
-    arcs = np.zeros(n, dtype=np.int64)
-    arcs[batch] = [degree[v] for v in batch]
-    ext = csr_matrix(
-        (
-            np.concatenate([caps.data, arcs]),
-            np.concatenate([caps.indices, np.arange(n, dtype=caps.indices.dtype)]),
-            np.append(caps.indptr, caps.nnz + n),
-        ),
-        shape=(n + 1, n + 1),
-    )
-    sent = maximum_flow(ext, n, hub).flow[n].toarray().ravel()
-    return batch, int((sent[batch] == arcs[batch]).sum())
-
-
 # mode -> (flows, hub_flows) of the chat-shaped graph's cut tree.
-CHAT_SHAPED_FLOWS = {"unit": (69, 10), "weighted": (68, 5)}
+CHAT_SHAPED_FLOWS = {"unit": (43, 43), "weighted": (43, 29)}
 
 
 @pytest.mark.parametrize("mode", ["unit", "weighted"])
 def test_chat_shaped_cut_tree_matches_networkx_on_all_pairs(mode):
     n = 200
     weighted = chat_shaped_ugraph(1200, n)
-    # Followers compete for their regular's links into the core, so a
-    # batch whose degrees may sum to deg(r) saturates fewer than half of
-    # its members; the adaptive budget's smaller batches prove more.
-    batch, saturated = full_budget_first_batch(n, weighted, mode)
-    assert 2 * saturated < len(batch)
-    view = as_undirected(n, weighted)
-    ((_, _, _, (proven, _, _), _),) = hub_passes(view, mode)
-    assert len(proven) > saturated
-    tree = gomory_hu(view, mode)
+    tree = gomory_hu(as_undirected(n, weighted), mode)
     assert (tree.flows, tree.hub_flows) == CHAT_SHAPED_FLOWS[mode]
     assert_all_pairs_match_networkx(n, weighted, mode)
+
+
+@pytest.mark.parametrize("mode", ["unit", "weighted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_hub_batches_saturate_every_member_on_chat_shaped_graphs(seed, mode):
+    # Followers share their regular's links into the core.  Batches whose
+    # members are not adjacent and take at most half of any other node's
+    # degree hardly compete for them: on the test graph every member is
+    # saturated, and on the other seeds at least nine in ten.
+    n = 200
+    view = as_undirected(n, chat_shaped_ugraph(1200 + seed, n))
+    tried = saturated = 0
+    for (_, _, _, (proven, _, _), _), batches in recorded_hub_batches(view, mode):
+        for batch in batches:
+            tried += len(batch)
+            saturated += len(set(batch) & set(proven.tolist()))
+    assert tried >= 50
+    assert saturated == tried if seed == 0 else 10 * saturated >= 9 * tried
+
+
+@pytest.mark.parametrize("kind, n", [("pa", 60), ("pa", 200), ("pendant", 30), ("components", 60)])
+def test_locally_cut_candidates_have_connectivity_below_degree(kind, n):
+    # Weighted only: in unit mode no node of a block of three or more nodes
+    # has degree 1, so no neighbor can take more than half of its degree.
+    weighted = certificate_graph(kind, n)
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, "weighted")
+    caps = connectivity._capacities(view.csr(), "weighted")
+    skipped = 0
+    for block, degree, _, _, _ in hub_passes(view, "weighted"):
+        hub = degree.index(max(degree))
+        cut = connectivity._locally_cut(caps[block][:, block], degree, hub)
+        cut[hub] = False
+        for v in np.flatnonzero(cut).tolist():
+            a, b = nick(block[v]), nick(block[hub])
+            assert nx.minimum_cut_value(reference, a, b) < degree[v], v
+        skipped += cut.sum()
+    assert skipped >= 3
+
+
+def test_path_cut_tree_takes_no_max_flow(monkeypatch):
+    # Every edge of a path is a bridge, and a bridge is a tree edge of its
+    # own weight.
+    n = 200
+    weighted = [(v, v + 1, 1 + v % 3) for v in range(n - 1)]
+    monkeypatch.setattr(connectivity, "maximum_flow", None)
+    for mode in ("unit", "weighted"):
+        tree = gomory_hu(as_undirected(n, weighted), mode)
+        assert tree.flows == 0
+        assert tree.edges == tuple(
+            sorted((nick(v + 1), nick(v), w if mode == "weighted" else 1) for v, _, w in weighted)
+        )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -486,18 +522,31 @@ def test_terminal_cut_tree_matches_networkx_on_terminal_pairs(kind, n, mode):
     view = as_undirected(n, weighted)
     reference = to_nx_graph(n, weighted, mode)
     rng = random.Random(1400 + n)
+    separators = 0
     for size in (2, 5, n // 3):
         terminal = np.zeros(n, dtype=bool)
         terminal[rng.sample(range(n), size)] = True
-        for comp, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
-            assert terminal[comp[proven]].all()
+        # the steps: the terminals, and the cutpoints whose removal leaves
+        # terminals in two or more components
+        named = {nick(v) for v in np.flatnonzero(terminal).tolist()}
+        step = terminal.copy()
+        for c in nx.articulation_points(reference):
+            rest = reference.subgraph(nx.node_connected_component(reference, c) - {c})
+            step[int(c[1:])] |= sum(1 for p in nx.connected_components(rest) if p & named) >= 2
+        for block, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
+            assert step[block[proven]].all()
         tree = connectivity._cut_tree(view, mode, terminal)
-        # the tree joins terminals only
-        assert (tree.up[~terminal] < 0).all()
-        assert terminal[tree.up[tree.up >= 0]].all()
+        # the tree joins terminals and the cutpoints between them, one tree
+        # per component that holds a terminal
+        assert (tree.up[~step] < 0).all()
+        assert step[tree.up[tree.up >= 0]].all()
+        holding = {frozenset(p) for p in nx.connected_components(reference) if p & named}
+        assert (step & (tree.up < 0)).sum() == len(holding)
+        separators += (step & ~terminal).sum()
         for a, b in itertools.combinations(np.flatnonzero(terminal).tolist(), 2):
             expected = nx.minimum_cut_value(reference, nick(a), nick(b))
             assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
+    assert separators or kind == "pa"  # the pa graphs have one block
 
 
 def grid_ugraph(rows, cols):

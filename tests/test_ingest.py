@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +325,16 @@ def test_discover_log_files(tmp_path):
     assert [date for _, date in found] == [dt.date(2011, 1, 1), dt.date(2011, 1, 2)]
     with pytest.raises(ValueError, match="manifest"):
         discover_log_files([str(tmp_path / "plain.txt")])
+
+
+def test_run_reads_a_directory_of_upper_case_log_suffixes(tmp_path):
+    text = (Path(__file__).parent / "data" / "2012-03-14.txt").read_bytes()
+    (tmp_path / "2012-03-14.TXT").write_bytes(text)
+    (tmp_path / "2012-03-15.Log").write_bytes(text)
+    found = discover_log_files([str(tmp_path)])
+    assert [Path(path).name for path, _ in found] == ["2012-03-14.TXT", "2012-03-15.Log"]
+    report = run_pipeline(AnalysisConfig(log_paths=(str(tmp_path),), analyses=("stats",)))
+    assert report.section("stats")["nodes"] > 0
 
 
 def test_read_manifest(tmp_path):

@@ -228,6 +228,8 @@ def test_validate_requires_finite_positive_hits_tolerance(tolerance):
         ("analyses", "stats"),
         ("log_paths", "logs/2014-01-01.txt"),
         ("roster_path", 5),
+        ("analyses", ("stats", 3)),
+        ("log_paths", (3,)),
     ],
 )
 def test_wrong_config_type_fails_the_config_stage(field, value):
