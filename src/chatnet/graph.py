@@ -12,6 +12,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -23,6 +24,10 @@ from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus, Roster
 # Characters legal in IRC nicks; anything else is a token boundary when
 # scanning message bodies for mentions.
 _TOKEN_RE = re.compile(r"[0-9A-Za-z\[\]\\`_^{|}-]+")
+# Translate tables that make ASCII text split into those tokens: every other
+# ASCII character becomes a space, except \n, which keeps messages apart.
+_SPLIT_ASCII = {c: " " for c in range(128) if c != 10 and not _TOKEN_RE.match(chr(c))}
+_FOLD_ASCII = {**_SPLIT_ASCII, **{c: chr(c).lower() for c in range(ord("A"), ord("Z") + 1)}}
 _CONTROL_RE = re.compile(f"[{CONTROL_CHARS}]")
 
 
@@ -85,7 +90,7 @@ class MentionGraph(_CSRGraph):
             if _CONTROL_RE.search(nick):
                 raise ValueError(f"nick {nick!r} contains a control character")
         rows, cols, weights = [], [], []
-        for (src, dst), weight in sorted(edges.items()):
+        for (src, dst), weight in edges.items():
             if src not in self._index:
                 raise ValueError(f"edge endpoint '{src}' not in node set")
             if dst not in self._index:
@@ -108,6 +113,7 @@ class MentionGraph(_CSRGraph):
             cols.append(self._index[dst])
             weights.append(as_float)
         n = len(self.nicks)
+        # in any edge order: the COO to CSR conversion sorts each row
         self._adj = csr_matrix((weights, (rows, cols)), shape=(n, n), dtype=np.float64)
 
     @classmethod
@@ -246,33 +252,40 @@ def extract_network(
     (case-folded) nick exactly.
 
     A message's tokens meet the matchable nicks in one set intersection.
-    An ASCII body is lowercased whole before it is split into tokens; any
-    other body folds token by token, since folding it whole can make ASCII
-    token characters out of others (``ſ`` to ``s``, Kelvin ``K`` to ``k``).
+    The ASCII bodies of a file are joined at \n and translated in one call,
+    which lowercases token characters and turns every other character into
+    a space, then split into lines and each line into tokens.  Any other
+    body folds token by token, since folding it whole can make ASCII token
+    characters out of others (``ſ`` to ``s``, Kelvin ``K`` to ``k``); so
+    does an ASCII body holding \n, which a corpus JSONL can carry.
     """
     if not roster.counts:
         raise ValueError("no participants")
     # a set, not a frozenset, so that each intersection is a mutable set
     matchable = {nick for nick in roster.counts if len(nick) >= min_nick_length}
+    table = _FOLD_ASCII if case_insensitive else _SPLIT_ASCII
     weights: dict[tuple[str, str], int] = {}
-    for msg in corpus.messages:
-        if msg.kind != USER_MESSAGE:
-            continue
-        sender = msg.nick.casefold()
-        if sender not in roster.counts:
-            continue
-        body = msg.body
-        if not case_insensitive:
-            tokens = _TOKEN_RE.findall(body)
-        elif body.isascii():
-            tokens = _TOKEN_RE.findall(body.lower())
-        else:
-            tokens = [token.casefold() for token in _TOKEN_RE.findall(body)]
-        mentioned = matchable.intersection(tokens)
-        mentioned.discard(sender)
-        for target in mentioned:
-            key = (sender, target)
-            weights[key] = weights.get(key, 0) + 1
+    for columns in corpus.columns:
+        fold = {nick: nick.casefold() for nick in set(columns.nicks)}
+        senders, plain, others, other_tokens = [], [], [], []
+        for nick, body, kind in zip(columns.nicks, columns.bodies, columns.kinds):
+            if kind != USER_MESSAGE:
+                continue
+            if body.isascii() and "\n" not in body:
+                senders.append(fold[nick])
+                plain.append(body)
+            else:
+                others.append(fold[nick])
+                tokens = _TOKEN_RE.findall(body)
+                other_tokens.append([t.casefold() for t in tokens] if case_insensitive else tokens)
+        lines = "\n".join(plain).translate(table).split("\n") if plain else ()
+        tokens = chain(map(str.split, lines), other_tokens)
+        for sender, mentioned in zip(chain(senders, others), map(matchable.intersection, tokens)):
+            mentioned.discard(sender)
+            if mentioned and sender in roster.counts:
+                for target in mentioned:
+                    key = (sender, target)
+                    weights[key] = weights.get(key, 0) + 1
     nodes = {endpoint for pair in weights for endpoint in pair}
     return MentionGraph(nodes, weights)
 

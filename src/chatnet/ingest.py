@@ -17,9 +17,12 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 USER_MESSAGE = "user_message"
 ACTION = "action"
@@ -39,12 +42,11 @@ CONTROL_CHARS = r"\x00-\x1f\x7f-\x9f"
 # status markers and must keep one other character.  No part of a line
 # matches \n, so the pattern finds whole lines in a whole file.  Trailing \r
 # characters are dropped, as parse_line strips them; an inner \r is text.
-_NICK = (
-    rf"[{_STATUS_PREFIXES}]*"
-    rf"([^\s<>{_STATUS_PREFIXES}{CONTROL_CHARS}][^\s<>{CONTROL_CHARS}]*)"
-)
+_CLOCK = r"\d{1,2}:\d{2}"
+_NICK_NAME = rf"[^\s<>{_STATUS_PREFIXES}{CONTROL_CHARS}][^\s<>{CONTROL_CHARS}]*"
+_NICK = rf"[{_STATUS_PREFIXES}]*({_NICK_NAME})"
 _LINE_RE = re.compile(
-    r"^\[(\d{1,2}:\d{2})(?::\d{2})?\] (?:"
+    rf"^\[({_CLOCK})(?::\d{{2}})?\] (?:"
     rf"<{_NICK}>(?: (.*))?"
     rf"|\* {_NICK}(?: (.*))?"
     rf"|(?:\*\*\*|===) ({_NICK} (?:\[[^\]\n]*\] )?"
@@ -52,6 +54,8 @@ _LINE_RE = re.compile(
     r")(?<!\r)\r*$",
     re.MULTILINE,
 )
+_CLOCK_RE = re.compile(_CLOCK)
+_NICK_RE = re.compile(_NICK_NAME)
 _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 
 
@@ -59,8 +63,8 @@ _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 class ChatMessage:
     """One parsed log line attributed to a sender.
 
-    A corpus holds one message per line, so it is slotted; the readers
-    share each date, clock and nick string among the messages of a file.
+    A corpus holds its lines as ``MessageColumns`` and builds these only
+    when its ``messages`` are read.
     """
 
     date: dt.date
@@ -69,33 +73,65 @@ class ChatMessage:
     body: str
     kind: str
 
-    def to_record(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "time": self.time,
-            "nick": self.nick,
-            "body": self.body,
-            "kind": self.kind,
-        }
+
+_FIELDS = ("date", "time", "nick", "body", "kind")
 
 
-def _message_from_record(record, dates: dict, strings: dict) -> ChatMessage:
-    # ``dates`` maps each date text read so far to its date, ``strings`` each
-    # time, nick and kind text to the one copy the messages share.
+@dataclass(frozen=True, slots=True)
+class MessageColumns:
+    """The messages of one date as columns: row i of each is message i.
+
+    Times, nicks and kinds are strings shared among the rows, so a message
+    costs four pointers besides its body.
+    """
+
+    date: dt.date
+    times: tuple[str, ...]
+    nicks: tuple[str, ...]
+    bodies: tuple[str, ...]
+    kinds: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def messages(self) -> Iterator[ChatMessage]:
+        return map(ChatMessage, repeat(self.date), self.times, self.nicks, self.bodies, self.kinds)
+
+
+def _runs(rows: Iterable[tuple]) -> tuple[MessageColumns, ...]:
+    # Columns per run of consecutive (date, time, nick, body, kind) rows
+    # with one date.
+    return tuple(
+        MessageColumns(date, *islice(zip(*run), 1, None))
+        for date, run in groupby(rows, itemgetter(0))
+    )
+
+
+def _row_from_record(record, dates: dict, strings: dict) -> tuple:
+    # A (date, time, nick, body, kind) row, only if a log line could give
+    # it.  ``dates`` maps each date text read so far to its date,
+    # ``strings`` each time, nick and kind text to the one copy rows share.
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    for name in ("date", "time", "nick", "body", "kind"):
+    for name in _FIELDS:
         if not isinstance(record[name], str):
             raise ValueError(f"field {name!r} must be a string")
-    date, time, nick, kind = record["date"], record["time"], record["nick"], record["kind"]
+    date, time, nick, body, kind = (record[name] for name in _FIELDS)
     if kind not in KINDS:
         raise ValueError(f"unknown message kind {kind!r}")
+    if not (_CLOCK_RE.fullmatch(time) and _clock(time) == time):
+        raise ValueError(f"time {time!r} is not a 24-hour HH:MM clock")
+    if not _NICK_RE.fullmatch(nick):
+        if re.search(f"[{CONTROL_CHARS}]", nick):
+            raise ValueError(f"nick {nick!r} contains a control character")
+        raise ValueError(f"nick {nick!r} is not a log nick (empty, status marker first, "
+                         "or whitespace, < or > in it)")
     if date not in dates:
         dates[date] = dt.date.fromisoformat(date)
+        if dates[date].isoformat() != date:
+            raise ValueError(f"date {date!r} is not a YYYY-MM-DD date")
     shared = strings.setdefault
-    return ChatMessage(
-        dates[date], shared(time, time), shared(nick, nick), record["body"], shared(kind, kind)
-    )
+    return dates[date], shared(time, time), shared(nick, nick), body, shared(kind, kind)
 
 
 @dataclass(frozen=True)
@@ -109,16 +145,38 @@ class FileStats:
     total_lines: int
 
 
-@dataclass(frozen=True)
 class ChatCorpus:
-    """Time-ordered messages concatenated over the input files."""
+    """Time-ordered messages concatenated over the input files.
 
-    messages: tuple[ChatMessage, ...]
-    file_stats: tuple[FileStats, ...]
+    ``ChatCorpus(messages, file_stats)`` takes ``ChatMessage`` objects, but
+    the corpus holds ``columns``: one ``MessageColumns`` per log file, or
+    per run of one date.  ``messages`` builds the objects anew each time it
+    is read; counting, the roster, extraction and the JSONL text read the
+    columns and build none.
+    """
+
+    __slots__ = ("columns", "file_stats")
+
+    def __init__(self, messages: Iterable[ChatMessage] = (), file_stats: Iterable[FileStats] = ()):
+        self.columns = _runs(map(attrgetter(*_FIELDS), messages))
+        self.file_stats = tuple(file_stats)
+
+    @classmethod
+    def from_columns(
+        cls, columns: Iterable[MessageColumns], file_stats: Iterable[FileStats]
+    ) -> "ChatCorpus":
+        corpus = cls.__new__(cls)
+        corpus.columns = tuple(columns)
+        corpus.file_stats = tuple(file_stats)
+        return corpus
+
+    @property
+    def messages(self) -> tuple[ChatMessage, ...]:
+        return tuple(chain.from_iterable(columns.messages() for columns in self.columns))
 
     @property
     def message_count(self) -> int:
-        return len(self.messages)
+        return sum(map(len, self.columns))
 
     @property
     def skipped_count(self) -> int:
@@ -150,12 +208,12 @@ def _clock(clock: str) -> str | None:
     return f"{h:02d}:{m:02d}"
 
 
-def _messages(rows, date: dt.date) -> list[ChatMessage]:
-    # Messages from the groups of _LINE_RE matches, one tuple per line.
-    # Messages share one string per clock and per nick.
+def _columns(rows, date: dt.date) -> MessageColumns:
+    # The messages in the groups of _LINE_RE matches, one tuple per line.
+    # Rows share one string per clock and per nick.
     clocks: dict[str, str | None] = {}
-    nicks: dict[str, str] = {}
-    messages = []
+    shared: dict[str, str] = {}
+    times, nicks, bodies, kinds = [], [], [], []
     for clock, user, said, actor, did, notice, noticer in rows:
         try:
             time = clocks[clock]
@@ -169,8 +227,11 @@ def _messages(rows, date: dt.date) -> list[ChatMessage]:
             nick, body, kind = actor, did, ACTION
         else:
             nick, body, kind = noticer, notice, SYSTEM
-        messages.append(ChatMessage(date, time, nicks.setdefault(nick, nick), body, kind))
-    return messages
+        times.append(time)
+        nicks.append(shared.setdefault(nick, nick))
+        bodies.append(body)
+        kinds.append(kind)
+    return MessageColumns(date, tuple(times), tuple(nicks), tuple(bodies), tuple(kinds))
 
 
 def parse_line(line: str, date: dt.date) -> ChatMessage | None:
@@ -182,8 +243,7 @@ def parse_line(line: str, date: dt.date) -> ChatMessage | None:
     against the whole line, so text after an inner \\n makes no match.
     """
     m = _LINE_RE.fullmatch(line.rstrip("\r\n"))
-    messages = _messages([m.groups("")] if m else [], date)
-    return messages[0] if messages else None
+    return next(_columns([m.groups("")] if m else [], date).messages(), None)
 
 
 def _coerce_date(value) -> dt.date:
@@ -213,15 +273,14 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_one_file(path: str, date: dt.date) -> tuple[list[ChatMessage], FileStats]:
+def _parse_one_file(path: str, date: dt.date) -> tuple[MessageColumns, FileStats]:
     try:
         text = read_text(path, errors="replace")
     except OSError as exc:
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
-    messages = _messages(_LINE_RE.findall(text), date)
+    columns = _columns(_LINE_RE.findall(text), date)
     total = len(split_lines(text))
-    stats = FileStats(path, date, len(messages), total - len(messages), total)
-    return messages, stats
+    return columns, FileStats(path, date, len(columns), total - len(columns), total)
 
 
 def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
@@ -229,10 +288,10 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
 
     Each file is decoded whole and read by one pass of the line grammar
     that ``parse_line`` uses, so a file's messages are exactly
-    ``parse_line`` of each of its ``split_lines``.  Within a file the
-    messages share one string per clock and per nick; with slotted messages
-    that holds about 185 bytes per message, body included, on chat-shaped
-    logs.
+    ``parse_line`` of each of its ``split_lines``.  The corpus keeps each
+    file's messages as ``MessageColumns`` and builds no ``ChatMessage``;
+    the rows share one string per clock and per nick, which holds about
+    136 bytes per message, body included, on chat-shaped logs.
     Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
     measured slower than one thread.  The only thread knob left is
     ``run_pipeline``'s ``threads`` (the CLI's ``--threads``), kept for
@@ -244,13 +303,8 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     for (_, before), (_, after) in zip(entries, entries[1:]):
         if after <= before:
             raise ValueError("file dates must be strictly increasing")
-    messages: list[ChatMessage] = []
-    stats: list[FileStats] = []
-    for path, date in entries:
-        msgs, st = _parse_one_file(path, date)
-        messages.extend(msgs)
-        stats.append(st)
-    return ChatCorpus(tuple(messages), tuple(stats))
+    parsed = [_parse_one_file(path, date) for path, date in entries]
+    return ChatCorpus.from_columns(*zip(*parsed))
 
 
 def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> Roster:
@@ -260,11 +314,11 @@ def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> Roster:
     known from a larger archive); such entries keep a zero count here.
     """
     counts: dict[str, int] = {}
-    for msg in corpus.messages:
-        if msg.kind == SYSTEM:
-            continue
-        nick = msg.nick.casefold()
-        counts[nick] = counts.get(nick, 0) + 1
+    for columns in corpus.columns:
+        spoke = Counter(nick for nick, kind in zip(columns.nicks, columns.kinds) if kind != SYSTEM)
+        for nick, count in spoke.items():
+            nick = nick.casefold()
+            counts[nick] = counts.get(nick, 0) + count
     for nick in prior_nicks:
         counts.setdefault(nick.casefold(), 0)
     return Roster(counts)
@@ -272,8 +326,13 @@ def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> Roster:
 
 def corpus_jsonl_text(corpus: ChatCorpus) -> str:
     """Newline-delimited JSON serialization, one record per message."""
-    lines = [json.dumps(m.to_record(), ensure_ascii=False) for m in corpus.messages]
-    return "".join(line + "\n" for line in lines)
+    lines = []
+    for columns in corpus.columns:
+        date = columns.date.isoformat()
+        for row in zip(columns.times, columns.nicks, columns.bodies, columns.kinds):
+            record = dict(zip(_FIELDS, (date, *row)))
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(lines)
 
 
 def write_corpus_jsonl(corpus: ChatCorpus, path) -> None:
@@ -283,30 +342,35 @@ def write_corpus_jsonl(corpus: ChatCorpus, path) -> None:
 def read_corpus_jsonl(path) -> ChatCorpus:
     """Load a corpus previously written by ``write_corpus_jsonl``.
 
-    Per-date file stats are synthesized (the JSONL stream does not retain the
-    original per-file skip counts).  The messages share their dates, clocks
-    and nicks as parsed logs do.
+    A record is refused, naming its line, unless a log line could give it:
+    the date is ``YYYY-MM-DD``, the time a zero-padded 24-hour ``HH:MM``
+    and the nick one the line grammar reads, with no status marker first
+    and no whitespace, ``<``, ``>`` or control character.  Per-date file
+    stats are synthesized (the JSONL stream does not retain the original
+    per-file skip counts).  The rows share their dates, clocks and nicks
+    as parsed logs do.
     """
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
-    messages = []
+    rows = []
     with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                messages.append(_message_from_record(json.loads(line), dates, strings))
+                rows.append(_row_from_record(json.loads(line), dates, strings))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+    columns = _runs(rows)
     per_date: dict[dt.date, int] = {}
-    for msg in messages:
-        per_date[msg.date] = per_date.get(msg.date, 0) + 1
+    for run in columns:
+        per_date[run.date] = per_date.get(run.date, 0) + len(run)
     stats = tuple(
         FileStats(str(path), date, count, 0, count)
         for date, count in per_date.items()
     )
-    return ChatCorpus(tuple(messages), stats)
+    return ChatCorpus.from_columns(columns, stats)
 
 
 def read_roster_file(path) -> list[str]:

@@ -13,9 +13,14 @@ PARAMETERS = [f.name for f in fields(AnalysisConfig) if f.name not in INPUT_FIEL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+RECORD = '{"date": "2011-01-01", "time": "09:00", "nick": "a", "body": "b", "kind": "user_message"}'
 MALFORMED_RECORDS = [
     "[1,2]",
     '{"date": "2011-01-01", "time": "09:00", "nick": 5, "body": "b", "kind": "user_message"}',
+    RECORD.replace("09:00", "noon"),
+    RECORD.replace("09:00", "99:99"),
+    RECORD.replace('"nick": "a"', '"nick": ""'),
+    RECORD.replace('"nick": "a"', '"nick": "al ice"'),
 ]
 
 
@@ -281,6 +286,9 @@ def test_cli_reports_stage_on_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "chatnet: input: " in err and "x.jsonl:1: bad corpus record" in err
         assert not report.exists()
+        assert main(["extract", str(corpus), "-o", str(tmp_path / "graph.csv")]) == 1
+        assert "x.jsonl:1: bad corpus record" in capsys.readouterr().err
+        assert not (tmp_path / "graph.csv").exists()
 
 
 def test_cli_rejects_unknown_analysis(fixture_files, tmp_path, capsys):

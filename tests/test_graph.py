@@ -179,6 +179,18 @@ def test_graph_validation_errors():
     assert MentionGraph(["a", "b"], {("a", "b"): 2**53}).weight(0, 1) == 2**53
 
 
+def test_edge_order_does_not_change_the_graph():
+    rng = random.Random(88)
+    for n in (2, 9, 40):
+        edges = {(nick(u), nick(v)): rng.randint(1, 5) for u, v in random_digraph(rng, n, 0.3)}
+        nodes = [nick(v) for v in range(n)]
+        shuffled = dict(rng.sample(sorted(edges.items()), len(edges)))
+        g = MentionGraph(nodes, shuffled)
+        assert g == MentionGraph(nodes, dict(sorted(edges.items())))
+        assert g.csr().has_canonical_format
+        assert {(a, b): w for a, b, w in g.edges_by_nick()} == edges
+
+
 def test_stats_complete_digraph():
     edges = [(u, v) for u in range(4) for v in range(4) if u != v]
     g = as_mention_graph(4, edges)

@@ -23,8 +23,15 @@ from chatnet.ingest import (
     read_roster_file,
     write_corpus_jsonl,
 )
+from chatnet.cli import main
 from chatnet.graph import extract_network
-from chatnet.report import AnalysisConfig, PipelineError, load_config_file, run_pipeline
+from chatnet.report import (
+    AnalysisConfig,
+    PipelineError,
+    load_config_file,
+    load_input_graph,
+    run_pipeline,
+)
 
 DAY = dt.date(2011, 6, 2)
 
@@ -233,10 +240,17 @@ def test_corpus_jsonl_round_trip(fixture_corpus, tmp_path):
 GOOD_RECORD = (
     '{"date": "2011-01-01", "time": "09:00", "nick": "a", "body": "b", "kind": "user_message"}'
 )
-# A record that is not an object, or whose field is not a string.
+# A record that is not an object, whose field is not a string, or that no
+# log line can give: a clock that is not HH:MM, a nick the grammar refuses,
+# a date in another ISO form.
 MALFORMED_RECORDS = [
     ("[1,2]", "expected a JSON object, got list"),
     (GOOD_RECORD.replace('"nick": "a"', '"nick": 5'), "field 'nick' must be a string"),
+    (GOOD_RECORD.replace("09:00", "noon"), "time 'noon' is not a 24-hour HH:MM clock"),
+    (GOOD_RECORD.replace("09:00", "99:99"), "time '99:99' is not a 24-hour HH:MM clock"),
+    (GOOD_RECORD.replace('"nick": "a"', '"nick": ""'), "nick '' is not a log nick"),
+    (GOOD_RECORD.replace('"nick": "a"', '"nick": "al ice"'), "nick 'al ice' is not a log nick"),
+    (GOOD_RECORD.replace("2011-01-01", "20110101"), "date '20110101' is not a YYYY-MM-DD date"),
 ]
 
 
@@ -412,11 +426,12 @@ def test_corpus_nick_with_control_character_is_an_input_error(tmp_path):
 WORDS = "the a is on it apt grub boot kernel fix try log disk wifi thanks yes no".split()
 
 
-def test_parsed_corpus_holds_under_240_bytes_per_message(tmp_path):
+def test_parsed_corpus_holds_under_150_bytes_per_message(tmp_path):
     # A day of busy channel: 300 nicks, bodies of 2 to 12 words, actions and
-    # notices mixed in.  Messages share their clock and nick strings and
-    # carry no per-instance dict, about 185 bytes each; one string per
-    # clock and nick per message, as before, held about 320.
+    # notices mixed in.  The corpus holds columns that share their clock and
+    # nick strings, 132 bytes a message with CPython 3.11; one slotted
+    # object per message held about 185, and one with its own clock and nick
+    # strings about 320.
     rng = random.Random(15)
     nicks = [f"user{k}" for k in range(300)]
     lines = []
@@ -441,4 +456,28 @@ def test_parsed_corpus_holds_under_240_bytes_per_message(tmp_path):
     finally:
         tracemalloc.stop()
     assert corpus.message_count == 20_000
-    assert held / corpus.message_count <= 240
+    assert held / corpus.message_count <= 150
+
+
+def test_report_path_and_ingest_build_no_message_objects(
+    fixture_files, fixture_graph, data_dir, tmp_path, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ChatMessage was built")
+
+    monkeypatch.setattr(ChatMessage, "__init__", refuse)
+    logs = [path for path, _ in fixture_files]
+    manifest = tmp_path / "files.csv"
+    manifest.write_text("".join(f"{path},{day}\n" for path, day in fixture_files))
+    for config in (
+        AnalysisConfig(log_paths=(str(data_dir),)),
+        AnalysisConfig(manifest_path=str(manifest)),
+        AnalysisConfig(corpus_path=str(data_dir / "corpus.golden.jsonl")),
+    ):
+        assert load_input_graph(config) == fixture_graph
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", *logs, "-o", str(out)]) == 0
+    golden = (data_dir / "corpus.golden.jsonl").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == golden
+    with pytest.raises(AssertionError, match="a ChatMessage was built"):
+        parse_corpus(fixture_files).messages

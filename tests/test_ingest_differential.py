@@ -2,17 +2,19 @@
 
 ``parse_corpus`` reads each file with one pass of one grammar; the oracle
 tries three regexes on each line of ``split_lines``.  ``extract_network``
-matches a message's tokens against the roster by set intersection; the
-oracle folds and looks up one token at a time.  Hypothesis draws hostile
-files and bodies, derandomized and without an example database.
+matches a message's tokens against the roster by set intersection, after
+one translate of a file's ASCII bodies; the oracle folds and looks up one
+token at a time.  Hypothesis draws hostile files and bodies, derandomized
+and without an example database.
 """
 
 import datetime as dt
 
 import pytest
 
-from chatnet.graph import extract_network
+from chatnet.graph import MentionGraph, extract_network
 from chatnet.ingest import (
+    SYSTEM,
     USER_MESSAGE,
     ChatCorpus,
     ChatMessage,
@@ -22,6 +24,7 @@ from chatnet.ingest import (
     parse_line,
     split_lines,
 )
+from chatnet.report import AnalysisConfig, load_input_graph
 from oracles import mention_weights_oracle, parse_line_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -125,9 +128,19 @@ token = st.sampled_from(
     ["sam", "SAM", "ſam", "Kate", "\u212aate", "ıvan", "İvan", "ivan", "I", "i", "ß", "ssam",
      "SSAM", "ab", "AB", "bob", "x_y", "X_Y", "s", "ſ", "hello", "\u212a"]
 )
-separator = st.sampled_from([" ", ": ", ", ", "\u212a", "ſ", "İ", "ß", "é", "-", "", "@"])
-mention_body = st.lists(st.tuples(token, separator), max_size=6).map(
-    lambda pairs: "".join(t + sep for t, sep in pairs)
+
+
+def bodies(separators):
+    """Tokens and separators in turn: any of them, or only ASCII ones."""
+    return st.one_of(
+        st.lists(st.tuples(token, separators), max_size=6),
+        st.lists(st.tuples(token.filter(str.isascii), separators.filter(str.isascii)), max_size=6),
+    ).map(lambda pairs: "".join(t + sep for t, sep in pairs))
+
+
+# \n can be in a body only of a corpus JSONL or a library corpus.
+mention_body = bodies(
+    st.sampled_from([" ", ": ", ", ", "\u212a", "ſ", "İ", "ß", "é", "-", "", "@", "\n"])
 )
 message = st.builds(
     lambda sender, text, kind: ChatMessage(DAY, "09:00", sender, text, kind),
@@ -151,3 +164,53 @@ def test_extract_network_matches_token_oracle(batch, min_nick_length, case_insen
         corpus, roster, min_nick_length=min_nick_length, case_insensitive=case_insensitive
     )
     assert {(a, b): w for a, b, w in g.edges_by_nick()} == expected
+
+
+# Whole log files for the report path.  Bodies mix ASCII lines and others in
+# one file, parted by every character where str.split and _TOKEN_RE could
+# disagree, among actions, notices and lines the grammar skips.
+log_body = bodies(
+    st.sampled_from(
+        [" ", ": ", ", ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\x85",
+         "\u2028", "\u3000", "\u212a", "ſ", "é", "-", ""]
+    )
+)
+speaker = st.builds(
+    lambda mark, name: mark + name, st.sampled_from(["", "", "@", "+"]), st.sampled_from(SENDERS)
+)
+log_line = st.one_of(
+    st.builds(lambda n, b: f"[09:00] <{n}> {b}", speaker, log_body),
+    st.builds(lambda n, b: f"[09:01] <{n}> {b}", speaker, log_body),
+    st.builds(lambda n, b: f"[09:02] * {n} {b}", speaker, log_body),
+    st.builds(lambda n: f"[09:03] *** {n} has joined #c", speaker),
+    log_body,
+)
+log_file = st.lists(log_line, max_size=10).map(lambda lines: "".join(line + "\n" for line in lines))
+
+
+@FILE_SETTINGS
+@hypothesis.given(
+    st.lists(log_file, min_size=1, max_size=2),
+    st.sampled_from([1, 2, 3, 4]),
+    st.booleans(),
+)
+def test_report_path_matches_token_oracle(
+    tmp_path_factory, texts, min_nick_length, case_insensitive
+):
+    logs = tmp_path_factory.mktemp("logs")
+    messages = []
+    for day, text in enumerate(texts, start=1):
+        date = dt.date(2011, 6, day)
+        (logs / f"{date}.txt").write_bytes(text.encode("utf-8"))
+        messages.extend(filter(None, (parse_line(line, date) for line in split_lines(text))))
+    speakers = {msg.nick.casefold() for msg in messages if msg.kind != SYSTEM}
+    config = AnalysisConfig(
+        log_paths=(str(logs),), min_nick_length=min_nick_length, case_insensitive=case_insensitive
+    )
+    if not speakers:
+        with pytest.raises(ValueError, match="no participants"):
+            load_input_graph(config)
+        return
+    expected = mention_weights_oracle(messages, speakers, min_nick_length, case_insensitive)
+    nodes = {nick for pair in expected for nick in pair}
+    assert load_input_graph(config) == MentionGraph(nodes, expected)

@@ -161,11 +161,14 @@ def test_graphml_export_escapes_names(tmp_path_factory, g):
     assert edges == list(g.edges_by_nick())
 
 
+# Hostile nicks as a log line carries them: the corpus reader refuses a nick
+# with whitespace, < or > in it, or a status marker first.
+log_nick = hostile.map(lambda s: re.sub(r"[\s<>]", "_", s).lstrip("@+") or "_")
 messages = st.builds(
     ChatMessage,
     date=st.dates(),
     time=st.builds(lambda h, m: f"{h:02d}:{m:02d}", st.integers(0, 23), st.integers(0, 59)),
-    nick=hostile,
+    nick=log_nick,
     body=st.text(max_size=30),
     kind=st.sampled_from(sorted(KINDS)),
 )
