@@ -18,7 +18,6 @@ in slot order, with the same bits as the full round.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,24 +120,17 @@ def _slots(g: MentionGraph):
 def _row_classes(E: np.ndarray) -> np.ndarray:
     """Class id per node; two nodes share one exactly when their rows of E are equal.
 
-    Rows are bucketed by a digest of their bytes, and each row is compared
-    with the first row of every class in its bucket, so equality never rests
-    on the digest.  No copy of E is made.
+    Rows are compared as bytes (a zero's sign counts), after one stable sort
+    of the rows viewed as bytes, which copies nothing.  Classes are numbered
+    by their first row.
     """
-    classes = np.empty(len(E), dtype=np.int64)
-    buckets: dict[bytes, list[int]] = {}
-    firsts: list[int] = []
-    for k, row in enumerate(E):
-        bucket = buckets.setdefault(hashlib.blake2b(row, digest_size=16).digest(), [])
-        for c in bucket:
-            if np.array_equal(E[firsts[c]], row):
-                break
-        else:
-            c = len(firsts)
-            firsts.append(k)
-            bucket.append(c)
-        classes[k] = c
-    return classes
+    rows = E.view(np.dtype((np.void, E.itemsize * E.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    head = np.ones(len(E), dtype=bool)
+    head[1:] = [rows[a] != rows[b] for a, b in zip(order[:-1].tolist(), order[1:].tolist())]
+    first = np.empty_like(order)  # per row, the first row equal to it
+    first[order] = order[head][np.cumsum(head) - 1]
+    return np.unique(first, return_inverse=True)[1]
 
 
 def _partner_groups(indptr, ks, out_w, in_w, pair):

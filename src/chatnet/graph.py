@@ -12,7 +12,6 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -25,7 +24,8 @@ from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus, Roster
 # scanning message bodies for mentions.
 _TOKEN_RE = re.compile(r"[0-9A-Za-z\[\]\\`_^{|}-]+")
 # Translate tables that make ASCII text split into those tokens: every other
-# ASCII character becomes a space, except \n, which keeps messages apart.
+# ASCII character (the ``?`` of each other code point too) becomes a space,
+# except \n, which keeps messages apart.
 _SPLIT_ASCII = {c: " " for c in range(128) if c != 10 and not _TOKEN_RE.match(chr(c))}
 _FOLD_ASCII = {**_SPLIT_ASCII, **{c: chr(c).lower() for c in range(ord("A"), ord("Z") + 1)}}
 _CONTROL_RE = re.compile(f"[{CONTROL_CHARS}]")
@@ -252,12 +252,12 @@ def extract_network(
     (case-folded) nick exactly.
 
     A message's tokens meet the matchable nicks in one set intersection.
-    The ASCII bodies of a file are joined at \n and translated in one call,
-    which lowercases token characters and turns every other character into
-    a space, then split into lines and each line into tokens.  Any other
-    body folds token by token, since folding it whole can make ASCII token
-    characters out of others (``ſ`` to ``s``, Kelvin ``K`` to ``k``); so
-    does an ASCII body holding \n, which a corpus JSONL can carry.
+    A file's bodies are joined at \n, encoded to ASCII (each other code
+    point one ``?``) and translated in one call, which lowercases token
+    characters and turns every other character into a space, then split
+    into lines and each line into tokens.  Token characters are ASCII, so
+    ``ſ`` or Kelvin ``K`` only ends a token.  A body holding \n, which no
+    log line gives, raises ValueError naming the file's date.
     """
     if not roster.counts:
         raise ValueError("no participants")
@@ -267,20 +267,16 @@ def extract_network(
     weights: dict[tuple[str, str], int] = {}
     for columns in corpus.columns:
         fold = {nick: nick.casefold() for nick in set(columns.nicks)}
-        senders, plain, others, other_tokens = [], [], [], []
+        senders, bodies = [], []
         for nick, body, kind in zip(columns.nicks, columns.bodies, columns.kinds):
-            if kind != USER_MESSAGE:
-                continue
-            if body.isascii() and "\n" not in body:
+            if kind == USER_MESSAGE:
                 senders.append(fold[nick])
-                plain.append(body)
-            else:
-                others.append(fold[nick])
-                tokens = _TOKEN_RE.findall(body)
-                other_tokens.append([t.casefold() for t in tokens] if case_insensitive else tokens)
-        lines = "\n".join(plain).translate(table).split("\n") if plain else ()
-        tokens = chain(map(str.split, lines), other_tokens)
-        for sender, mentioned in zip(chain(senders, others), map(matchable.intersection, tokens)):
+                bodies.append(body)
+        text = "\n".join(bodies).encode("ascii", "replace").decode("ascii")
+        lines = text.translate(table).split("\n")
+        if len(lines) > max(len(bodies), 1):  # "" splits into one line
+            raise ValueError(f"{columns.date.isoformat()}: a message body holds a line break")
+        for sender, mentioned in zip(senders, map(matchable.intersection, map(str.split, lines))):
             mentioned.discard(sender)
             if mentioned and sender in roster.counts:
                 for target in mentioned:

@@ -126,10 +126,10 @@ def _row_from_record(record, dates: dict, strings: dict) -> tuple:
             raise ValueError(f"nick {nick!r} contains a control character")
         raise ValueError(f"nick {nick!r} is not a log nick (empty, status marker first, "
                          "or whitespace, < or > in it)")
+    if "\n" in body:
+        raise ValueError("body holds a line break")
     if date not in dates:
-        dates[date] = dt.date.fromisoformat(date)
-        if dates[date].isoformat() != date:
-            raise ValueError(f"date {date!r} is not a YYYY-MM-DD date")
+        dates[date] = _coerce_date(date)
     shared = strings.setdefault
     return dates[date], shared(time, time), shared(nick, nick), body, shared(kind, kind)
 
@@ -247,9 +247,15 @@ def parse_line(line: str, date: dt.date) -> ChatMessage | None:
 
 
 def _coerce_date(value) -> dt.date:
+    # A date, or its text as YYYY-MM-DD: date.fromisoformat alone also
+    # reads 20140301 and 2014-W09-6.
     if isinstance(value, dt.date):
         return value
-    return dt.date.fromisoformat(str(value))
+    text = str(value)
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"date {text!r} is not a YYYY-MM-DD date")
+    return date
 
 
 def read_text(path, errors: str = "strict") -> str:
@@ -279,7 +285,8 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[MessageColumns, FileStats
     except OSError as exc:
         raise OSError(f"cannot read log file '{path}': {exc}") from exc
     columns = _columns(_LINE_RE.findall(text), date)
-    total = len(split_lines(text))
+    # as many lines as split_lines gives, without building them
+    total = text.count("\n") + (text != "" and not text.endswith("\n"))
     return columns, FileStats(path, date, len(columns), total - len(columns), total)
 
 
@@ -343,12 +350,12 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     """Load a corpus previously written by ``write_corpus_jsonl``.
 
     A record is refused, naming its line, unless a log line could give it:
-    the date is ``YYYY-MM-DD``, the time a zero-padded 24-hour ``HH:MM``
-    and the nick one the line grammar reads, with no status marker first
-    and no whitespace, ``<``, ``>`` or control character.  Per-date file
-    stats are synthesized (the JSONL stream does not retain the original
-    per-file skip counts).  The rows share their dates, clocks and nicks
-    as parsed logs do.
+    the date is ``YYYY-MM-DD``, the time a zero-padded 24-hour ``HH:MM``,
+    the nick one the line grammar reads, with no status marker first
+    and no whitespace, ``<``, ``>`` or control character, and the body
+    holds no \\n.  Per-date file stats are synthesized (the JSONL stream
+    does not retain the original per-file skip counts).  The rows share
+    their dates, clocks and nicks as parsed logs do.
     """
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
@@ -426,7 +433,7 @@ def discover_log_files(paths: Iterable[str]) -> list[tuple[str, dt.date]]:
 
 
 def read_manifest(path) -> list[tuple[str, dt.date]]:
-    """Explicit file-to-date mapping: CSV lines ``path,YYYY-MM-DD``."""
+    """Explicit file-to-date mapping: CSV lines ``path,YYYY-MM-DD``, in just that form."""
     entries = []
     base = Path(path).parent
     for lineno, raw in enumerate(split_lines(read_text(path)), 1):
@@ -435,7 +442,7 @@ def read_manifest(path) -> list[tuple[str, dt.date]]:
             continue
         try:
             file_part, date_part = line.rsplit(",", 1)
-            date = dt.date.fromisoformat(date_part.strip())
+            date = _coerce_date(date_part.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad manifest line: {raw!r}") from exc
         file_path = Path(file_part.strip())

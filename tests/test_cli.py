@@ -21,6 +21,7 @@ MALFORMED_RECORDS = [
     RECORD.replace("09:00", "99:99"),
     RECORD.replace('"nick": "a"', '"nick": ""'),
     RECORD.replace('"nick": "a"', '"nick": "al ice"'),
+    RECORD.replace('"body": "b"', '"body": "a\\nb"'),
 ]
 
 
@@ -177,6 +178,18 @@ def test_cli_ingest_with_manifest(fixture_files, tmp_path, capsys):
     assert main(["ingest", "--manifest", str(manifest), "-o", str(corpus)]) == 0
     assert len(corpus.read_text(encoding="utf-8").splitlines()) == 11
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("date", ["20120314", "2012-W11-3"])
+@pytest.mark.parametrize("command", ["ingest", "extract", "report"])
+def test_cli_refuses_a_manifest_date_not_yyyy_mm_dd(fixture_files, tmp_path, capsys, date, command):
+    # date.fromisoformat reads both as 2012-03-14
+    manifest = tmp_path / "files.csv"
+    manifest.write_text(f"{fixture_files[0][0]},{date}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(manifest), "-o", str(out)]) == 1
+    assert "files.csv:1: bad manifest line" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["corpus.jsonl", "2012-01-01.jsonl", "2012-01-01.JSONL"])

@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,22 +246,21 @@ def test_row_classes_are_exact_row_equality():
         [0.0, 0.0, 0.0, 0.0],
     ])
     assert _row_classes(E).tolist() == [0, 1, 2, 0, 3, 3]
-
-
-def test_rows_with_one_digest_are_still_compared(monkeypatch):
-    # every row lands in one digest bucket; the result must not change
-    g = twin_heavy_digraph(0)
-    expected = rege(g, 3).values
-
-    class OneDigest:
-        def __init__(self, data, digest_size):
-            pass
-
-        def digest(self):
-            return b"same"
-
-    monkeypatch.setattr(equivalence, "hashlib", SimpleNamespace(blake2b=OneDigest))
-    assert rege(g, 3).values.tobytes() == expected.tobytes()
+    assert _row_classes(np.ones((1, 1))).tolist() == [0]
+    assert _row_classes(np.full((4, 4), 0.5)).tolist() == [0, 0, 0, 0]
+    # rows equal as numbers but not as bytes keep apart
+    E = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    assert _row_classes(E).tolist() == [0, 1, 0]
+    # copies of a few random rows, against pairwise byte equality
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        distinct = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(int(rng.integers(1, n + 1)), n))
+        rows = [row.tobytes() for row in distinct[rng.integers(0, len(distinct), size=n)]]
+        E = np.frombuffer(b"".join(rows)).reshape(n, n)
+        expected = [next(c for c in range(n) if rows[c] == row) for row in rows]
+        firsts = sorted(set(expected))
+        assert _row_classes(E).tolist() == [firsts.index(c) for c in expected]
 
 
 @pytest.mark.parametrize("make_graph", [medium_digraph, twin_heavy_digraph])

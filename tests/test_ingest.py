@@ -251,6 +251,7 @@ MALFORMED_RECORDS = [
     (GOOD_RECORD.replace('"nick": "a"', '"nick": ""'), "nick '' is not a log nick"),
     (GOOD_RECORD.replace('"nick": "a"', '"nick": "al ice"'), "nick 'al ice' is not a log nick"),
     (GOOD_RECORD.replace("2011-01-01", "20110101"), "date '20110101' is not a YYYY-MM-DD date"),
+    (GOOD_RECORD.replace('"body": "b"', '"body": "a\\nb"'), "body holds a line break"),
 ]
 
 
@@ -361,6 +362,20 @@ def test_read_manifest(tmp_path):
     manifest.write_text("day1.log\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad manifest line"):
         read_manifest(manifest)
+
+
+@pytest.mark.parametrize("date", ["20110101", "2010-W52-6"])
+def test_dates_are_only_read_as_yyyy_mm_dd(tmp_path, date):
+    # date.fromisoformat reads both as 2011-01-01
+    log = tmp_path / "day1.log"
+    log.write_text("[09:00] <a> b\n", encoding="utf-8")
+    manifest = tmp_path / "files.csv"
+    manifest.write_text(f"day1.log,{date}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"files.csv:1: bad manifest line: 'day1.log,{date}'"):
+        read_manifest(manifest)
+    with pytest.raises(ValueError, match=f"date '{date}' is not a YYYY-MM-DD date"):
+        parse_corpus([(str(log), date)])
+    assert parse_corpus([(str(log), "2011-01-01")]).file_stats[0].date == dt.date(2011, 1, 1)
 
 
 @pytest.mark.parametrize("mark", NOT_NEWLINES)

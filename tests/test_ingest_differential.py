@@ -3,8 +3,8 @@
 ``parse_corpus`` reads each file with one pass of one grammar; the oracle
 tries three regexes on each line of ``split_lines``.  ``extract_network``
 matches a message's tokens against the roster by set intersection, after
-one translate of a file's ASCII bodies; the oracle folds and looks up one
-token at a time.  Hypothesis draws hostile files and bodies, derandomized
+one translate of a file's bodies; the oracle folds and looks up one token
+at a time.  Hypothesis draws hostile files and bodies, derandomized
 and without an example database.
 """
 
@@ -138,9 +138,8 @@ def bodies(separators):
     ).map(lambda pairs: "".join(t + sep for t, sep in pairs))
 
 
-# \n can be in a body only of a corpus JSONL or a library corpus.
 mention_body = bodies(
-    st.sampled_from([" ", ": ", ", ", "\u212a", "ſ", "İ", "ß", "é", "-", "", "@", "\n"])
+    st.sampled_from([" ", ": ", ", ", "\u212a", "ſ", "İ", "ß", "é", "-", "", "@", "\ud800"])
 )
 message = st.builds(
     lambda sender, text, kind: ChatMessage(DAY, "09:00", sender, text, kind),
@@ -164,6 +163,19 @@ def test_extract_network_matches_token_oracle(batch, min_nick_length, case_insen
         corpus, roster, min_nick_length=min_nick_length, case_insensitive=case_insensitive
     )
     assert {(a, b): w for a, b, w in g.edges_by_nick()} == expected
+
+
+def test_extract_network_refuses_a_body_with_a_line_break():
+    # joined at \n, such a body would move every later line to the wrong sender
+    day = dt.date(2011, 6, 3)
+    batch = [
+        ChatMessage(DAY, "09:00", "sam", "kate", USER_MESSAGE),
+        ChatMessage(day, "09:00", "kate", "hi\nsam", USER_MESSAGE),
+        ChatMessage(day, "09:01", "sam", "kate", USER_MESSAGE),
+    ]
+    corpus = ChatCorpus(batch, ())
+    with pytest.raises(ValueError, match="2011-06-03: a message body holds a line break"):
+        extract_network(corpus, build_roster(corpus))
 
 
 # Whole log files for the report path.  Bodies mix ASCII lines and others in
@@ -212,5 +224,36 @@ def test_report_path_matches_token_oracle(
             load_input_graph(config)
         return
     expected = mention_weights_oracle(messages, speakers, min_nick_length, case_insensitive)
+    nodes = {nick for pair in expected for nick in pair}
+    assert load_input_graph(config) == MentionGraph(nodes, expected)
+
+
+class _Refused:
+    def __getattr__(self, name):
+        raise AssertionError(f"_TOKEN_RE.{name} called while extracting")
+
+
+@pytest.mark.parametrize("case_insensitive", [True, False])
+def test_report_path_tokenizes_every_body_in_one_pass(tmp_path, monkeypatch, case_insensitive):
+    # Non-ASCII text of every width, inside and around nicks: none of it
+    # may send a body down a second tokenizer.
+    text = "".join(
+        f"[09:0{i}] <{sender}> {body}\n"
+        for i, (sender, body) in enumerate([
+            ("sam", "Kate: café"),
+            ("Kate", "ſam \u212aate sam"),
+            ("ivan", "日本語sam,KATE\U0001F600ivan"),
+            ("bob", "ssam é ßam \U0001F600sam\U0001F600"),
+            ("ßam", "bob日本語 \u212a ſ Bob"),
+            ("sam", "\U0001F600"),
+        ])
+    )
+    (tmp_path / "2011-06-02.txt").write_text(text, encoding="utf-8")
+    messages = [parse_line(line, DAY) for line in split_lines(text)]
+    speakers = {msg.nick.casefold() for msg in messages}
+    expected = mention_weights_oracle(messages, speakers, 3, case_insensitive)
+    assert expected
+    monkeypatch.setattr("chatnet.graph._TOKEN_RE", _Refused())
+    config = AnalysisConfig(log_paths=(str(tmp_path),), case_insensitive=case_insensitive)
     nodes = {nick for pair in expected for nick in pair}
     assert load_input_graph(config) == MentionGraph(nodes, expected)
