@@ -28,7 +28,8 @@ Massive Graphs" (ICDM 2016):
   in ``_hub_edges``).
 
 Top links score their candidate edges from the cut tree of those edges'
-ends alone.  Certificates, lambda sets and top links all read components at
+ends alone, which is exact for two ends that share a block, as an edge's
+ends do.  Certificates, lambda sets and top links all read components at
 a threshold, from one helper.
 """
 
@@ -158,10 +159,9 @@ def _dfs_blocks(adj: csr_matrix):
     the node that opens it, is the one member outside that node's subtree:
     its attachment cutpoint, or the first node of its component.
 
-    Returns the nodes in discovery order, each node's parent (n at the first
-    node of a component), and per block the node that opens it and its
-    members but the head, ascending; blocks are numbered in the order they
-    open.
+    Returns each node's parent (n at the first node of a component), and
+    per block the node that opens it and its members but the head,
+    ascending; blocks are numbered in the order they open.
     """
     n = adj.shape[0]
     order, up = depth_first_order(with_virtual_root(adj, np.arange(n)), n)
@@ -172,12 +172,12 @@ def _dfs_blocks(adj: csr_matrix):
     back = adj.indices != up[rows]
     low = disc.copy()
     np.minimum.at(low, rows[back], disc[adj.indices[back]])
-    order, up = order[1:], up[:n]
+    order, up = order[1:].tolist(), up[:n]
     low, parent, disc = low.tolist(), up.tolist(), disc.tolist()
-    for v in reversed(order.tolist()):
+    for v in reversed(order):
         low[parent[v]] = min(low[parent[v]], low[v])
     block, openers = [-1] * n, []
-    for v in order.tolist():
+    for v in order:
         p = parent[v]
         if p < n and low[v] >= disc[p]:
             block[v] = len(openers)
@@ -188,7 +188,7 @@ def _dfs_blocks(adj: csr_matrix):
     grouped = np.argsort(block, kind="stable")[np.count_nonzero(block < 0) :]
     members = np.split(grouped, np.cumsum(np.bincount(block[block >= 0]))[:-1])
     # np.split leaves one empty piece when there is no block
-    return order, up, np.array(openers, dtype=np.intp), members[: len(openers)]
+    return up, np.array(openers, dtype=np.intp), members[: len(openers)]
 
 
 def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
@@ -198,7 +198,7 @@ def articulation_points_and_blocks(u: UndirectedView) -> BlockReport:
     singleton blocks of their own.
     """
     n, adj = u.node_count, u.csr()
-    _, up, openers, members = _dfs_blocks(adj)
+    up, openers, members = _dfs_blocks(adj)
     heads = up[openers]
     # a node is in the blocks it heads, and in the block of its tree edge
     count = np.bincount(heads, minlength=n) + (up < n)
@@ -425,62 +425,42 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndar
     return (heads, tails, weights), flows
 
 
-def _separators(order: np.ndarray, up: np.ndarray, openers: np.ndarray, terminal: np.ndarray):
-    """Whether each node separates two terminals of its component.
-
-    The sides of a node are the subtrees of the blocks it heads, each below
-    the node that opens the block, and the rest of its component.  Terminal
-    counts per subtree take one pass up the search tree of ``_dfs_blocks``.
-    """
-    n = len(up)
-    below, parent = terminal.astype(np.int64).tolist() + [0], up.tolist()
-    for v in reversed(order.tolist()):
-        below[parent[v]] += below[v]
-    below = np.array(below[:n])
-    # the discovery order holds each component as one run from its first node
-    first = np.maximum.accumulate(np.where(up[order] == n, np.arange(n), 0))
-    total = np.empty(n, dtype=np.int64)
-    total[order] = below[order[first]]
-    heads = up[openers]
-    sides = np.bincount(heads, weights=below[openers] > 0, minlength=n)
-    rest = total - terminal - np.bincount(heads, weights=below[openers], minlength=n)
-    return sides + (rest > 0) >= 2
-
-
 def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTree:
     """Cut tree of the nodes in the boolean mask ``terminal``, per block.
 
-    A block's steps are its terminals and its nodes that separate two
-    terminals (``_separators``), so every path between two terminals enters
-    and leaves each block at a step and path minima are exact for every
-    pair of terminals; any other node is a root of its own.  A block's tree
-    is rooted at its head (``_dfs_blocks``) when that is a step, so the
-    trees glue into one per component.  A bridge is a tree edge of its
-    weight.  A larger block takes Gusfield steps on its own edges and
-    degrees.  A step (i, t) needs some minimum i-t cut.  When i and t share
-    a component of the certificate's edges whose bound reaches min(deg i,
-    deg t), the trivial cut, {i} or V minus {t} for whichever has that
-    degree, is one and no max-flow is run.  The certificate holds every edge
-    of the block with its MA bound, plus an edge (v, r, deg v) for each step
-    v that the hub pass (``_hub_edges``) proves.  ``flows`` counts the hub
-    passes' max-flows too, and ``hub_flows`` counts them alone.
+    A block's steps are exactly its terminals; any other node is a root of
+    its own.  Connectivity inside a block equals connectivity in the graph,
+    since a path that leaves a block through a cutpoint must come back
+    through it, so path minima are exact for two terminals that share a
+    block.  That covers every pair a caller reads: ``gomory_hu`` makes every
+    node a terminal, and ``top_links`` reads the two ends of an edge.  A
+    block's tree is rooted at its head (``_dfs_blocks``) when that is a
+    terminal, so with every node a terminal the trees glue into one per
+    component.  A bridge between terminals is a tree edge of its weight.  A
+    larger block takes Gusfield steps on its own edges and degrees.  A step
+    (i, t) needs some minimum i-t cut.  When i and t share a component of
+    the certificate's edges whose bound reaches min(deg i, deg t), the
+    trivial cut, {i} or V minus {t} for whichever has that degree, is one
+    and no max-flow is run.  The certificate holds every edge of the block
+    with its MA bound, plus an edge (v, r, deg v) for each terminal v that
+    the hub pass (``_hub_edges``) proves.  ``flows`` counts the hub passes'
+    max-flows too, and ``hub_flows`` counts them alone.
     """
     _check_mode(mode)
     n = u.node_count
     caps = _capacities(u.csr(), mode)
-    order, parent, openers, members = _dfs_blocks(caps)
-    step = terminal | _separators(order, parent, openers, terminal)
+    parent, openers, members = _dfs_blocks(caps)
     up = np.full(n, -1, dtype=np.int64)
     capacity = np.zeros(n, dtype=np.int64)
     bridges = openers[[len(m) == 1 for m in members]]
-    bridges = bridges[step[bridges] & step[parent[bridges]]]
+    bridges = bridges[terminal[bridges] & terminal[parent[bridges]]]
     up[bridges] = parent[bridges]
     capacity[bridges] = np.asarray(caps[bridges, parent[bridges]]).ravel()
     flows = hub_flows = 0
     for head, others in zip(parent[openers].tolist(), members):
-        # local 0 is the head, and the first step the root
+        # local 0 is the head, and the first terminal the root
         block = np.append(head, others)
-        steps = np.flatnonzero(step[block])
+        steps = np.flatnonzero(terminal[block])
         if len(others) < 2 or len(steps) < 2:
             continue
         k = len(block)
@@ -488,7 +468,7 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
         degree = np.asarray(local_caps.sum(axis=1)).ravel().tolist()
         q = _ma_bounds(local_caps).tocoo()
         bounds = (q.row, q.col, q.data)
-        hub_edges, batches = _hub_edges(local_caps, degree, _certifier(k, *bounds), step[block])
+        hub_edges, batches = _hub_edges(local_caps, degree, _certifier(k, *bounds), terminal[block])
         hub_flows += batches
         certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)
@@ -564,22 +544,23 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     more links than exist returns them all.  A score is at most the smaller
     weighted degree of the edge's ends (the threshold algorithm of Fagin,
     Lotem & Naor, PODS 2001): round 1 scores the first k edges by that bound
-    from the weighted ``_cut_tree`` of their ends, and round 2 every edge
-    whose bound ranks above round 1's k-th result, if there are more, from
-    the tree of theirs.  Its k-th result ranks no lower, so no third round.
-    k >= m builds the full tree; a mid-range k, two large ones: at k = m/2
-    the seed-7 pa graph ran 478 max-flows against the full tree's 270.
+    from the weighted ``_cut_tree`` of their ends, exact since an edge's
+    ends share a block, and round 2 every edge whose bound ranks above
+    round 1's k-th result, if there are more, from the tree of theirs.  Its
+    k-th result ranks no lower, so no third round.  k >= m builds the full
+    tree; a mid-range k, two large ones: at k = m/2 the seed-7 pa graph ran
+    478 max-flows against the full tree's 270.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     edges = list(u.edges())
     if not edges:
         return []
-    named = [(u.nicks[a], u.nicks[b]) for a, b, _ in edges]
     ends = np.array([(a, b) for a, b, _ in edges], dtype=np.int64)
     bound = np.asarray(u.csr().sum(axis=1)).ravel()[ends].min(axis=1).tolist()
     # Sort keys with the bound for the score; an exact key ranks no higher.
-    keys = sorted((-bound[e], -w, named[e], e) for e, (_, _, w) in enumerate(edges))
+    # Edges come in nick pair order, so their index breaks ties by nick pair.
+    keys = sorted((-bound[e], -w, e) for e, (_, _, w) in enumerate(edges))
     count = k
     while True:
         chosen = np.array([key[-1] for key in keys[:count]])
@@ -590,8 +571,11 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
         for value, labels in _sweep(_cut_tree(u, "weighted", terminal)):
             scores[(scores == 0) & (labels[a] == labels[b])] = value
         exact = zip(chosen.tolist(), scores.tolist())
-        ranked = sorted((-score, -edges[e][2], named[e], e) for e, score in exact)[:k]
+        ranked = sorted((-score, -edges[e][2], e) for e, score in exact)[:k]
         # edges whose bound key ranks above the k-th exact key: none new in round 2
         count, previous = bisect_left(keys, ranked[-1]), count
         if count <= previous:
-            return [(named[e], -score) for score, _, _, e in ranked]
+            return [
+                ((u.nicks[edges[e][0]], u.nicks[edges[e][1]]), -score)
+                for score, _, e in ranked
+            ]

@@ -107,6 +107,15 @@ def _runs(rows: Iterable[tuple]) -> tuple[MessageColumns, ...]:
     )
 
 
+# Per kind, a record's log line after the clock, from its nick and body, and
+# the _LINE_RE groups that read them back.
+_RECORD_LINES = {
+    USER_MESSAGE: ("<{}> {}", (2, 3)),
+    ACTION: ("* {} {}", (4, 5)),
+    SYSTEM: ("*** {1}", (7, 6)),
+}
+
+
 def _row_from_record(record, dates: dict, strings: dict) -> tuple:
     # A (date, time, nick, body, kind) row, only if a log line could give
     # it.  ``dates`` maps each date text read so far to its date,
@@ -128,6 +137,10 @@ def _row_from_record(record, dates: dict, strings: dict) -> tuple:
                          "or whitespace, < or > in it)")
     if "\n" in body:
         raise ValueError("body holds a line break")
+    shape, groups = _RECORD_LINES[kind]
+    m = _LINE_RE.fullmatch(f"[{time}] " + shape.format(nick, body))
+    if not m or m.group(*groups) != (nick, body):
+        raise ValueError(f"no log line gives {kind} {body!r} from {nick!r}")
     if date not in dates:
         dates[date] = _coerce_date(date)
     shared = strings.setdefault
@@ -352,10 +365,13 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     A record is refused, naming its line, unless a log line could give it:
     the date is ``YYYY-MM-DD``, the time a zero-padded 24-hour ``HH:MM``,
     the nick one the line grammar reads, with no status marker first
-    and no whitespace, ``<``, ``>`` or control character, and the body
-    holds no \\n.  Per-date file stats are synthesized (the JSONL stream
-    does not retain the original per-file skip counts).  The rows share
-    their dates, clocks and nicks as parsed logs do.
+    and no whitespace, ``<``, ``>`` or control character, the body holds
+    no \\n, and the line grammar reads the record's log line, ``<nick>
+    body``, ``* nick body`` or ``*** body``, back as that nick and body: so
+    a system body is a notice by its nick, and no body ends in \\r.
+    Per-date file stats are synthesized (the JSONL stream does not retain
+    the original per-file skip counts).  The rows share their dates,
+    clocks and nicks as parsed logs do.
     """
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
@@ -380,14 +396,18 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     return ChatCorpus.from_columns(columns, stats)
 
 
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a text file that is
+    not blank and whose first non-blank character is not '#'."""
+    for lineno, raw in enumerate(split_lines(read_text(path)), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def read_roster_file(path) -> list[str]:
     """Prior participant list: one nick per line, '#' comments allowed."""
-    nicks = []
-    for raw in split_lines(read_text(path)):
-        entry = raw.strip()
-        if entry and not entry.startswith("#"):
-            nicks.append(entry)
-    return nicks
+    return [entry for _, entry in data_lines(path)]
 
 
 def date_from_filename(path) -> dt.date | None:
@@ -436,15 +456,12 @@ def read_manifest(path) -> list[tuple[str, dt.date]]:
     """Explicit file-to-date mapping: CSV lines ``path,YYYY-MM-DD``, in just that form."""
     entries = []
     base = Path(path).parent
-    for lineno, raw in enumerate(split_lines(read_text(path)), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path):
         try:
             file_part, date_part = line.rsplit(",", 1)
             date = _coerce_date(date_part.strip())
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad manifest line: {raw!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad manifest line: {line!r}") from exc
         file_path = Path(file_part.strip())
         if not file_path.is_absolute():
             file_path = base / file_path

@@ -38,13 +38,12 @@ from .graph import (
 from .ingest import (
     ChatCorpus,
     build_roster,
+    data_lines,
     discover_log_files,
     parse_corpus,
     read_corpus_jsonl,
     read_manifest,
     read_roster_file,
-    read_text,
-    split_lines,
 )
 from .skeleton import (
     BOWTIE_LABELS,
@@ -230,10 +229,7 @@ def load_config_file(path) -> dict:
     """
     defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
-    for lineno, raw in enumerate(split_lines(read_text(path)), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -372,7 +368,7 @@ def _lambda_section(u, cfg: AnalysisConfig) -> dict:
     # Top links need the weighted cut tree, so fractional weights skip them;
     # unit levels stand without it (weighted lambda_sets has raised already).
     skipped = fractional_weight_error(u.csr().data)
-    links = top_links(u, cfg.top_links_count) if u.edge_count and skipped is None else []
+    links = top_links(u, cfg.top_links_count) if skipped is None else []
     section = {
         "mode": cfg.lambda_mode,
         "levels": [

@@ -22,6 +22,10 @@ MALFORMED_RECORDS = [
     RECORD.replace('"nick": "a"', '"nick": ""'),
     RECORD.replace('"nick": "a"', '"nick": "al ice"'),
     RECORD.replace('"body": "b"', '"body": "a\\nb"'),
+    '{"date": "2011-01-01", "time": "09:00", "nick": "bob", "body": "hello", "kind": "system"}',
+    '{"date": "2011-01-01", "time": "09:00", "nick": "bob", "body": "alice has joined #x", '
+    '"kind": "system"}',
+    RECORD.replace('"body": "b"', '"body": "b\\r"'),
 ]
 
 

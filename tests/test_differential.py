@@ -203,25 +203,24 @@ def pa_ugraph(seed, n):
 
 
 def hub_passes(view, mode, terminal=None):
-    # Per block of three or more nodes and two or more steps (every node
-    # unless a terminal mask is given), as connectivity._cut_tree builds
-    # it: the block's ids, head first, its degrees, the MA bound edges, and
-    # the hub pass's edges and max-flow count.
+    # Per block of three or more nodes and two or more terminals (every
+    # node unless a terminal mask is given), as connectivity._cut_tree
+    # builds it: the block's ids, head first, its degrees, the MA bound
+    # edges, and the hub pass's edges and max-flow count.
     if terminal is None:
         terminal = np.ones(view.node_count, dtype=bool)
     caps = connectivity._capacities(view.csr(), mode)
-    order, parent, openers, members = connectivity._dfs_blocks(caps)
-    step = terminal | connectivity._separators(order, parent, openers, terminal)
+    parent, openers, members = connectivity._dfs_blocks(caps)
     for head, rest in zip(parent[openers].tolist(), members):
         block = np.append(head, rest)
-        if len(rest) < 2 or step[block].sum() < 2:
+        if len(rest) < 2 or terminal[block].sum() < 2:
             continue
         local = caps[block][:, block]
         degree = np.asarray(local.sum(axis=1)).ravel().tolist()
         q = connectivity._ma_bounds(local).tocoo()
         bounds = (q.row, q.col, q.data)
         certified = connectivity._certifier(len(block), *bounds)
-        hub, flows = connectivity._hub_edges(local, degree, certified, step[block])
+        hub, flows = connectivity._hub_edges(local, degree, certified, terminal[block])
         yield block, degree, bounds, hub, flows
 
 
@@ -518,35 +517,29 @@ def test_top_links_scores_match_min_cut(seed):
 @pytest.mark.parametrize("mode", ["unit", "weighted"])
 @pytest.mark.parametrize("kind, n", [("components", 60), ("pendant", 48), ("pa", 60)])
 def test_terminal_cut_tree_matches_networkx_on_terminal_pairs(kind, n, mode):
+    # The tree's steps are its terminals alone, and its path minima are
+    # exact for two terminals that share a block.
     weighted = certificate_graph(kind, n)
     view = as_undirected(n, weighted)
     reference = to_nx_graph(n, weighted, mode)
+    blocks = [{int(v[1:]) for v in b} for b in nx.biconnected_components(reference)]
     rng = random.Random(1400 + n)
-    separators = 0
+    checked = 0
     for size in (2, 5, n // 3):
         terminal = np.zeros(n, dtype=bool)
         terminal[rng.sample(range(n), size)] = True
-        # the steps: the terminals, and the cutpoints whose removal leaves
-        # terminals in two or more components
-        named = {nick(v) for v in np.flatnonzero(terminal).tolist()}
-        step = terminal.copy()
-        for c in nx.articulation_points(reference):
-            rest = reference.subgraph(nx.node_connected_component(reference, c) - {c})
-            step[int(c[1:])] |= sum(1 for p in nx.connected_components(rest) if p & named) >= 2
         for block, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
-            assert step[block[proven]].all()
+            assert terminal[block[proven]].all()
         tree = connectivity._cut_tree(view, mode, terminal)
-        # the tree joins terminals and the cutpoints between them, one tree
-        # per component that holds a terminal
-        assert (tree.up[~step] < 0).all()
-        assert step[tree.up[tree.up >= 0]].all()
-        holding = {frozenset(p) for p in nx.connected_components(reference) if p & named}
-        assert (step & (tree.up < 0)).sum() == len(holding)
-        separators += (step & ~terminal).sum()
-        for a, b in itertools.combinations(np.flatnonzero(terminal).tolist(), 2):
+        assert (tree.up[~terminal] < 0).all()
+        assert terminal[tree.up[tree.up >= 0]].all()
+        chosen = set(np.flatnonzero(terminal).tolist())
+        pairs = {p for b in blocks for p in itertools.combinations(sorted(b & chosen), 2)}
+        for a, b in sorted(pairs):
             expected = nx.minimum_cut_value(reference, nick(a), nick(b))
             assert tree.lambda_between(nick(a), nick(b)) == expected, (a, b)
-    assert separators or kind == "pa"  # the pa graphs have one block
+        checked += len(pairs)
+    assert checked
 
 
 def grid_ugraph(rows, cols):

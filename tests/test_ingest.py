@@ -242,7 +242,8 @@ GOOD_RECORD = (
 )
 # A record that is not an object, whose field is not a string, or that no
 # log line can give: a clock that is not HH:MM, a nick the grammar refuses,
-# a date in another ISO form.
+# a date in another ISO form, a body with a line break, a system body that is
+# no notice by its nick, a body ending in \r.
 MALFORMED_RECORDS = [
     ("[1,2]", "expected a JSON object, got list"),
     (GOOD_RECORD.replace('"nick": "a"', '"nick": 5'), "field 'nick' must be a string"),
@@ -252,6 +253,16 @@ MALFORMED_RECORDS = [
     (GOOD_RECORD.replace('"nick": "a"', '"nick": "al ice"'), "nick 'al ice' is not a log nick"),
     (GOOD_RECORD.replace("2011-01-01", "20110101"), "date '20110101' is not a YYYY-MM-DD date"),
     (GOOD_RECORD.replace('"body": "b"', '"body": "a\\nb"'), "body holds a line break"),
+    (
+        '{"date": "2011-01-01", "time": "09:00", "nick": "bob", "body": "hello", "kind": "system"}',
+        "no log line gives system 'hello' from 'bob'",
+    ),
+    (
+        '{"date": "2011-01-01", "time": "09:00", "nick": "bob", '
+        '"body": "alice has joined #x", "kind": "system"}',
+        "no log line gives system 'alice has joined #x' from 'bob'",
+    ),
+    (GOOD_RECORD.replace('"body": "b"', '"body": "b\\r"'), "no log line gives user_message 'b"),
 ]
 
 

@@ -164,13 +164,20 @@ def test_graphml_export_escapes_names(tmp_path_factory, g):
 # Hostile nicks as a log line carries them: the corpus reader refuses a nick
 # with whitespace, < or > in it, or a status marker first.
 log_nick = hostile.map(lambda s: re.sub(r"[\s<>]", "_", s).lstrip("@+") or "_")
+# Each drawn message is rendered as its log line and read back by parse_line,
+# so it is one a log gives: a body without \n, a notice for a system message.
+LINE_SHAPES = {
+    USER_MESSAGE: "[{time}] <{nick}> {body}",
+    ACTION: "[{time}] * {nick} {body}",
+    SYSTEM: "[{time}] *** {nick} has joined {body}",
+}
 messages = st.builds(
-    ChatMessage,
+    lambda date, kind, **fields: parse_line(LINE_SHAPES[kind].format(**fields), date),
     date=st.dates(),
+    kind=st.sampled_from(sorted(KINDS)),
     time=st.builds(lambda h, m: f"{h:02d}:{m:02d}", st.integers(0, 23), st.integers(0, 59)),
     nick=log_nick,
-    body=st.text(max_size=30),
-    kind=st.sampled_from(sorted(KINDS)),
+    body=st.text(alphabet=st.characters(blacklist_characters="\n"), max_size=30),
 )
 
 

@@ -1,7 +1,10 @@
-"""The package needs nothing at run time beyond numpy and scipy.
+"""The package needs nothing at run time beyond numpy and scipy, and keeps
+no dead private helper.
 
 Every import statement in ``src/chatnet`` is read from the source, so an
-import inside a function or behind a condition counts as well.
+import inside a function or behind a condition counts as well.  A private
+module-level name counts as used when any module of the package loads it,
+reads it as an attribute or imports it.
 """
 
 import ast
@@ -34,3 +37,33 @@ def test_runtime_imports_are_stdlib_numpy_scipy_or_chatnet(path):
     }
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
+
+def module_private_names(tree):
+    # Names bound at module level that start with one underscore.
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_private_module_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = sorted(
+        f"{name}: {private}"
+        for name, tree in trees.items()
+        for private in module_private_names(tree)
+        if private.startswith("_") and not private.startswith("__") and private not in used
+    )
+    assert not dead, f"defined but never used in src/chatnet: {dead}"
