@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .ingest import (
     ChatCorpus,
     ChatMessage,
-    Roster,
     build_roster,
     parse_corpus,
     parse_line,

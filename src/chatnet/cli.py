@@ -117,9 +117,10 @@ def _build_config(args) -> AnalysisConfig:
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(_build_config(args))
     write_corpus_jsonl(corpus, args.output)
+    days = len({columns.date for columns in corpus.columns})
     print(
         f"read {corpus.message_count} messages "
-        f"({corpus.skipped_count} lines skipped) over {len(corpus.file_stats)} day(s) "
+        f"({corpus.skipped_count} lines skipped) over {days} day(s) "
         f"-> {args.output}",
         file=sys.stderr,
     )

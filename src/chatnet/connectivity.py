@@ -271,13 +271,14 @@ def edge_connectivity(u: UndirectedView, a: str, b: str, mode: str = "unit") -> 
     return float(maximum_flow(caps, ia, ib).flow_value)
 
 
-def _ma_bounds(caps: csr_matrix) -> csr_matrix:
+def _ma_bounds(caps: csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower bounds on the connectivity across each edge of a connected graph.
 
     One maximum-adjacency ordering from node 0: scanning x adds w(x, y) to
     r[y] for each unscanned neighbor y, and q(x, y) = r[y] after that add
-    satisfies lambda(x, y) >= q(x, y) (Nagamochi & Ibaraki 1992).  Returns q
-    with one entry per edge, at (x, y) for x scanned first.
+    satisfies lambda(x, y) >= q(x, y) (Nagamochi & Ibaraki 1992).  Returns
+    one edge per edge of the graph as int64 arrays (heads, tails, bounds):
+    x, y and q(x, y) for x scanned first, in scan order.
     """
     k = caps.shape[0]
     indptr, indices = caps.indptr.tolist(), caps.indices.tolist()
@@ -299,7 +300,7 @@ def _ma_bounds(caps: csr_matrix) -> csr_matrix:
                 cols.append(y)
                 bounds.append(reach[y])
                 heappush(heap, (-reach[y], y))
-    return csr_matrix((bounds, (rows, cols)), shape=(k, k), dtype=np.int64)
+    return tuple(np.array(column, dtype=np.int64) for column in (rows, cols, bounds))
 
 
 def _labels_at(n: int, heads, tails, weights, value) -> np.ndarray:
@@ -425,6 +426,25 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndar
     return (heads, tails, weights), flows
 
 
+def _block_certificates(caps: csr_matrix, blocks, terminal: np.ndarray):
+    """Per block of ``blocks = _dfs_blocks(caps)`` that takes Gusfield steps
+    (three or more nodes, two or more terminals): its ids, head first; its
+    capacities and degrees; its MA bound and hub edges as (heads, tails,
+    weights) in local ids; and the hub pass's max-flows.
+    """
+    parent, openers, members = blocks
+    for head, others in zip(parent[openers].tolist(), members):
+        block = np.append(head, others)
+        if len(others) < 2 or np.count_nonzero(terminal[block]) < 2:
+            continue
+        local_caps = caps[block][:, block]
+        degree = np.asarray(local_caps.sum(axis=1)).ravel().tolist()
+        bounds = _ma_bounds(local_caps)
+        certified = _certifier(len(block), *bounds)
+        hub_edges, flows = _hub_edges(local_caps, degree, certified, terminal[block])
+        yield block, local_caps, degree, bounds, hub_edges, flows
+
+
 def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTree:
     """Cut tree of the nodes in the boolean mask ``terminal``, per block.
 
@@ -449,7 +469,7 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
     _check_mode(mode)
     n = u.node_count
     caps = _capacities(u.csr(), mode)
-    parent, openers, members = _dfs_blocks(caps)
+    parent, openers, members = blocks = _dfs_blocks(caps)
     up = np.full(n, -1, dtype=np.int64)
     capacity = np.zeros(n, dtype=np.int64)
     bridges = openers[[len(m) == 1 for m in members]]
@@ -457,18 +477,12 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
     up[bridges] = parent[bridges]
     capacity[bridges] = np.asarray(caps[bridges, parent[bridges]]).ravel()
     flows = hub_flows = 0
-    for head, others in zip(parent[openers].tolist(), members):
+    for block, local_caps, degree, bounds, hub_edges, batches in _block_certificates(
+        caps, blocks, terminal
+    ):
         # local 0 is the head, and the first terminal the root
-        block = np.append(head, others)
         steps = np.flatnonzero(terminal[block])
-        if len(others) < 2 or len(steps) < 2:
-            continue
         k = len(block)
-        local_caps = caps[block][:, block]
-        degree = np.asarray(local_caps.sum(axis=1)).ravel().tolist()
-        q = _ma_bounds(local_caps).tocoo()
-        bounds = (q.row, q.col, q.data)
-        hub_edges, batches = _hub_edges(local_caps, degree, _certifier(k, *bounds), terminal[block])
         hub_flows += batches
         certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus, Roster
+from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus
 
 # Characters legal in IRC nicks; anything else is a token boundary when
 # scanning message bodies for mentions.
@@ -234,17 +234,19 @@ class GraphStats:
 
 def extract_network(
     corpus: ChatCorpus,
-    roster: Roster,
+    roster: Mapping[str, int],
     *,
     min_nick_length: int = 3,
     case_insensitive: bool = True,
 ) -> MentionGraph:
     """Build the directed weighted mention network from a parsed corpus.
 
-    Every whole-token occurrence of a roster nick in a user message adds
-    weight 1 to the sender->nick edge; repeated mentions of the same nick
-    within one message count once, and self-mentions are ignored.  Nodes are
-    the users incident to at least one tie.
+    ``roster`` maps case-folded nicks to message counts, as ``build_roster``
+    returns it; only its keys are read.  Every whole-token occurrence of a
+    roster nick in a user message from a roster nick adds weight 1 to the
+    sender->nick edge; repeated mentions of the same nick within one
+    message count once, and self-mentions are ignored.  Nodes are the users
+    incident to at least one tie.
 
     Nicks shorter than ``min_nick_length`` are never matched: they collide
     with short everyday words and would flood the graph with false ties.
@@ -259,10 +261,10 @@ def extract_network(
     ``ſ`` or Kelvin ``K`` only ends a token.  A body holding \n, which no
     log line gives, raises ValueError naming the file's date.
     """
-    if not roster.counts:
+    if not roster:
         raise ValueError("no participants")
     # a set, not a frozenset, so that each intersection is a mutable set
-    matchable = {nick for nick in roster.counts if len(nick) >= min_nick_length}
+    matchable = {nick for nick in roster if len(nick) >= min_nick_length}
     table = _FOLD_ASCII if case_insensitive else _SPLIT_ASCII
     weights: dict[tuple[str, str], int] = {}
     for columns in corpus.columns:
@@ -278,7 +280,7 @@ def extract_network(
             raise ValueError(f"{columns.date.isoformat()}: a message body holds a line break")
         for sender, mentioned in zip(senders, map(matchable.intersection, map(str.split, lines))):
             mentioned.discard(sender)
-            if mentioned and sender in roster.counts:
+            if mentioned and sender in roster:
                 for target in mentioned:
                     key = (sender, target)
                     weights[key] = weights.get(key, 0) + 1

@@ -196,23 +196,6 @@ class ChatCorpus:
         return sum(s.skipped for s in self.file_stats)
 
 
-@dataclass(frozen=True)
-class Roster:
-    """Participants who authored at least one message, keyed by case-folded nick."""
-
-    counts: dict[str, int]
-
-    @property
-    def nicks(self) -> frozenset[str]:
-        return frozenset(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __contains__(self, nick: str) -> bool:
-        return nick.casefold() in self.counts
-
-
 def _clock(clock: str) -> str | None:
     hh, mm = clock.split(":")
     h, m = int(hh), int(mm)
@@ -327,11 +310,11 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     return ChatCorpus.from_columns(*zip(*parsed))
 
 
-def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> Roster:
-    """Distinct case-folded nicks over user messages and actions, with counts.
+def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> dict[str, int]:
+    """Case-folded nick -> number of user messages and actions it sent.
 
     ``prior_nicks`` folds in an externally supplied participant list (users
-    known from a larger archive); such entries keep a zero count here.
+    known from a larger archive); a nick that sent nothing here counts 0.
     """
     counts: dict[str, int] = {}
     for columns in corpus.columns:
@@ -341,7 +324,7 @@ def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> Roster:
             counts[nick] = counts.get(nick, 0) + count
     for nick in prior_nicks:
         counts.setdefault(nick.casefold(), 0)
-    return Roster(counts)
+    return counts
 
 
 def corpus_jsonl_text(corpus: ChatCorpus) -> str:
@@ -369,9 +352,10 @@ def read_corpus_jsonl(path) -> ChatCorpus:
     no \\n, and the line grammar reads the record's log line, ``<nick>
     body``, ``* nick body`` or ``*** body``, back as that nick and body: so
     a system body is a notice by its nick, and no body ends in \\r.
-    Per-date file stats are synthesized (the JSONL stream does not retain
-    the original per-file skip counts).  The rows share their dates,
-    clocks and nicks as parsed logs do.
+    The corpus has no file stats: a JSONL holds messages, not the log
+    lines they were read from, so it has no lines read or skipped to
+    account for.  The rows share their dates, clocks and nicks as parsed
+    logs do.
     """
     dates: dict[str, dt.date] = {}
     strings: dict[str, str] = {}
@@ -385,15 +369,7 @@ def read_corpus_jsonl(path) -> ChatCorpus:
                 rows.append(_row_from_record(json.loads(line), dates, strings))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-    columns = _runs(rows)
-    per_date: dict[dt.date, int] = {}
-    for run in columns:
-        per_date[run.date] = per_date.get(run.date, 0) + len(run)
-    stats = tuple(
-        FileStats(str(path), date, count, 0, count)
-        for date, count in per_date.items()
-    )
-    return ChatCorpus.from_columns(columns, stats)
+    return ChatCorpus.from_columns(_runs(rows), ())
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:

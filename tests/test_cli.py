@@ -1,12 +1,15 @@
 import argparse
 import json
+import re
 import shlex
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from chatnet.cli import build_parser, main
+from chatnet.ingest import read_corpus_jsonl
 from chatnet.report import ALL_ANALYSES, INPUT_FIELDS, AnalysisConfig, load_config_file
 
 PARAMETERS = [f.name for f in fields(AnalysisConfig) if f.name not in INPUT_FIELDS]
@@ -26,6 +29,7 @@ MALFORMED_RECORDS = [
     '{"date": "2011-01-01", "time": "09:00", "nick": "bob", "body": "alice has joined #x", '
     '"kind": "system"}',
     RECORD.replace('"body": "b"', '"body": "b\\r"'),
+    RECORD.replace("user_message", "notice"),
 ]
 
 
@@ -206,6 +210,18 @@ def test_cli_ingest_reads_a_corpus_back(data_dir, tmp_path, capsys, name):
     assert main(["ingest", str(source), "-o", str(out)]) == 0
     assert out.read_bytes() == golden
     capsys.readouterr()
+
+
+def test_cli_ingest_counts_the_same_days_for_logs_and_their_corpus(fixture_files, tmp_path, capsys):
+    # A corpus JSONL has no file stats; ingest counts the dates of its messages.
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["ingest", *(path for path, _ in fixture_files), "-o", str(corpus)]) == 0
+    from_logs = capsys.readouterr().err
+    assert read_corpus_jsonl(corpus).file_stats == ()
+    assert main(["ingest", str(corpus), "-o", str(tmp_path / "again.jsonl")]) == 0
+    from_corpus = capsys.readouterr().err
+    days = [re.search(r" over (\d+) day\(s\) ", err).group(1) for err in (from_logs, from_corpus)]
+    assert days == ["2", "2"]
 
 
 def test_cli_reads_an_upper_case_csv_suffix_as_a_graph(data_dir, tmp_path, capsys):
@@ -446,6 +462,22 @@ def _readme_commands():
         elif in_sh and line.startswith("chatnet "):
             commands.append(line)
     return commands
+
+
+def _readme_library_block():
+    # the ```python block of the README's "Library use" section
+    text = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_use_runs(fixture_files, tmp_path, monkeypatch):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    shutil.copyfile(fixture_files[0][0], logs / "2011-06-02.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_readme_library_block(), "README.md", "exec"), {})
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(report) == ["tool", "config", *ALL_ANALYSES]
 
 
 def test_readme_commands_parse(capsys):

@@ -173,9 +173,9 @@ def test_ma_bounds_never_exceed_min_cut(seed, mode):
     view = as_undirected(n, weighted)
     reference = to_nx_graph(n, weighted, mode)
     assert nx.is_connected(reference) and any(nx.bridges(reference))
-    bounds = connectivity._ma_bounds(connectivity._capacities(view.csr(), mode)).tocoo()
-    assert bounds.nnz == len(weighted)
-    for a, b, q in zip(bounds.row.tolist(), bounds.col.tolist(), bounds.data.tolist()):
+    heads, tails, bounds = connectivity._ma_bounds(connectivity._capacities(view.csr(), mode))
+    assert len(bounds) == len(weighted)
+    for a, b, q in zip(heads.tolist(), tails.tolist(), bounds.tolist()):
         assert 0 < q <= nx.minimum_cut_value(reference, nick(a), nick(b)), (a, b)
 
 
@@ -203,25 +203,14 @@ def pa_ugraph(seed, n):
 
 
 def hub_passes(view, mode, terminal=None):
-    # Per block of three or more nodes and two or more terminals (every
-    # node unless a terminal mask is given), as connectivity._cut_tree
-    # builds it: the block's ids, head first, its degrees, the MA bound
-    # edges, and the hub pass's edges and max-flow count.
+    # connectivity._cut_tree's certificates, every node a terminal unless a
+    # mask is given: per block that takes Gusfield steps, its ids,
+    # capacities, degrees, MA bound edges, and the hub pass's edges and
+    # max-flow count.
     if terminal is None:
         terminal = np.ones(view.node_count, dtype=bool)
     caps = connectivity._capacities(view.csr(), mode)
-    parent, openers, members = connectivity._dfs_blocks(caps)
-    for head, rest in zip(parent[openers].tolist(), members):
-        block = np.append(head, rest)
-        if len(rest) < 2 or terminal[block].sum() < 2:
-            continue
-        local = caps[block][:, block]
-        degree = np.asarray(local.sum(axis=1)).ravel().tolist()
-        q = connectivity._ma_bounds(local).tocoo()
-        bounds = (q.row, q.col, q.data)
-        certified = connectivity._certifier(len(block), *bounds)
-        hub, flows = connectivity._hub_edges(local, degree, certified, terminal[block])
-        yield block, degree, bounds, hub, flows
+    return connectivity._block_certificates(caps, connectivity._dfs_blocks(caps), terminal)
 
 
 # (graph, n, mode) -> max-flows of the cut tree, the hub pass's included.
@@ -269,7 +258,7 @@ def assert_certifier_matches_widest_paths(k, edges, values):
 def test_certificate_matches_widest_path_of_ma_bounds(kind, n, mode):
     weighted = certificate_graph(kind, n)
     view = as_undirected(n, weighted)
-    for comp, degree, bounds, _, _ in hub_passes(view, mode):
+    for comp, _, degree, bounds, _, _ in hub_passes(view, mode):
         assert_certifier_matches_widest_paths(len(comp), bounds, sorted(set(degree)))
     assert gomory_hu(view, mode).flows == CERTIFIED_FLOWS[kind, n, mode]
 
@@ -279,7 +268,7 @@ def test_certificate_matches_widest_path_of_ma_bounds(kind, n, mode):
 def test_certificate_matches_widest_path_of_ma_and_hub_edges(kind, n, mode):
     view = as_undirected(n, certificate_graph(kind, n))
     hub_edges = 0
-    for comp, degree, bounds, hub, _ in hub_passes(view, mode):
+    for comp, _, degree, bounds, hub, _ in hub_passes(view, mode):
         edges = tuple(map(np.concatenate, zip(bounds, hub)))
         assert_certifier_matches_widest_paths(len(comp), edges, sorted(set(degree)))
         hub_edges += len(hub[0])
@@ -297,7 +286,7 @@ def test_hub_pass_proves_connectivity_equal_to_degree(kind, n, mode):
     view = as_undirected(n, weighted)
     reference = to_nx_graph(n, weighted, mode)
     proven = 0
-    for comp, degree, _, (heads, tails, weights), _ in hub_passes(view, mode):
+    for comp, _, degree, _, (heads, tails, weights), _ in hub_passes(view, mode):
         hub = degree.index(max(degree))
         for v, r, w in zip(heads.tolist(), tails.tolist(), weights.tolist()):
             assert r == hub and w == degree[v]
@@ -329,14 +318,13 @@ def recorded_hub_batches(view, mode):
 def test_hub_certified_cut_tree_matches_networkx_on_all_pairs(n, mode):
     weighted = certificate_graph("pa", n)
     view = as_undirected(n, weighted)
-    (((block, degree, bounds, (proven, _, _), flows), batches),) = recorded_hub_batches(view, mode)
+    (((_, caps, degree, bounds, (proven, _, _), flows), batches),) = recorded_hub_batches(view, mode)
     assert flows == len(batches) >= 2
-    caps = connectivity._capacities(view.csr(), mode)[block][:, block]
     hub = degree.index(max(degree))
-    certified = connectivity._certifier(len(block), *bounds)
+    certified = connectivity._certifier(len(degree), *bounds)
     cut = connectivity._locally_cut(caps, degree, hub)
     candidates = sorted(
-        (degree[v], v) for v in range(len(block)) if v != hub and not cut[v] and not certified(v, hub, degree[v])
+        (degree[v], v) for v in range(len(degree)) if v != hub and not cut[v] and not certified(v, hub, degree[v])
     )
     # Each candidate joins one batch at most, the first pending one always
     # does, and within a batch: no member is adjacent to another, every
@@ -379,8 +367,7 @@ def test_hub_pass_never_proves_a_member_behind_a_light_bridge(seed, mode, monkey
     monkeypatch.setattr(connectivity, "maximum_flow", recording)
     caps = connectivity._capacities(as_undirected(n, weighted).csr(), mode)
     degree = np.asarray(caps.sum(axis=1)).ravel().tolist()
-    q = connectivity._ma_bounds(caps).tocoo()
-    certified = connectivity._certifier(n, q.row, q.col, q.data)
+    certified = connectivity._certifier(n, *connectivity._ma_bounds(caps))
     (proven, _, _), _ = connectivity._hub_edges(caps, degree, certified, np.ones(n, dtype=bool))
     hub = nick(degree.index(max(degree)))
     behind = set()
@@ -459,7 +446,7 @@ def test_hub_batches_saturate_every_member_on_chat_shaped_graphs(seed, mode):
     n = 200
     view = as_undirected(n, chat_shaped_ugraph(1200 + seed, n))
     tried = saturated = 0
-    for (_, _, _, (proven, _, _), _), batches in recorded_hub_batches(view, mode):
+    for (_, _, _, _, (proven, _, _), _), batches in recorded_hub_batches(view, mode):
         for batch in batches:
             tried += len(batch)
             saturated += len(set(batch) & set(proven.tolist()))
@@ -474,11 +461,10 @@ def test_locally_cut_candidates_have_connectivity_below_degree(kind, n):
     weighted = certificate_graph(kind, n)
     view = as_undirected(n, weighted)
     reference = to_nx_graph(n, weighted, "weighted")
-    caps = connectivity._capacities(view.csr(), "weighted")
     skipped = 0
-    for block, degree, _, _, _ in hub_passes(view, "weighted"):
+    for block, caps, degree, _, _, _ in hub_passes(view, "weighted"):
         hub = degree.index(max(degree))
-        cut = connectivity._locally_cut(caps[block][:, block], degree, hub)
+        cut = connectivity._locally_cut(caps, degree, hub)
         cut[hub] = False
         for v in np.flatnonzero(cut).tolist():
             a, b = nick(block[v]), nick(block[hub])
@@ -528,7 +514,7 @@ def test_terminal_cut_tree_matches_networkx_on_terminal_pairs(kind, n, mode):
     for size in (2, 5, n // 3):
         terminal = np.zeros(n, dtype=bool)
         terminal[rng.sample(range(n), size)] = True
-        for block, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
+        for block, _, _, _, (proven, _, _), _ in hub_passes(view, mode, terminal):
             assert terminal[block[proven]].all()
         tree = connectivity._cut_tree(view, mode, terminal)
         assert (tree.up[~terminal] < 0).all()

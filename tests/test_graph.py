@@ -100,7 +100,7 @@ def test_mention_matching_case_insensitive_by_default():
 def test_short_nicks_not_matched_by_default():
     corpus = corpus_of(("[09:00] <alice> ok me: fine", "[09:01] <me> yes",))
     roster = build_roster(corpus)
-    assert "me" in roster.counts
+    assert "me" in roster
     g = extract_network(corpus, roster)
     assert list(g.edges_by_nick()) == []
     relaxed = extract_network(corpus, roster, min_nick_length=2)
@@ -114,18 +114,13 @@ def test_messages_from_outside_roster_are_ignored():
             "[09:01] <zed> bob: also hello",
         )
     )
-    from chatnet.ingest import Roster
-
-    roster = Roster({"alice": 1, "bob": 0})
-    g = extract_network(corpus, roster)
+    g = extract_network(corpus, {"alice": 1, "bob": 0})
     assert list(g.edges_by_nick()) == [("alice", "bob", 1)]
 
 
 def test_extract_requires_participants(fixture_corpus):
-    from chatnet.ingest import Roster
-
     with pytest.raises(ValueError, match="no participants"):
-        extract_network(fixture_corpus, Roster({}))
+        extract_network(fixture_corpus, {})
 
 
 def test_extract_empty_when_no_user_messages():
@@ -149,7 +144,7 @@ def test_weight_sum_matches_independent_scan(fixture_corpus, fixture_graph):
         seen = set()
         for tok in token.findall(msg.body):
             folded = tok.casefold()
-            if folded in roster.counts and len(folded) >= 3 and folded != sender:
+            if folded in roster and len(folded) >= 3 and folded != sender:
                 seen.add(folded)
         expected += len(seen)
     total = sum(w for _, _, w in fixture_graph.edges_by_nick())
@@ -343,6 +338,32 @@ def test_csv_oversized_field_is_a_located_error(tmp_path):
     with pytest.raises(ValueError, match=r"long\.csv:3: field larger than field limit"):
         read_graph_csv(path)
     with pytest.raises(PipelineError, match="field larger") as info:
+        run_pipeline(AnalysisConfig(graph_path=str(path)))
+    assert info.value.stage == "input"
+
+
+def test_csv_skips_a_blank_row(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("source,target,weight\n\na,b,2\n\n", encoding="utf-8")
+    assert list(read_graph_csv(path).edges_by_nick()) == [("a", "b", 2)]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,b", "expected 3 columns"),
+        ("a,b,1,1", "expected 3 columns"),
+        ("a,b,x", "bad weight 'x'"),
+        ("a,b,1/2", "bad weight '1/2'"),
+    ],
+)
+def test_csv_bad_row_is_a_located_input_error(tmp_path, row, message):
+    # the blank row before it counts as a line
+    path = tmp_path / "bad.csv"
+    path.write_text(f"source,target,weight\na,c,1\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}$"):
+        read_graph_csv(path)
+    with pytest.raises(PipelineError, match=rf"bad\.csv:4: {message}") as info:
         run_pipeline(AnalysisConfig(graph_path=str(path)))
     assert info.value.stage == "input"
 

@@ -263,6 +263,7 @@ MALFORMED_RECORDS = [
         "no log line gives system 'alice has joined #x' from 'bob'",
     ),
     (GOOD_RECORD.replace('"body": "b"', '"body": "b\\r"'), "no log line gives user_message 'b"),
+    (GOOD_RECORD.replace("user_message", "notice"), "unknown message kind 'notice'"),
 ]
 
 
@@ -303,7 +304,7 @@ def test_build_roster_sample_senders():
     messages = tuple(parse_line(line, DAY) for line in lines)
     corpus = parse_corpus_from_messages(messages)
     roster = build_roster(corpus)
-    assert roster.counts == {"mdz": 1, "fabbione": 1}
+    assert roster == {"mdz": 1, "fabbione": 1}
 
 
 def parse_corpus_from_messages(messages):
@@ -319,17 +320,17 @@ def test_build_roster_case_folds():
         parse_line("[01:01] <alice> again", DAY),
     )
     roster = build_roster(parse_corpus_from_messages(messages))
-    assert roster.counts == {"alice": 2}
+    assert roster == {"alice": 2}
 
 
 def test_build_roster_excludes_system(fixture_corpus):
     roster = build_roster(fixture_corpus)
-    assert roster.counts == {"alice": 2, "bob": 2, "carol": 1, "dave": 2, "eve": 2}
+    assert roster == {"alice": 2, "bob": 2, "carol": 1, "dave": 2, "eve": 2}
 
 
 def test_build_roster_prior_nicks(fixture_corpus):
     roster = build_roster(fixture_corpus, prior_nicks=("Zed",))
-    assert roster.counts["zed"] == 0
+    assert roster["zed"] == 0
     assert "zed" in roster
 
 

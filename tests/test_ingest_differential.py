@@ -158,7 +158,7 @@ message = st.builds(
 def test_extract_network_matches_token_oracle(batch, min_nick_length, case_insensitive):
     corpus = ChatCorpus(tuple(batch), ())
     roster = build_roster(corpus)
-    expected = mention_weights_oracle(batch, roster.counts, min_nick_length, case_insensitive)
+    expected = mention_weights_oracle(batch, roster, min_nick_length, case_insensitive)
     g = extract_network(
         corpus, roster, min_nick_length=min_nick_length, case_insensitive=case_insensitive
     )

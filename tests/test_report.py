@@ -127,6 +127,26 @@ def test_config_validation_messages():
     cfg = AnalysisConfig(graph_path="g.csv", lambda_mode="misc")
     with pytest.raises(ValueError, match="lambda_mode"):
         cfg.validate()
+    out_of_range = [
+        (name, 0, f"{name} must be at least 1")
+        for name in (
+            "min_nick_length",
+            "hits_max_iterations",
+            "clique_min_size",
+            "rege_iterations",
+            "top_links_count",
+            "top_k",
+        )
+    ]
+    out_of_range += [
+        (name, value, f"{name} must lie in [0, 1]")
+        for name in ("tie_cutoff", "people_cutoff")
+        for value in (-0.1, 1.1, math.nan)
+    ]
+    for name, value, message in out_of_range:
+        with pytest.raises(ValueError) as info:
+            AnalysisConfig(graph_path="g.csv", **{name: value}).validate()
+        assert str(info.value) == message, (name, value)
 
 
 def test_config_file_parsing_and_precedence(tmp_path):
