@@ -308,7 +308,3 @@ def main(argv=None) -> int:
         stage = getattr(args, "command", "cli")
         print(f"chatnet: {stage}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -372,18 +372,18 @@ def read_graph_csv(path) -> MentionGraph:
             header = next(reader, None)
             if header != ["source", "target", "weight"]:
                 raise ValueError(f"{path}: expected header source,target,weight")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 columns")
+                    raise ValueError(f"{path}:{reader.line_num}: expected 3 columns")
                 src, dst, raw = row
                 try:
                     weight = int(raw) if re.fullmatch(r"-?\d+", raw) else float(raw)
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad weight {raw!r}") from exc
+                    raise ValueError(f"{path}:{reader.line_num}: bad weight {raw!r}") from exc
                 if (src, dst) in weights:
-                    raise ValueError(f"{path}:{lineno}: duplicate edge {src}->{dst}")
+                    raise ValueError(f"{path}:{reader.line_num}: duplicate edge {src}->{dst}")
                 weights[(src, dst)] = weight
         except csv.Error as exc:
             # e.g. a field over the csv module's size limit

@@ -54,8 +54,6 @@ _LINE_RE = re.compile(
     r")(?<!\r)\r*$",
     re.MULTILINE,
 )
-_CLOCK_RE = re.compile(_CLOCK)
-_NICK_RE = re.compile(_NICK_NAME)
 _LOG_NAME_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})")
 
 
@@ -75,6 +73,7 @@ class ChatMessage:
 
 
 _FIELDS = ("date", "time", "nick", "body", "kind")
+_record_values = itemgetter(*_FIELDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,44 +106,45 @@ def _runs(rows: Iterable[tuple]) -> tuple[MessageColumns, ...]:
     )
 
 
-# Per kind, a record's log line after the clock, from its nick and body, and
-# the _LINE_RE groups that read them back.
+# Per kind, a record's log line from its time, nick and body.
 _RECORD_LINES = {
-    USER_MESSAGE: ("<{}> {}", (2, 3)),
-    ACTION: ("* {} {}", (4, 5)),
-    SYSTEM: ("*** {1}", (7, 6)),
+    USER_MESSAGE: "[{0}] <{1}> {2}",
+    ACTION: "[{0}] * {1} {2}",
+    SYSTEM: "[{0}] *** {2}",
 }
 
 
-def _row_from_record(record, dates: dict, strings: dict) -> tuple:
-    # A (date, time, nick, body, kind) row, only if a log line could give
-    # it.  ``dates`` maps each date text read so far to its date,
-    # ``strings`` each time, nick and kind text to the one copy rows share.
+def _record_fields(record) -> tuple[str, ...]:
+    # The (date, time, nick, body, kind) strings of a record, a JSON object.
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    for name in _FIELDS:
-        if not isinstance(record[name], str):
+    values = _record_values(record)
+    for name, value in zip(_FIELDS, values):
+        if not isinstance(value, str):
             raise ValueError(f"field {name!r} must be a string")
-    date, time, nick, body, kind = (record[name] for name in _FIELDS)
-    if kind not in KINDS:
-        raise ValueError(f"unknown message kind {kind!r}")
-    if not (_CLOCK_RE.fullmatch(time) and _clock(time) == time):
-        raise ValueError(f"time {time!r} is not a 24-hour HH:MM clock")
-    if not _NICK_RE.fullmatch(nick):
-        if re.search(f"[{CONTROL_CHARS}]", nick):
-            raise ValueError(f"nick {nick!r} contains a control character")
-        raise ValueError(f"nick {nick!r} is not a log nick (empty, status marker first, "
-                         "or whitespace, < or > in it)")
-    if "\n" in body:
-        raise ValueError("body holds a line break")
-    shape, groups = _RECORD_LINES[kind]
-    m = _LINE_RE.fullmatch(f"[{time}] " + shape.format(nick, body))
-    if not m or m.group(*groups) != (nick, body):
-        raise ValueError(f"no log line gives {kind} {body!r} from {nick!r}")
-    if date not in dates:
-        dates[date] = _coerce_date(date)
-    shared = strings.setdefault
-    return dates[date], shared(time, time), shared(nick, nick), body, shared(kind, kind)
+    if values[4] not in KINDS:
+        raise ValueError(f"unknown message kind {values[4]!r}")
+    return values
+
+
+def _read_back(path, run) -> MessageColumns:
+    # A run of (line number, date, time, nick, body, kind) records of one
+    # date, as the columns read from their log lines; the first record whose
+    # line does not read back as it is refused.
+    linenos, dates, times, nicks, bodies, kinds = zip(*run)
+    try:
+        date = _coerce_date(dates[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}:{linenos[0]}: bad corpus record: {exc}") from exc
+    lines = map(str.format, map(_RECORD_LINES.get, kinds), times, nicks, bodies)
+    columns = _columns(_LINE_RE.findall("\n".join(lines)), date)
+    read = (columns.times, columns.nicks, columns.bodies, columns.kinds)
+    if read == (times, nicks, bodies, kinds):
+        return columns
+    pairs = zip(zip(*read), zip(times, nicks, bodies, kinds))
+    i = next((i for i, (got, want) in enumerate(pairs) if got != want), len(columns))
+    raise ValueError(f"{path}:{linenos[i]}: bad corpus record: no log line gives "
+                     f"{kinds[i]} {bodies[i]!r} from {nicks[i]!r} at {times[i]!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,8 @@ class ChatCorpus:
 
     ``ChatCorpus(messages, file_stats)`` takes ``ChatMessage`` objects, but
     the corpus holds ``columns``: one ``MessageColumns`` per log file, or
-    per run of one date.  ``messages`` builds the objects anew each time it
+    per run of one date in a corpus JSONL, each read by the line grammar.
+    ``messages`` builds the objects anew each time it
     is read; counting, the roster, extraction and the JSONL text read the
     columns and build none.
     """
@@ -345,31 +346,33 @@ def write_corpus_jsonl(corpus: ChatCorpus, path) -> None:
 def read_corpus_jsonl(path) -> ChatCorpus:
     """Load a corpus previously written by ``write_corpus_jsonl``.
 
-    A record is refused, naming its line, unless a log line could give it:
-    the date is ``YYYY-MM-DD``, the time a zero-padded 24-hour ``HH:MM``,
-    the nick one the line grammar reads, with no status marker first
-    and no whitespace, ``<``, ``>`` or control character, the body holds
-    no \\n, and the line grammar reads the record's log line, ``<nick>
-    body``, ``* nick body`` or ``*** body``, back as that nick and body: so
-    a system body is a notice by its nick, and no body ends in \\r.
+    A record is a JSON object whose five fields are strings, its kind one
+    of ``KINDS`` and its date ``YYYY-MM-DD``.  Beyond that, a record is
+    accepted when its log line reads back as it: ``[time] <nick> body``,
+    ``[time] * nick body`` or ``[time] *** body``, read by the grammar that
+    ``parse_corpus`` runs over a log file.  Any other record is refused,
+    naming its line; with several bad records, the first one is named.
     The corpus has no file stats: a JSONL holds messages, not the log
     lines they were read from, so it has no lines read or skipped to
-    account for.  The rows share their dates, clocks and nicks as parsed
-    logs do.
+    account for.  The rows share their clocks and nicks within a run of
+    one date, as a parsed log file's rows do.
     """
-    dates: dict[str, dt.date] = {}
-    strings: dict[str, str] = {}
-    rows = []
+    records, error = [], None
     with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(_row_from_record(json.loads(line), dates, strings))
+                records.append((lineno, *_record_fields(json.loads(line))))
             except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-    return ChatCorpus.from_columns(_runs(rows), ())
+                error = exc
+                break
+    # the records before line ``lineno`` go first: an earlier bad one is named
+    columns = [_read_back(path, run) for _, run in groupby(records, itemgetter(1))]
+    if error:
+        raise ValueError(f"{path}:{lineno}: bad corpus record: {error}") from error
+    return ChatCorpus.from_columns(columns, ())
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:

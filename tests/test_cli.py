@@ -380,6 +380,25 @@ def test_cli_version(capsys):
     assert capsys.readouterr().out.startswith("chatnet ")
 
 
+def test_python_m_chatnet_runs_the_cli():
+    # the children import chatnet from the same place this suite did, as in
+    # test_report.test_deterministic_across_hash_seeds
+    import os
+    import subprocess
+    import sys
+
+    import chatnet
+
+    import_root = str(Path(chatnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=import_root)
+    done = subprocess.run(
+        [sys.executable, "-m", "chatnet", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "chatnet 0.1.0\n"
+
+
 def _subcommand(name):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

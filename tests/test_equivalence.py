@@ -469,6 +469,9 @@ def test_tie_fraction_threshold_validation(fixture_graph):
         high_eq_tie_fraction(fixture_graph, matrix, 0.0)
     with pytest.raises(ValueError):
         high_eq_tie_fraction(fixture_graph, matrix, 1.0)
+    other = MentionGraph.from_edge_list([("alice", "bob", 1)])
+    with pytest.raises(ValueError, match="does not match the graph"):
+        high_eq_tie_fraction(other, matrix, 0.5)
 
 
 def partition_of(members_by_label):

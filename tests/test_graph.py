@@ -2,6 +2,7 @@ import datetime as dt
 import random
 
 import pytest
+from scipy.sparse import csr_matrix
 
 from chatnet.graph import (
     MentionGraph,
@@ -62,6 +63,7 @@ def test_fixture_adjacency_hand_traced(fixture_graph):
         ("dave", "eve", 1),
     ]
     assert fixture_graph.nicks == ("alice", "bob", "carol", "dave", "eve")
+    assert "carol" in fixture_graph and "Carol" not in fixture_graph
 
 
 def test_repeated_mentions_count_once_per_message():
@@ -164,8 +166,12 @@ def test_graph_validation_errors():
         MentionGraph(["a", "b"], {("a", "b"): 0})
     with pytest.raises(ValueError, match="infinite weight"):
         MentionGraph(["a", "b"], {("a", "b"): float("inf")})
-    with pytest.raises(ValueError, match="not in node set"):
+    with pytest.raises(ValueError, match="endpoint 'b' not in node set"):
         MentionGraph(["a"], {("a", "b"): 1})
+    with pytest.raises(ValueError, match="endpoint 'b' not in node set"):
+        MentionGraph(["a"], {("b", "a"): 1})
+    with pytest.raises(ValueError, match="self-loop in undirected view"):
+        UndirectedView(["a", "b"], csr_matrix([[0.0, 1.0], [1.0, 2.0]]))
     # weights are stored as float64, which must hold them exactly
     with pytest.raises(ValueError, match=r"a->b weight 9007199254740993 is not exactly"):
         MentionGraph(["a", "b"], {("a", "b"): 2**53 + 1})
@@ -366,6 +372,22 @@ def test_csv_bad_row_is_a_located_input_error(tmp_path, row, message):
     with pytest.raises(PipelineError, match=rf"bad\.csv:4: {message}") as info:
         run_pipeline(AnalysisConfig(graph_path=str(path)))
     assert info.value.stage == "input"
+
+
+@pytest.mark.parametrize(
+    "row, line, message",
+    [
+        ("a,b", 4, "expected 3 columns"),
+        ("a,b,x", 4, "bad weight 'x'"),
+        # a row that spans lines is named by the line it ends on
+        ('"x\ny",b,2', 5, "duplicate edge x\ny->b"),
+    ],
+)
+def test_csv_row_after_a_multi_line_field_names_its_own_line(tmp_path, row, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f'source,target,weight\n"x\ny",b,1\n{row}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.csv:{line}: {message}$"):
+        read_graph_csv(path)
 
 
 def test_nick_with_control_character_rejected():

@@ -240,19 +240,34 @@ def test_corpus_jsonl_round_trip(fixture_corpus, tmp_path):
 GOOD_RECORD = (
     '{"date": "2011-01-01", "time": "09:00", "nick": "a", "body": "b", "kind": "user_message"}'
 )
-# A record that is not an object, whose field is not a string, or that no
-# log line can give: a clock that is not HH:MM, a nick the grammar refuses,
-# a date in another ISO form, a body with a line break, a system body that is
-# no notice by its nick, a body ending in \r.
+# A record that is not an object, whose field is not a string, whose date is
+# in another ISO form, or whose log line does not read back as it: a clock
+# that is not HH:MM, a nick the grammar refuses, a body with a line break, a
+# system body that is no notice by its nick, a body ending in \r.
 MALFORMED_RECORDS = [
     ("[1,2]", "expected a JSON object, got list"),
     (GOOD_RECORD.replace('"nick": "a"', '"nick": 5'), "field 'nick' must be a string"),
-    (GOOD_RECORD.replace("09:00", "noon"), "time 'noon' is not a 24-hour HH:MM clock"),
-    (GOOD_RECORD.replace("09:00", "99:99"), "time '99:99' is not a 24-hour HH:MM clock"),
-    (GOOD_RECORD.replace('"nick": "a"', '"nick": ""'), "nick '' is not a log nick"),
-    (GOOD_RECORD.replace('"nick": "a"', '"nick": "al ice"'), "nick 'al ice' is not a log nick"),
+    (
+        GOOD_RECORD.replace("09:00", "noon"),
+        "no log line gives user_message 'b' from 'a' at 'noon'",
+    ),
+    (
+        GOOD_RECORD.replace("09:00", "99:99"),
+        "no log line gives user_message 'b' from 'a' at '99:99'",
+    ),
+    (
+        GOOD_RECORD.replace('"nick": "a"', '"nick": ""'),
+        "no log line gives user_message 'b' from '' at '09:00'",
+    ),
+    (
+        GOOD_RECORD.replace('"nick": "a"', '"nick": "al ice"'),
+        "no log line gives user_message 'b' from 'al ice' at '09:00'",
+    ),
     (GOOD_RECORD.replace("2011-01-01", "20110101"), "date '20110101' is not a YYYY-MM-DD date"),
-    (GOOD_RECORD.replace('"body": "b"', '"body": "a\\nb"'), "body holds a line break"),
+    (
+        GOOD_RECORD.replace('"body": "b"', '"body": "a\\nb"'),
+        r"no log line gives user_message 'a\\nb' from 'a' at '09:00'",
+    ),
     (
         '{"date": "2011-01-01", "time": "09:00", "nick": "bob", "body": "hello", "kind": "system"}',
         "no log line gives system 'hello' from 'bob'",
@@ -279,6 +294,28 @@ def test_read_corpus_jsonl_rejects_bad_records(tmp_path):
         with pytest.raises(PipelineError, match="bad corpus record") as info:
             run_pipeline(AnalysisConfig(corpus_path=str(path)))
         assert info.value.stage == "input"
+
+
+def test_read_corpus_jsonl_names_the_first_bad_record(tmp_path):
+    # Records are read back a run of one date at a time, after the JSON
+    # checks; so among the pairs, a bad time on line 2 is named before a
+    # list on line 3, and a bad body before a bad date.
+    path = tmp_path / "corpus.jsonl"
+    for first, _ in MALFORMED_RECORDS:
+        for second, _ in MALFORMED_RECORDS:
+            path.write_text("\n".join([GOOD_RECORD, first, second, ""]), encoding="utf-8")
+            with pytest.raises(ValueError, match="corpus.jsonl:2: bad corpus record"):
+                read_corpus_jsonl(path)
+
+
+def test_read_corpus_jsonl_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{GOOD_RECORD}\n\n  \n{GOOD_RECORD}\n", encoding="utf-8")
+    assert read_corpus_jsonl(path).message_count == 2
+    path.write_text(f"{GOOD_RECORD}\n\n{GOOD_RECORD.replace('09:00', '9:00')}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="corpus.jsonl:3: bad corpus record: .* at '9:00'"):
+        read_corpus_jsonl(path)
 
 
 def test_read_corpus_jsonl_splits_lines_at_newlines_only(tmp_path):
@@ -352,6 +389,10 @@ def test_discover_log_files(tmp_path):
     assert [date for _, date in found] == [dt.date(2011, 1, 1), dt.date(2011, 1, 2)]
     with pytest.raises(ValueError, match="manifest"):
         discover_log_files([str(tmp_path / "plain.txt")])
+    # a name that looks like a date but is none
+    (tmp_path / "2011-02-30.txt").write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="cannot infer a date from .*2011-02-30.txt"):
+        discover_log_files([str(tmp_path)])
 
 
 def test_run_reads_a_directory_of_upper_case_log_suffixes(tmp_path):
@@ -445,7 +486,8 @@ def test_corpus_nick_with_control_character_is_an_input_error(tmp_path):
     ]
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    with pytest.raises(PipelineError, match=r"'a\\x01b' contains a control character") as info:
+    message = r"no log line gives user_message 'mdz: hi' from 'a\\x01b' at '09:00'"
+    with pytest.raises(PipelineError, match=message) as info:
         run_pipeline(AnalysisConfig(corpus_path=str(path)))
     assert info.value.stage == "input"
 

@@ -176,6 +176,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_file.write_text("cliquemin = 4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(cfg_file)
+    cfg_file.write_text("# settings\ntop_k 4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"analysis\.cfg:2: expected 'key = value'"):
+        load_config_file(cfg_file)
 
 
 @pytest.mark.parametrize(
