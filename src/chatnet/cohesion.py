@@ -18,15 +18,24 @@ MAX_CLIQUES = 1_000_000
 
 @dataclass(frozen=True)
 class CliqueReport:
-    """Maximal cliques of size >= min_size, largest first then by members."""
+    """Maximal cliques of size >= min_size, as ids into the view's ``nicks``.
 
-    cliques: tuple[tuple[str, ...], ...]
+    Each clique's ids ascend, and the largest clique comes first, then by
+    members.  ``cliques`` names the members each time it is read.
+    """
+
+    nicks: tuple[str, ...]
+    members: tuple[tuple[int, ...], ...]
     min_size: int
     max_clique_size: int
 
     @property
+    def cliques(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(self.nicks[v] for v in c) for c in self.members)
+
+    @property
     def count(self) -> int:
-        return len(self.cliques)
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,9 @@ class CoMembershipMatrix:
     """Symmetric pair -> number of shared cliques; diagonal = memberships.
 
     Only pairs that actually co-occur are stored; ``count`` answers 0 for the
-    rest.  ``max_pair`` is the strongest off-diagonal pair, smallest pair
-    first on ties, or None when no clique has two members.
+    rest.  ``pair_counts`` iterates in rank order: most shared cliques
+    first, smallest pair first on ties.  ``max_pair`` is its first item, or
+    None when no clique has two members.
     """
 
     pair_counts: dict[tuple[str, str], int]
@@ -81,71 +91,69 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
         raise ValueError("min_size must be at least 1")
     rows = _rows(u)
     nbr = [frozenset(row) for row in rows]
-    found: list[tuple[int, ...]] = []
+    found = 0
+    kept: list[tuple[int, ...]] = []
+    # An explicit stack, since a clique of k members nests k branches deep.
+    # Each frame: the clique so far, cand, excl and the branches left.
+    stack = []
 
-    def expand(clique: list[int], cand: set[int], excl: set[int]) -> None:
-        if not cand and not excl:
-            if len(found) == MAX_CLIQUES:
-                raise ValueError(
-                    f"more than {MAX_CLIQUES} maximal cliques (cohesion.MAX_CLIQUES); "
-                    "enumeration stopped"
-                )
-            found.append(tuple(clique))
+    def enter(clique: tuple[int, ...], cand: set[int], excl: set[int]) -> None:
+        nonlocal found
+        if cand or excl:
+            # any pivot gives the same cliques; the first of most neighbors in cand
+            pivot = max(cand | excl, key=lambda c: len(cand & nbr[c]))
+            stack.append((clique, cand, excl, iter(sorted(cand - nbr[pivot]))))
             return
-        # any pivot gives the same cliques; the first of most neighbors in cand
-        pivot = max(cand | excl, key=lambda c: len(cand & nbr[c]))
-        for v in sorted(cand - nbr[pivot]):
-            clique.append(v)
-            expand(clique, cand & nbr[v], excl & nbr[v])
-            clique.pop()
-            cand.discard(v)
-            excl.add(v)
+        if found == MAX_CLIQUES:
+            raise ValueError(
+                f"more than {MAX_CLIQUES} maximal cliques (cohesion.MAX_CLIQUES); "
+                "enumeration stopped"
+            )
+        found += 1
+        # min_size >= 1 drops the empty clique an empty view reports
+        if len(clique) >= min_size:
+            kept.append(tuple(sorted(clique)))
 
-    expand([], set(range(len(rows))), set())
+    enter((), set(range(len(rows))), set())
+    while stack:
+        clique, cand, excl, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        enter(clique + (v,), cand & nbr[v], excl & nbr[v])
+        cand.discard(v)
+        excl.add(v)
 
-    # min_size >= 1 drops the empty clique an empty view reports
-    kept = [tuple(sorted(c)) for c in found if len(c) >= min_size]
     # ids ascend with nicks, so id order is member-name order
     kept.sort(key=lambda c: (-len(c), c))
-    cliques = tuple(tuple(u.nicks[v] for v in c) for c in kept)
-    max_size = max((len(c) for c in cliques), default=0)
-    return CliqueReport(cliques, min_size, max_size)
+    max_size = len(kept[0]) if kept else 0
+    return CliqueReport(u.nicks, tuple(kept), min_size, max_size)
 
 
-def clique_comembership(report: CliqueReport, nodes) -> CoMembershipMatrix:
-    """Tally, for every actor pair, how many listed cliques hold both.
+def clique_comembership(report: CliqueReport) -> CoMembershipMatrix:
+    """Tally, for every actor pair, how many of the report's cliques hold both.
 
-    The tallies are the product M^T M of the clique x actor incidence
-    matrix M, with the actors in sorted order, so each pair of its strict
-    upper triangle is keyed (a, b) with a < b.
+    The tallies are the product M^T M of the clique x node incidence matrix
+    M, built from the member ids.  Ids ascend with nicks, so each pair of
+    its strict upper triangle is keyed (a, b) with a < b, and one lexsort of
+    the pairs by (-shared, row, column) ranks them by (-shared, pair).
     """
-    names = sorted(set(nodes))
-    index = {name: i for i, name in enumerate(names)}
-    try:
-        members = [index[m] for clique in report.cliques for m in clique]
-    except KeyError:
-        clique = next(c for c in report.cliques if not set(c) <= index.keys())
-        stray = sorted(set(clique) - index.keys())[0]
-        raise ValueError(f"clique member '{stray}' outside the node set") from None
-    indptr = np.cumsum([0] + [len(c) for c in report.cliques])
+    names, members = report.nicks, report.members
+    indptr = np.cumsum([0] + [len(c) for c in members])
     incidence = csr_matrix(
-        (np.ones(len(members), dtype=np.int64), members, indptr),
-        shape=(len(report.cliques), len(names)),
+        (np.ones(indptr[-1], dtype=np.int64), [v for c in members for v in c], indptr),
+        shape=(len(members), len(names)),
     )
     tally = (incidence.T @ incidence).tocsr()
     pairs = triu(tally, k=1).tocoo()
-    pair_counts = {
-        (names[a], names[b]): count
-        for a, b, count in zip(pairs.row.tolist(), pairs.col.tolist(), pairs.data.tolist())
-    }
+    rank = np.lexsort((pairs.col, pairs.row, -pairs.data))
+    rows, cols, counts = (a[rank].tolist() for a in (pairs.row, pairs.col, pairs.data))
+    pair_counts = {(names[a], names[b]): count for a, b, count in zip(rows, cols, counts)}
     diagonal = {
         names[v]: count for v, count in enumerate(tally.diagonal().tolist()) if count
     }
-    max_pair = None
-    if pair_counts:
-        best = min(pair_counts.items(), key=lambda item: (-item[1], item[0]))
-        max_pair = (best[0], best[1])
-    return CoMembershipMatrix(pair_counts, diagonal, max_pair)
+    return CoMembershipMatrix(pair_counts, diagonal, next(iter(pair_counts.items()), None))
 
 
 def clique_participation(

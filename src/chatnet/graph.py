@@ -176,13 +176,17 @@ class UndirectedView(_CSRGraph):
 
     Clique, block, and connectivity analyses are defined on undirected
     structure, so they consume this view rather than the digraph.  It is
-    stored as one symmetric CSR.
+    stored as one symmetric CSR.  Its nicks must be distinct and strictly
+    ascending, as a ``MentionGraph``'s are, so node ids ascend with names:
+    clique order, co-membership keys and top-link ties rely on it.
     """
 
     __slots__ = ()
 
     def __init__(self, nicks: Iterable[str], adjacency: csr_matrix):
         super().__init__(tuple(nicks))
+        if any(a >= b for a, b in zip(self.nicks, self.nicks[1:])):
+            raise ValueError("undirected view nicks must be distinct and ascending")
         if adjacency.diagonal().any():
             raise ValueError("self-loop in undirected view")
         self._adj = adjacency

@@ -304,9 +304,12 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     entries = [(str(path), _coerce_date(date)) for path, date in files]
     if not entries:
         raise ValueError("empty input set")
-    for (_, before), (_, after) in zip(entries, entries[1:]):
+    for (first, before), (second, after) in zip(entries, entries[1:]):
         if after <= before:
-            raise ValueError("file dates must be strictly increasing")
+            raise ValueError(
+                f"file dates must be strictly increasing: {first} ({before}) "
+                f"is followed by {second} ({after})"
+            )
     parsed = [_parse_one_file(path, date) for path, date in entries]
     return ChatCorpus.from_columns(*zip(*parsed))
 

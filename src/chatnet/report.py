@@ -14,6 +14,7 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -341,15 +342,14 @@ def _skeleton_section(g: MentionGraph, partition) -> dict:
 
 def _cliques_section(u, cfg: AnalysisConfig) -> dict:
     report = maximal_cliques(u, cfg.clique_min_size)
-    co = clique_comembership(report, set(u.nicks))
-    pairs = sorted(co.pair_counts.items(), key=lambda item: (-item[1], item[0]))
+    co = clique_comembership(report)
     return {
         "min_size": cfg.clique_min_size,
         "count": report.count,
         "max_clique_size": report.max_clique_size,
         "top_comembership": [
             {"pair": list(pair), "shared": count}
-            for pair, count in pairs[: cfg.top_k]
+            for pair, count in islice(co.pair_counts.items(), cfg.top_k)
         ],
     }
 

@@ -144,7 +144,7 @@ def test_criterion_4_clique_oracle_equivalence():
             report = maximal_cliques(g, min_size=1)
             expected = cliques_oracle(n, adj, min_size=1)
             assert {ids_of(g, c) for c in report.cliques} == expected
-            co = clique_comembership(report, set(g.nicks))
+            co = clique_comembership(report)
             for a in range(n):
                 for b in range(a, n):
                     tally = sum(1 for c in expected if a in c and b in c)

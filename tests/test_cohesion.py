@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -107,7 +108,7 @@ def test_comembership_shared_edge():
         ]
     )
     report = maximal_cliques(g, min_size=3)
-    co = clique_comembership(report, set(g.nicks))
+    co = clique_comembership(report)
     assert co.count("x", "y") == 2
     assert co.max_pair == (("x", "y"), 2)
 
@@ -117,7 +118,7 @@ def test_comembership_outsider_counts_zero():
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("d", "a", 1)]
     )
     report = maximal_cliques(g, min_size=3)
-    co = clique_comembership(report, set(g.nicks))
+    co = clique_comembership(report)
     assert co.count("d", "a") == 0
     assert co.count("d", "d") == 0
 
@@ -132,7 +133,7 @@ def test_comembership_matches_oracle_tally():
         adj[u].add(v)
         adj[v].add(u)
     report = maximal_cliques(g, min_size=1)
-    co = clique_comembership(report, set(g.nicks))
+    co = clique_comembership(report)
     oracle_cliques = cliques_oracle(n, adj, min_size=1)
     for a in range(n):
         for b in range(n):
@@ -145,31 +146,27 @@ def test_comembership_diagonal_counts_memberships():
         [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 1)]
     )
     report = maximal_cliques(g, min_size=2)
-    co = clique_comembership(report, set(g.nicks))
+    co = clique_comembership(report)
     assert co.count("c", "c") == 2  # triangle plus the bridge pair
-
-
-def test_comembership_rejects_stray_members(fixture_undirected):
-    report = maximal_cliques(fixture_undirected, min_size=3)
-    with pytest.raises(ValueError, match="outside the node set"):
-        clique_comembership(report, {"alice"})
 
 
 def test_comembership_matches_plain_tally_with_string_order():
     # Nicks whose string order differs from their numeric order ("b10" <
-    # "b9"); every key is (a, b) with a < b as strings, and the counts match
-    # a plain tally of the sorted members of each clique.
+    # "b9"); every key is (a, b) with a < b as strings, the counts match a
+    # plain tally of the sorted members of each clique, and the pairs come
+    # most shared first, then by pair.
     rng = random.Random(59)
     names = [f"{rng.choice('zyxabc')}{v}" for v in range(30)]
     edges = [(names[u], names[v], 1) for u, v in random_ugraph(rng, 30, 0.3)]
     g = UndirectedView.from_edge_list(edges)
     report = maximal_cliques(g, min_size=2)
-    co = clique_comembership(report, set(g.nicks))
+    co = clique_comembership(report)
     tally = {}
     for clique in report.cliques:
         for a, b in itertools.combinations(sorted(clique), 2):
             tally[(a, b)] = tally.get((a, b), 0) + 1
-    assert co.pair_counts == tally
+    assert list(co.pair_counts.items()) == sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert co.max_pair == next(iter(co.pair_counts.items()))
     assert all(type(count) is int for count in co.pair_counts.values())
     assert co.diagonal == {
         v: sum(1 for c in report.cliques if v in c)
@@ -179,7 +176,7 @@ def test_comembership_matches_plain_tally_with_string_order():
 
 
 def test_comembership_of_no_cliques_is_empty():
-    co = clique_comembership(CliqueReport((), 3, 0), {"a", "b"})
+    co = clique_comembership(CliqueReport(("a", "b"), (), 3, 0))
     assert (co.pair_counts, co.diagonal, co.max_pair) == ({}, {}, None)
 
 
@@ -218,6 +215,39 @@ def test_clique_budget_fails_the_cliques_stage(tmp_path, monkeypatch):
     with pytest.raises(PipelineError, match="more than 100 maximal cliques") as info:
         run_pipeline(cfg)
     assert info.value.stage == "cliques"
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_clique_search_is_not_bounded_by_the_recursion_limit():
+    # a clique of k members is k branches deep; the search must not nest
+    # one Python call per branch
+    g = undirected_of(80, list(itertools.combinations(range(80), 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        report = maximal_cliques(g, min_size=3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (report.count, report.max_clique_size) == (1, 80)
+    assert report.members == (tuple(range(80)),)
+
+
+def test_report_path_names_no_clique_members(data_dir, monkeypatch):
+    cfg = AnalysisConfig(graph_path=str(data_dir / "graph.golden.csv"), analyses=("cliques",))
+    expected = run_pipeline(cfg).to_json_text()
+    assert '"top_comembership": [\n' in expected
+
+    def refuse(self):
+        raise AssertionError("clique members were named")
+
+    monkeypatch.setattr(CliqueReport, "cliques", property(refuse))
+    assert run_pipeline(cfg).to_json_text() == expected
 
 
 def test_participation_members_score_one(fixture_undirected):

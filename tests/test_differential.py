@@ -1,9 +1,9 @@
 """Differential tests against networkx on seeded graphs of 30 to 200 nodes.
 
 Each test checks one routine (SCCs, bow-tie, cut tree and its certificate,
-top links, maximal cliques, blocks, HITS) against an independent networkx
-computation; top links are also checked against the ranking read from the
-whole cut tree (``oracles.top_links_by_full_tree``).
+top links, maximal cliques and their co-membership, blocks, HITS) against
+an independent networkx computation; top links are also checked against
+the ranking read from the whole cut tree (``oracles.top_links_by_full_tree``).
 """
 
 import itertools
@@ -14,7 +14,7 @@ import pytest
 
 from chatnet import connectivity
 from chatnet.centrality import hits
-from chatnet.cohesion import maximal_cliques
+from chatnet.cohesion import clique_comembership, maximal_cliques
 from chatnet.connectivity import articulation_points_and_blocks, gomory_hu, top_links
 from chatnet.graph import to_undirected
 from chatnet.skeleton import bowtie, strongly_connected_components
@@ -624,6 +624,13 @@ def test_maximal_cliques_match_find_cliques(seed, min_size):
     assert {frozenset(c) for c in report.cliques} == expected
     assert report.count == len(expected)
     assert report.max_clique_size == max(len(c) for c in expected)
+    tally = {}
+    for clique in found:
+        if len(clique) >= min_size:
+            for pair in itertools.combinations(sorted(clique), 2):
+                tally[pair] = tally.get(pair, 0) + 1
+    ranked = sorted(tally.items(), key=lambda item: (-item[1], item[0]))
+    assert list(clique_comembership(report).pair_counts.items()) == ranked
 
 
 @pytest.mark.parametrize("seed", range(10))

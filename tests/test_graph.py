@@ -180,6 +180,15 @@ def test_graph_validation_errors():
     assert MentionGraph(["a", "b"], {("a", "b"): 2**53}).weight(0, 1) == 2**53
 
 
+def test_undirected_view_nicks_are_distinct_and_ascending():
+    # node ids must ascend with names, as to_undirected's do
+    triangle = csr_matrix([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    for nicks in (("zed", "amy", "bob"), ("amy", "bob", "bob")):
+        with pytest.raises(ValueError, match="distinct and ascending"):
+            UndirectedView(nicks, triangle)
+    assert UndirectedView(("amy", "bob", "zed"), triangle).edge_count == 3
+
+
 def test_edge_order_does_not_change_the_graph():
     rng = random.Random(88)
     for n in (2, 9, 40):

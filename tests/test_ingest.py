@@ -211,10 +211,20 @@ def test_parse_corpus_unreadable_file_names_path(tmp_path):
 
 
 def test_parse_corpus_requires_increasing_dates(tmp_path):
-    path = tmp_path / "2011-01-01.txt"
-    path.write_text("[01:00] <a> x\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="strictly increasing"):
-        parse_corpus([(str(path), "2011-01-02"), (str(path), "2011-01-01")])
+    paths = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt", "d.txt")]
+    for path in paths:
+        path.write_text("[01:00] <a> x\n", encoding="utf-8")
+    dates = ["2011-01-01", "2011-01-03", "2011-01-02", "2011-01-01"]
+    # the first pair out of order is named, both paths and both dates
+    with pytest.raises(ValueError, match="strictly increasing") as info:
+        parse_corpus([(str(path), day) for path, day in zip(paths, dates)])
+    assert str(info.value).endswith(
+        f"{paths[1]} (2011-01-03) is followed by {paths[2]} (2011-01-02)"
+    )
+    # a repeated date is out of order too
+    with pytest.raises(ValueError, match="strictly increasing") as info:
+        parse_corpus([(str(paths[0]), "2011-01-01"), (str(paths[3]), "2011-01-01")])
+    assert f"{paths[0]} (2011-01-01) is followed by {paths[3]} (2011-01-01)" in str(info.value)
 
 
 def test_fixture_corpus_shape(fixture_corpus):

@@ -67,3 +67,43 @@ def test_every_private_module_name_is_used():
         if private.startswith("_") and not private.startswith("__") and private not in used
     )
     assert not dead, f"defined but never used in src/chatnet: {dead}"
+
+
+def self_calls(tree):
+    # (function, line) for each function whose body calls it by name: a
+    # plain call for a function, self.name() or cls.name() for a method.
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            target = call.func
+            if id(fn) in methods:
+                named = (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id in ("self", "cls")
+                    and target.attr == fn.name
+                )
+            else:
+                named = isinstance(target, ast.Name) and target.id == fn.name
+            if named:
+                yield fn.name, call.lineno
+
+
+def test_no_function_calls_itself():
+    # A recursive search nests one Python frame per level and fails past
+    # sys.getrecursionlimit() on deep enough input; use an explicit stack.
+    recursive = sorted(
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for name, line in self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not recursive, f"recursive functions in src/chatnet: {recursive}"
