@@ -97,12 +97,24 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
     # Each frame: the clique so far, cand, excl and the branches left.
     stack = []
 
+    def pivot(cand: set[int], excl: set[int]) -> int:
+        # Any pivot gives the same cliques; the first of most neighbors in
+        # cand.  No node covers more than all of cand (one of excl) or all of
+        # cand but itself (one of cand), so the scan stops at the first that
+        # does, which keeps a dense frame from costing O(n^2).
+        best, most = -1, -1
+        for c in cand | excl:
+            covered = len(cand & nbr[c])
+            if covered > most:
+                best, most = c, covered
+                if covered == len(cand) - (c in cand):
+                    break
+        return best
+
     def enter(clique: tuple[int, ...], cand: set[int], excl: set[int]) -> None:
         nonlocal found
         if cand or excl:
-            # any pivot gives the same cliques; the first of most neighbors in cand
-            pivot = max(cand | excl, key=lambda c: len(cand & nbr[c]))
-            stack.append((clique, cand, excl, iter(sorted(cand - nbr[pivot]))))
+            stack.append((clique, cand, excl, iter(sorted(cand - nbr[pivot(cand, excl)]))))
             return
         if found == MAX_CLIQUES:
             raise ValueError(

@@ -9,7 +9,9 @@ the measure sensitive to three-step neighborhoods.
 
 A full round scores one partner j per partner class: the partners whose
 slots carry the same set of keys (the class of the neighbor's row of E and
-the two tie weights) run the same arithmetic, so the others copy its sums.
+the two tie weights) run the same arithmetic, so the others reuse its
+scores.  E is held once per row class, and a full round writes the next E
+a band of partners at a time, so it holds two n x n matrices at most.
 ``rege`` stops one round short, and its result runs the last round when
 read: over every pair for ``values``, and for the role cases at the tie
 pairs (i, j) alone: partner j against the slots of its neighbors i, summed
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .graph import MentionGraph
 from .skeleton import SKELETON_LABELS, SkeletonPartition
@@ -34,19 +37,27 @@ CASE_CHARACTERISTICS = {
     "case4": "Many different roles, Greater redundancy than case 3, Lesser chaos than case 3",
 }
 
-# A full round keeps three dense n x n float64 matrices alive at once, plus
-# a mask and a band of rows; the estimate 4 * n * n * 8 bytes covers them.
-# Above this many bytes rege raises ValueError instead of exhausting
-# memory.  The default admits n up to 8192.
+# A full round holds two float64 matrices of at most n x n (E before it,
+# once per row class, and the next E) and its buffers: a band's scores and
+# one-sided sums, about _BAND_VALUES values each, and the scores kept for
+# partner classes with members in later bands, at most _KEPT_SCORES values.
+# When (2 * n * n + _BUFFER_VALUES) * 8 bytes exceed REGE_MEMORY_LIMIT, rege
+# raises ValueError instead of exhausting memory.  The default admits n up
+# to 11,545.
 REGE_MEMORY_LIMIT = 2 * 2**30
+_BAND_VALUES = 2**17
+_KEPT_SCORES = 2**20
+_BUFFER_VALUES = 6 * _BAND_VALUES + _KEPT_SCORES
 
 
 @dataclass(frozen=True)
 class EquivalenceMatrix:
     """Symmetric similarities in [0, 1] with unit diagonal.
 
-    Holds what the last round reads: E before it, the row classes of that
-    E, and the setup.  ``values`` runs the last round when first read.
+    Holds what the last round reads: E before it, once per row class
+    (``E[k, m] == _before_last[_classes[k], _classes[m]]``), and the setup.
+    ``values`` runs the last round when first read, and holds the n x n
+    matrix from then on.
     """
 
     nicks: tuple[str, ...]
@@ -165,7 +176,6 @@ class _Setup:
     pair_out: np.ndarray
     pair_in: np.ndarray
     partners: list
-    unmatched_den: np.ndarray
     isolated: np.ndarray
 
 
@@ -174,12 +184,12 @@ def _setup(g: MentionGraph, iterations: int) -> _Setup:
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     n = g.node_count
-    estimate = 4 * n * n * 8
+    estimate = (2 * n * n + _BUFFER_VALUES) * 8
     if estimate > REGE_MEMORY_LIMIT:
         raise ValueError(
             f"REGE on {n} nodes needs about {estimate} bytes "
-            f"(four {n} x {n} float64 matrices), over the limit of "
-            f"{REGE_MEMORY_LIMIT} bytes"
+            f"(two {n} x {n} float64 matrices and the band buffers), "
+            f"over the limit of {REGE_MEMORY_LIMIT} bytes"
         )
     indptr, rows, ks, out_w, in_w = _slots(g)
     # Distinct (out_w, in_w) weight pairs; tie factors and denominator
@@ -195,32 +205,34 @@ def _setup(g: MentionGraph, iterations: int) -> _Setup:
         pair_out=pair_out,
         pair_in=pair_in,
         partners=_partner_groups(indptr, ks, out_w, in_w, pair),
-        # One-sided denominators against a partner with no neighbors: every
-        # tie of i is unmatched and counts in full.
-        unmatched_den=np.bincount(rows, weights=out_w + in_w, minlength=n),
         isolated=np.diff(indptr) == 0,
     )
 
 
 def _slot_keys(classes: np.ndarray, s: _Setup):
-    """Key id per slot, and each key's k and weight pair."""
+    """Key id per slot, and each key's column (the class of its k) and weight pair."""
     slot_key = classes[s.ks] * len(s.pair_out) + s.pair
-    _, first, inverse = np.unique(slot_key, return_index=True, return_inverse=True)
-    return inverse, s.ks[first], s.pair[first]
+    keys, inverse = np.unique(slot_key, return_inverse=True)
+    key_col, key_pair = np.divmod(keys, len(s.pair_out))
+    return inverse, key_col, key_pair
 
 
-def _partner_scores(E, partner, key_k, key_pair, s: _Setup):
+def _partner_scores(Ec, classes, partner, key_col, key_pair, s: _Setup):
     """Partner j's best match and its denominator, per key given.
 
     Each key is scored on its own, so scoring a subset of the keys gives
     the same bits for those keys as scoring all of them.
     """
     heads, out_j, in_j, dups = partner
-    # E is symmetric, so row m of E holds E[k, m] for every key's k.
-    group_rows = E[heads]
+    if not len(heads):
+        # No neighbors: every tie of i is unmatched and counts in full.
+        return np.zeros(len(key_col)), (s.pair_out + s.pair_in)[key_pair]
+    # E is symmetric, so row m of E holds E[k, m] for every key's k, and
+    # the key's column of Ec holds it once per class.
+    group_rows = Ec[classes[heads]]
     for group, m in dups:
-        np.maximum(group_rows[group], E[m], out=group_rows[group])
-    match = group_rows.take(key_k, axis=1)
+        np.maximum(group_rows[group], Ec[classes[m]], out=group_rows[group])
+    match = group_rows.take(key_col, axis=1)
     match *= (np.minimum(s.pair_out, out_j) + np.minimum(s.pair_in, in_j)).take(
         key_pair, axis=1
     )
@@ -250,45 +262,79 @@ def _partner_classes(inverse: np.ndarray, s: _Setup) -> list[int]:
     ]
 
 
-def _add_transpose(a: np.ndarray) -> None:
-    """``a += a.T`` in place, a band of rows at a time, with no n x n temporary."""
-    step = 128
-    for r in range(0, len(a), step):
-        band = a[r:r + step, r:] + a[r:, r:r + step].T
-        a[r:r + step, r:] = band
-        a[r:, r:r + step] = band.T
+def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
+    """One round over every pair, given E as Ec and its row classes; the next E.
 
-
-def _full_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
-    """One round over every pair, given the row classes of E; the next E."""
-    n = len(E)
-    inverse, key_k, key_pair = _slot_keys(classes, s)
-    # Row j holds partner j's column of the one-sided sums; only their
-    # symmetric sums below are used, so the layout does not matter.
-    num = np.zeros((n, n))
-    den = np.zeros((n, n))
-    for j, (rep, partner) in enumerate(zip(_partner_classes(inverse, s), s.partners)):
-        if rep != j:
-            num[j] = num[rep]
-            den[j] = den[rep]
-        elif not len(partner[0]):
-            den[j] = s.unmatched_den
-        else:
-            best, den_min = _partner_scores(E, partner, key_k, key_pair, s)
-            num[j] = np.bincount(s.rows, weights=best[inverse], minlength=n)
-            den[j] = np.bincount(s.rows, weights=den_min[inverse], minlength=n)
-    _add_transpose(num)
-    _add_transpose(den)
-    # Weights are positive, so den is 0 only between two isolates, where
-    # num is 0 too.
-    E = np.divide(num, den, out=num, where=den > 0)
+    The partners are taken in bands of consecutive rows.  One sparse product
+    sums a band's scores per node: row i of the slot matrix holds a 1 per
+    slot of i, in slot order, so each sum is added in slot order.  A pair
+    (i, j) adds the one-sided sums of both ends: when j's band comes, the
+    pair is finished if i's band is done (or is j's), and otherwise parked
+    in the next E itself, the numerator at the pair above the diagonal and
+    the denominator below it.
+    """
+    n = len(classes)
+    inverse, key_col, key_pair = _slot_keys(classes, s)
+    K = len(key_col)
+    slot_matrix = csr_matrix((np.ones(len(inverse)), inverse, s.indptr), shape=(n, K))
+    rep = _partner_classes(inverse, s)
+    last = {r: j for j, r in enumerate(rep)}  # each partner class's last member
+    # A class's scores are kept for its members in later bands, up to a bound.
+    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    keep = _KEPT_SCORES // max(2 * K, 1)
+    # A band's scores (2 x width x K) and sums (n x 2 x width) stay near
+    # 2 * _BAND_VALUES values each.
+    step = min(max(16, n // 32), max(1, _BAND_VALUES // max(K, n, 1)))
+    E = np.empty((n, n))
+    for r in range(0, n, step):
+        e = min(r + step, n)
+        w = e - r
+        # Row c holds partner r + c's best matches, row w + c their
+        # denominators; the product reads them as columns.
+        scores = np.empty((2 * w, K))
+        for c, j in enumerate(range(r, e)):
+            cls = rep[j]
+            best_den = kept.get(cls)
+            if best_den is None:
+                best_den = _partner_scores(Ec, classes, s.partners[j], key_col, key_pair, s)
+                if last[cls] > j and len(kept) < keep:
+                    kept[cls] = best_den
+            elif last[cls] == j:
+                del kept[cls]
+            scores[c], scores[w + c] = best_den
+        sums = slot_matrix @ np.ascontiguousarray(scores.T)  # row i: node i's sums
+        num, den = sums[:, :w], sums[:, w:]
+        # Weights are positive, so den is 0 only between two isolates, where
+        # num is 0 too.  Pairs with a node of an earlier band: add the sums
+        # parked there and finish.
+        done = E[:r, r:e]
+        done += num[:r]
+        total = den[:r] + E[r:e, :r].T
+        np.divide(done, total, out=done, where=total > 0)
+        E[r:e, :r] = done.T
+        # Pairs inside the band: both ends' sums are at hand.
+        inner = num[r:e] + num[r:e].T
+        total = den[r:e] + den[r:e].T
+        E[r:e, r:e] = np.divide(inner, total, out=inner, where=total > 0)
+        # Pairs with a node of a later band: park this band's sums.
+        E[r:e, e:] = num[e:].T
+        E[e:, r:e] = den[e:]
     if s.isolated.any():
         E[np.ix_(s.isolated, s.isolated)] = 1.0
     np.fill_diagonal(E, 1.0)
     return E
 
 
-def _tie_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
+def _compressed(E: np.ndarray):
+    """E once per row class: (Ec, classes) with E[k, m] == Ec[classes[k], classes[m]]."""
+    classes = _row_classes(E)
+    firsts = np.unique(classes, return_index=True)[1]  # each class's first row
+    if len(firsts) == len(E):
+        return E, classes
+    return E[np.ix_(firsts, firsts)], classes
+
+
+def _tie_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     """One round at the slots only: the next E[rows, ks], in slot order.
 
     E[i, j] at a tie needs partner j's one-sided sum only at i in N(j), so
@@ -296,13 +342,13 @@ def _tie_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     per neighbor in slot order, which keeps every sum's bits.  The graph
     has no self-loops, so no slot lies on the diagonal.
     """
-    inverse, key_k, key_pair = _slot_keys(classes, s)
+    inverse, key_col, key_pair = _slot_keys(classes, s)
     # At slot (j, i): partner j's one-sided sums over i's slots.
     num = np.zeros(len(s.rows))
     den = np.zeros(len(s.rows))
     # Scratch per key, reset after each partner.
-    seen = np.zeros(len(key_k), dtype=bool)
-    position = np.zeros(len(key_k), dtype=np.int64)
+    seen = np.zeros(len(key_col), dtype=bool)
+    position = np.zeros(len(key_col), dtype=np.int64)
     bounds = s.indptr.tolist()
     for j, partner in enumerate(s.partners):
         a, b = bounds[j], bounds[j + 1]
@@ -320,11 +366,13 @@ def _tie_round(E: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
         seen[used] = False
         position[used] = np.arange(len(used))
         local = position[keys]
-        best, den_min = _partner_scores(E, partner, key_k[used], key_pair[used], s)
+        best, den_min = _partner_scores(
+            Ec, classes, partner, key_col[used], key_pair[used], s
+        )
         num[a:b] = np.bincount(local_row, weights=best[local], minlength=b - a)
         den[a:b] = np.bincount(local_row, weights=den_min[local], minlength=b - a)
     # E[i, j] sums the one-sided values of slot (i, j) and its mirror (j, i).
-    n = len(E)
+    n = len(classes)
     mirror = np.searchsorted(s.rows * n + s.ks, s.ks * n + s.rows)
     num += num[mirror]
     den += den[mirror]
@@ -349,23 +397,29 @@ def rege(g: MentionGraph, iterations: int = 3) -> EquivalenceMatrix:
     the first round E is all ones, so K is the number of distinct weight
     pairs.  A partner's scores depend only on the set of keys over its own
     slots, so partners with equal key sets form a class: one of them is
-    scored and the others copy its sums.  The result is the same, bit for
-    bit, as scoring every slot against every slot.
+    scored and the others reuse its scores.  The result is the same, bit
+    for bit, as scoring every slot against every slot.
 
-    ``rege`` runs the setup and every round but the last; the result runs
-    the last one when read (see ``EquivalenceMatrix``).
+    Between rounds E is held once per row class, as a class x class matrix,
+    and a full round writes the next E in bands of partners, so no more than
+    two n x n float64 matrices are alive at once.  ``rege`` runs the setup
+    and every round but the last; the result runs the last one when read
+    (see ``EquivalenceMatrix``).
 
     Raises ValueError, before allocating any n x n matrix, when the memory
-    estimate 4 * n * n * 8 bytes exceeds ``REGE_MEMORY_LIMIT``.
+    estimate (2 * n * n + _BUFFER_VALUES) * 8 bytes exceeds
+    ``REGE_MEMORY_LIMIT``.
     """
     s = _setup(g, iterations)
-    n = g.node_count
-    E = np.ones((n, n))
-    classes = np.zeros(n, dtype=np.int64)  # the all-ones rows: one class
+    Ec = np.ones((1, 1))  # the all-ones start: one class
+    classes = np.zeros(g.node_count, dtype=np.int64)
     for _ in range(iterations - 1):
-        E = _full_round(E, classes, s)
-        classes = _row_classes(E)
-    return EquivalenceMatrix(g.nicks, iterations, E, classes, s)
+        E = _full_round(Ec, classes, s)
+        # Each matrix is dropped once read, so no more than two are alive.
+        Ec = None
+        Ec, classes = _compressed(E)
+        del E
+    return EquivalenceMatrix(g.nicks, iterations, Ec, classes, s)
 
 
 def high_eq_tie_fraction(

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -132,6 +133,10 @@ def test_cli_analyze_rege_matrix(fixture_files, tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "nick,alice,bob,carol,dave,eve"
     assert len(lines) == 6
+    # every similarity's repr, byte for byte
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "26208f676290c9ee566c063a723d91add15785bc3796bf608395971715ad56a9"
+    )
     capsys.readouterr()
 
 

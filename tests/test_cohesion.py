@@ -1,8 +1,11 @@
 import itertools
 import random
 import sys
+import time
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from chatnet import cohesion
 from chatnet.cohesion import (
@@ -28,6 +31,19 @@ def test_complete_graph_single_clique():
     report = maximal_cliques(g, min_size=1)
     assert report.cliques == ((nick(0), nick(1), nick(2), nick(3)),)
     assert report.max_clique_size == 4
+
+
+def test_complete_graph_of_1000_is_found_quickly():
+    # Each frame's pivot scan stops at the first node that covers all of
+    # cand but itself, so K_1000 takes one branch per level instead of an
+    # O(n^2) scan per frame (14 s before the early stop).
+    n = 1000
+    adjacency = csr_matrix(np.ones((n, n)) - np.eye(n))
+    g = UndirectedView([f"u{v:04d}" for v in range(n)], adjacency)
+    start = time.perf_counter()
+    report = maximal_cliques(g)
+    assert time.perf_counter() - start < 5
+    assert report.members == (tuple(range(n)),)
 
 
 def test_pendant_filtered_by_min_size():

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -320,6 +322,7 @@ def assert_tie_values_match_rege(g, iterations, weighted):
     assert values.tobytes() == matrix.values[rows, ks].tobytes()
     for threshold in (0.25, 0.5, 0.75):
         assert_tie_fractions_match_tally(g, matrix, threshold)
+    return matrix
 
 
 def first_round_partner_classes(g, weighted):
@@ -347,50 +350,151 @@ def test_shared_key_graphs_merge_partners(seed):
         assert first_round_partner_classes(g, weighted) <= g.node_count // 3
 
 
+# sha256 over the bytes of rege(g, it).values and of its tie values, for
+# it = 1 to 4.  The 1e-12 checks against the reference cannot see a changed
+# last bit; these digests can.
+REGE_DIGESTS = {
+    ("medium_digraph", 0, True): "93b45c403ae55d91af3c473f15fff335c977d7299502c21a8ac347d78c50d98f",
+    ("medium_digraph", 0, False): "c3a8d9f7e12fa0ceb10f1b3a322d57bbd4391f141cbada8c6c681d500c32e81c",
+    ("medium_digraph", 1, True): "d595522d0277c8e593e9f498024f0e7f20d56acc71859e85d78c96cc200f08c2",
+    ("medium_digraph", 1, False): "e7a141d97ecc2baf14f1b2574748bbd07e0102dbbaa1cfcc977e3215bb7aebe7",
+    ("medium_digraph", 2, True): "cbb87f342234e265c918eda3108a0c5e99cb9c11bde1126402dcd10dceb175fd",
+    ("medium_digraph", 2, False): "38b94c70bffdc96246ecb42bafc553f95056a647016e813a9a06cf5d68014e6a",
+    ("twin_heavy_digraph", 0, True): "aef953e105405f70da0aa5a0ce59e9debac7fe00b1c48e868c96e9b4ddaad8b9",
+    ("twin_heavy_digraph", 0, False): "fbdaabf1488ec696ad9e8e76b57f783796dd4fd5e40f0ec10fe29042dcd6abc2",
+    ("twin_heavy_digraph", 1, True): "82259f1dcb6ece72eb669d5cc35fee47af637f62b8f5099f2be51e1646814f4f",
+    ("twin_heavy_digraph", 1, False): "5e89998d0c1401277c2e7e0fc699b777d53fb3410b11fe47435842c9b202fdef",
+    ("twin_heavy_digraph", 2, True): "61890aa843197ba2c9ab7e4fe077b2da2025bfbd0613374752cd67d4c48e954a",
+    ("twin_heavy_digraph", 2, False): "67e96e4204d78ce4d9f0d24ae208ab61563da57c743a506ff482662a3ae3613e",
+    ("shared_key_digraph", 0, True): "1350a2c6712f52a7cca511da25fa3856b1601e6696131066e0dc44807dacbe02",
+    ("shared_key_digraph", 0, False): "33bb1ef7f4921946385c4f3a401d78b97989a894fbdd656488711a66aaeaa860",
+    ("shared_key_digraph", 1, True): "aca0d12980026bc3046c29233f78f08f89c2f1b6de0dbc4ac3aa1c4eefc14df5",
+    ("shared_key_digraph", 1, False): "419be97f6cb81a62135874ab37caaca0e62ec8862aeaf259b2ade4cc6fe67122",
+    ("shared_key_digraph", 2, True): "ee24c879729ffb29a626ede52c61aa4cd7d9cb409302891a57cc604230e7500b",
+    ("shared_key_digraph", 2, False): "e42e35cc10917c443f8546795f68d78f0a78b1b09990c9eeac880487507432ac",
+    ("several_components", 0, True): "09622dd6b50d2fc2d3bc4df25f08641f8645408446312d6440717a62578077f5",
+    ("several_components", 0, False): "a6d8fc038e6429ad2fc28232a05609e6cd40cb9b3bd87a26bcd30ccde58fed2c",
+    ("several_components", 1, True): "04472bceec01cebc38172d49a30bc23b2b9ac48c7ab09b4bb5bf3b0eafe7d106",
+    ("several_components", 1, False): "af36ab22f36b78b6a3e5ecd4a089d4716108b00ecd3ecf5c1381123b8ded803c",
+    ("several_components", 2, True): "5d77cbae3081e409b540e16ab5da015277a5a113a8e4966ea32bb938bf0b7fd2",
+    ("several_components", 2, False): "b21276cc9800ed63398c259aae8cd53574f0379f2a31fad1664af95be513f378",
+}
+
+
+def rege_digest(g):
+    digest = hashlib.sha256()
+    for iterations in (1, 2, 3, 4):
+        matrix = rege(g, iterations)
+        ties = matrix._ties()[2]
+        digest.update(matrix.values.tobytes())
+        digest.update(ties.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize(
+    "make_graph", [medium_digraph, twin_heavy_digraph, shared_key_digraph, several_components]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_rege_bytes_are_pinned(make_graph, seed, weighted):
+    g = weighed(make_graph(seed), weighted)
+    assert rege_digest(g) == REGE_DIGESTS[(make_graph.__name__, seed, weighted)]
+
+
+@pytest.mark.parametrize("bound, value", [("_KEPT_SCORES", 0), ("_BAND_VALUES", 1)])
+@pytest.mark.parametrize("make_graph", [twin_heavy_digraph, shared_key_digraph])
+@pytest.mark.parametrize("seed", range(3))
+def test_band_bounds_keep_the_bytes(make_graph, seed, bound, value, monkeypatch):
+    # These graphs have partner classes whose members lie in different
+    # 16-row bands.  With no scores kept for later bands, every such member
+    # is scored anew; with one partner per band, every pair but the
+    # diagonal is parked once.  Either way the bits are the same.
+    g = make_graph(seed)
+    matrix = rege(g, 1)
+    inverse, _, _ = _slot_keys(matrix._classes, matrix._setup)
+    classes = _partner_classes(inverse, matrix._setup)
+    assert any(rep // 16 != j // 16 for j, rep in enumerate(classes))
+    monkeypatch.setattr(equivalence, bound, value)
+    for weighted in (True, False):
+        expected = REGE_DIGESTS[(make_graph.__name__, seed, weighted)]
+        assert rege_digest(weighed(g, weighted)) == expected
+
+
 def test_tie_values_equal_rege_on_the_scale_graph():
     # The criterion-10 graph: 2,400 nodes, of which 1,440 partner classes
-    # are scored in the first round.
+    # are scored in the first round.  Its bytes are pinned too.
     g = preferential_attachment_graph(2400, 9400, seed=7)
     assert first_round_partner_classes(g, True) == 1440
-    assert_tie_values_match_rege(g, 3, True)
+    matrix = assert_tie_values_match_rege(g, 3, True)
+    assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == (
+        "4ef1a1b2152dbd8b44a8f5e2d0855218802a8c9ebbcc55091c966e4e0fb353de"
+    )
+    assert hashlib.sha256(matrix._ties()[2].tobytes()).hexdigest() == (
+        "9a262955c0a7138eb0279ab3f2b06e92ec9a1785e7522f6934f58af07dace503"
+    )
 
 
-def test_memory_stays_below_five_dense_matrices():
-    # Three full rounds keep at most four n x n float64 matrices alive at once.
-    rng = random.Random(94)
-    n = 800
+def sparse_random_graph(n, seed=94):
+    rng = random.Random(seed)
     edges = random_digraph(rng, n, 2.0 / n)
-    g = as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
+    return as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
+
+
+def peak_of(run):
     tracemalloc.start()
     try:
-        rege(g, 3).values
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * n * 8
+
+
+def roles_path(g):
+    # What the roles section runs: the full rounds, then the last one at the
+    # ties alone.
+    return lambda: high_eq_tie_fraction(g, rege(g, 3), 0.5)
+
+
+def test_memory_stays_near_two_dense_matrices():
+    # E before a round is held once per row class and the next E is written
+    # a band at a time, so only two n x n float64 matrices are ever alive.
+    n = 800
+    g = sparse_random_graph(n)
+    assert peak_of(roles_path(g)) < 2.5 * n * n * 8
+    assert peak_of(lambda: rege(g, 3).values) < 3 * n * n * 8
+
+
+def guard_estimate(g, monkeypatch):
+    # The guard's estimate in bytes, read from its message.
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "REGE_MEMORY_LIMIT", 0)
+        with pytest.raises(ValueError, match="needs about") as info:
+            rege(g, 3)
+    return int(re.search(r"needs about (\d+) bytes", str(info.value)).group(1))
+
+
+@pytest.mark.parametrize("n", [800, 2000])
+def test_memory_estimate_covers_the_peak(n, monkeypatch):
+    # The roles path peaks no higher than .values (tested below).
+    g = sparse_random_graph(n)
+    assert peak_of(lambda: rege(g, 3).values) <= guard_estimate(g, monkeypatch)
+
+
+def test_memory_estimate_admits_11500_users():
+    # Two n x n float64 matrices and the band buffers fit 2 GiB up to
+    # 11,545 users.
+    def estimate(n):
+        return (2 * n * n + equivalence._BUFFER_VALUES) * 8
+
+    assert estimate(11_545) <= equivalence.REGE_MEMORY_LIMIT < estimate(11_546)
 
 
 def test_tie_values_peak_no_higher_than_rege():
     # The roles section's path (the last round at the ties, then fractions)
     # against three full rounds.
-    rng = random.Random(94)
-    n = 800
-    edges = random_digraph(rng, n, 2.0 / n)
-    g = as_mention_graph(n, edges, [rng.randint(1, 4) for _ in edges])
-
-    def peak_of(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def roles_path():
-        high_eq_tie_fraction(g, rege(g, 3), 0.5)
-
+    g = sparse_random_graph(800)
     rege_peak = peak_of(lambda: rege(g, 3).values)
-    assert peak_of(roles_path) <= rege_peak
+    assert peak_of(roles_path(g)) <= rege_peak
 
 
 def test_memory_guard_refuses_before_any_dense_matrix(monkeypatch):
@@ -398,11 +502,15 @@ def test_memory_guard_refuses_before_any_dense_matrix(monkeypatch):
     n = 300
     edges = random_digraph(rng, n, 2.0 / n)
     g = as_mention_graph(n, edges)
-    estimate = 4 * n * n * 8
+    estimate = (2 * n * n + equivalence._BUFFER_VALUES) * 8
     monkeypatch.setattr(equivalence, "REGE_MEMORY_LIMIT", estimate - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"REGE on {n} nodes needs about {estimate} bytes"):
+        with pytest.raises(
+            ValueError,
+            match=rf"REGE on {n} nodes needs about {estimate} bytes "
+            rf"\(two {n} x {n} float64 matrices and the band buffers\)",
+        ):
             rege(g, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
