@@ -174,6 +174,8 @@ def _analyze_csv(what: str, graph, cfg) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    if args.mutual_ties and args.what != "cliques":
+        raise PipelineError("config", "--mutual-ties applies to --what cliques only")
     cfg = _build_config(args)
     if args.what in _CSV_ANALYSES:
         graph = load_input_graph(cfg)

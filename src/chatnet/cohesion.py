@@ -174,10 +174,13 @@ def clique_participation(
     """Fraction of each clique's other members a node is adjacent to.
 
     Members score 1 by completeness; a lone-member clique also scores 1 for
-    its member.
+    its member.  ``report`` must come from ``u``: its member ids index
+    ``u.nicks``.
     """
+    if report.nicks != u.nicks:
+        raise ValueError("clique report does not match the graph")
     scores: dict[tuple[str, int], float] = {}
-    clique_ids = [frozenset(map(u.id_of, clique)) for clique in report.cliques]
+    clique_ids = [frozenset(members) for members in report.members]
     for v, row in enumerate(_rows(u)):
         nick = u.nicks[v]
         adjacent = frozenset(row)

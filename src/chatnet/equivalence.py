@@ -7,11 +7,8 @@ every neighbor k of i the best-matching neighbor m of j, weighting tie
 agreement by the previous round's equivalence of k and m.  Three rounds make
 the measure sensitive to three-step neighborhoods.
 
-A full round scores one partner j per partner class: the partners whose
-slots carry the same set of keys (the class of the neighbor's row of E and
-the two tie weights) run the same arithmetic, so the others reuse its
-scores.  E is held once per row class, and a full round writes the next E
-a band of partners at a time, so it holds two n x n matrices at most.
+E is held once per row class, and a full round writes the next E a band
+of partners at a time, so it holds two n x n matrices at most.
 ``rege`` stops one round short, and its result runs the last round when
 read: over every pair for ``values``, and for the role cases at the tie
 pairs (i, j) alone: partner j against the slots of its neighbors i, summed
@@ -39,15 +36,13 @@ CASE_CHARACTERISTICS = {
 
 # A full round holds two float64 matrices of at most n x n (E before it,
 # once per row class, and the next E) and its buffers: a band's scores and
-# one-sided sums, about _BAND_VALUES values each, and the scores kept for
-# partner classes with members in later bands, at most _KEPT_SCORES values.
-# When (2 * n * n + _BUFFER_VALUES) * 8 bytes exceed REGE_MEMORY_LIMIT, rege
+# one-sided sums, about _BAND_VALUES values each.  When
+# (2 * n * n + _BUFFER_VALUES) * 8 bytes exceed REGE_MEMORY_LIMIT, rege
 # raises ValueError instead of exhausting memory.  The default admits n up
-# to 11,545.
+# to 11,568.
 REGE_MEMORY_LIMIT = 2 * 2**30
 _BAND_VALUES = 2**17
-_KEPT_SCORES = 2**20
-_BUFFER_VALUES = 6 * _BAND_VALUES + _KEPT_SCORES
+_BUFFER_VALUES = 6 * _BAND_VALUES
 
 
 @dataclass(frozen=True)
@@ -247,21 +242,6 @@ def _partner_scores(Ec, classes, partner, key_col, key_pair, s: _Setup):
     return best, den_candidates.min(axis=0)
 
 
-def _partner_classes(inverse: np.ndarray, s: _Setup) -> list[int]:
-    """Per partner j, the first partner whose slots carry the same key set."""
-    order = np.lexsort((inverse, s.rows))
-    rows, keys = s.rows[order], inverse[order]
-    distinct = np.ones(len(rows), dtype=bool)
-    distinct[1:] = (rows[1:] != rows[:-1]) | (keys[1:] != keys[:-1])
-    rows, keys = rows[distinct], keys[distinct]
-    bounds = np.searchsorted(rows, np.arange(len(s.indptr))).tolist()
-    first: dict[bytes, int] = {}
-    return [
-        first.setdefault(keys[a:b].tobytes(), j)
-        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-
-
 def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     """One round over every pair, given E as Ec and its row classes; the next E.
 
@@ -277,11 +257,6 @@ def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     inverse, key_col, key_pair = _slot_keys(classes, s)
     K = len(key_col)
     slot_matrix = csr_matrix((np.ones(len(inverse)), inverse, s.indptr), shape=(n, K))
-    rep = _partner_classes(inverse, s)
-    last = {r: j for j, r in enumerate(rep)}  # each partner class's last member
-    # A class's scores are kept for its members in later bands, up to a bound.
-    kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    keep = _KEPT_SCORES // max(2 * K, 1)
     # A band's scores (2 x width x K) and sums (n x 2 x width) stay near
     # 2 * _BAND_VALUES values each.
     step = min(max(16, n // 32), max(1, _BAND_VALUES // max(K, n, 1)))
@@ -293,15 +268,9 @@ def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
         # denominators; the product reads them as columns.
         scores = np.empty((2 * w, K))
         for c, j in enumerate(range(r, e)):
-            cls = rep[j]
-            best_den = kept.get(cls)
-            if best_den is None:
-                best_den = _partner_scores(Ec, classes, s.partners[j], key_col, key_pair, s)
-                if last[cls] > j and len(kept) < keep:
-                    kept[cls] = best_den
-            elif last[cls] == j:
-                del kept[cls]
-            scores[c], scores[w + c] = best_den
+            scores[c], scores[w + c] = _partner_scores(
+                Ec, classes, s.partners[j], key_col, key_pair, s
+            )
         sums = slot_matrix @ np.ascontiguousarray(scores.T)  # row i: node i's sums
         num, den = sums[:, :w], sums[:, w:]
         # Weights are positive, so den is 0 only between two isolates, where
@@ -395,10 +364,8 @@ def rege(g: MentionGraph, iterations: int = 3) -> EquivalenceMatrix:
     slots are merged per weight pair first, and scatters the scores back to
     the slots, so a round costs at most O(K * S) for K keys and S slots.  In
     the first round E is all ones, so K is the number of distinct weight
-    pairs.  A partner's scores depend only on the set of keys over its own
-    slots, so partners with equal key sets form a class: one of them is
-    scored and the others reuse its scores.  The result is the same, bit
-    for bit, as scoring every slot against every slot.
+    pairs.  The result is the same, bit for bit, as scoring every slot
+    against every slot.
 
     Between rounds E is held once per row class, as a class x class matrix,
     and a full round writes the next E in bands of partners, so no more than

@@ -227,15 +227,23 @@ def load_config_file(path) -> dict:
     line whose first non-blank character is '#' is a comment; a '#' further
     on is part of the value.  Values take the type of the field's default
     (booleans accept true/false style words, tuples are comma-separated).
+    A key given twice is an error that names both lines.
     """
     defaults = {f.name: f.default for f in fields(AnalysisConfig)}
     overrides = {}
+    first_line = {}
     for lineno, line in data_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: config key '{key}' given twice "
+                f"(first at line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             overrides[key] = _coerce_config_value(defaults[key], value)
         except ValueError as exc:

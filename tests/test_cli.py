@@ -126,6 +126,14 @@ def test_cli_analyze_cliques_mutual_ties(fixture_files, capsys):
     assert ["alice", "bob", "carol"] in loose["cliques"]
 
 
+def test_cli_analyze_refuses_mutual_ties_outside_cliques(fixture_files, capsys):
+    logs = [path for path, _ in fixture_files]
+    assert main(["analyze", *logs, "--what", "hits", "--mutual-ties"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--mutual-ties applies to --what cliques only" in captured.err
+
+
 def test_cli_analyze_rege_matrix(fixture_files, tmp_path, capsys):
     logs = [path for path, _ in fixture_files]
     out = tmp_path / "eq.csv"

@@ -319,6 +319,13 @@ def test_participation_matches_adjacency_scan():
             assert scores[(nick(v), idx)] == expected
 
 
+def test_participation_rejects_a_report_of_another_graph():
+    g = undirected_of(4, [(0, 1), (1, 2), (0, 2)])
+    other = undirected_of(5, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="clique report does not match the graph"):
+        clique_participation(maximal_cliques(other, min_size=3), g)
+
+
 def test_singleton_clique_participation():
     g = undirected_of(2, [])
     report = maximal_cliques(g, min_size=1)

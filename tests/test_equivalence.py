@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ import pytest
 from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
-    _partner_classes,
     _row_classes,
-    _slot_keys,
     _slots,
     classify_roles,
     high_eq_tie_fraction,
@@ -325,13 +324,6 @@ def assert_tie_values_match_rege(g, iterations, weighted):
     return matrix
 
 
-def first_round_partner_classes(g, weighted):
-    # rege(g, 1) holds the setup and the one class of the all-ones start.
-    matrix = rege(weighed(g, weighted), 1)
-    inverse, _, _ = _slot_keys(matrix._classes, matrix._setup)
-    return len(set(_partner_classes(inverse, matrix._setup)))
-
-
 @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize(
@@ -340,14 +332,6 @@ def first_round_partner_classes(g, weighted):
 @pytest.mark.parametrize("seed", range(3))
 def test_tie_values_equal_rege_at_every_slot(make_graph, seed, weighted, iterations):
     assert_tie_values_match_rege(make_graph(seed), iterations, weighted)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_shared_key_graphs_merge_partners(seed):
-    # The graphs above do reach the copied-row path, in both modes.
-    g = shared_key_digraph(seed)
-    for weighted in (True, False):
-        assert first_round_partner_classes(g, weighted) <= g.node_count // 3
 
 
 # sha256 over the bytes of rege(g, it).values and of its tie values, for
@@ -401,19 +385,13 @@ def test_rege_bytes_are_pinned(make_graph, seed, weighted):
     assert rege_digest(g) == REGE_DIGESTS[(make_graph.__name__, seed, weighted)]
 
 
-@pytest.mark.parametrize("bound, value", [("_KEPT_SCORES", 0), ("_BAND_VALUES", 1)])
+@pytest.mark.parametrize("bound, value", [("_BAND_VALUES", 1)])
 @pytest.mark.parametrize("make_graph", [twin_heavy_digraph, shared_key_digraph])
 @pytest.mark.parametrize("seed", range(3))
 def test_band_bounds_keep_the_bytes(make_graph, seed, bound, value, monkeypatch):
-    # These graphs have partner classes whose members lie in different
-    # 16-row bands.  With no scores kept for later bands, every such member
-    # is scored anew; with one partner per band, every pair but the
-    # diagonal is parked once.  Either way the bits are the same.
+    # With one partner per band, every pair but the diagonal is parked
+    # once, and the bits are the same.
     g = make_graph(seed)
-    matrix = rege(g, 1)
-    inverse, _, _ = _slot_keys(matrix._classes, matrix._setup)
-    classes = _partner_classes(inverse, matrix._setup)
-    assert any(rep // 16 != j // 16 for j, rep in enumerate(classes))
     monkeypatch.setattr(equivalence, bound, value)
     for weighted in (True, False):
         expected = REGE_DIGESTS[(make_graph.__name__, seed, weighted)]
@@ -421,10 +399,8 @@ def test_band_bounds_keep_the_bytes(make_graph, seed, bound, value, monkeypatch)
 
 
 def test_tie_values_equal_rege_on_the_scale_graph():
-    # The criterion-10 graph: 2,400 nodes, of which 1,440 partner classes
-    # are scored in the first round.  Its bytes are pinned too.
+    # The criterion-10 graph: 2,400 nodes.  Its bytes are pinned too.
     g = preferential_attachment_graph(2400, 9400, seed=7)
-    assert first_round_partner_classes(g, True) == 1440
     matrix = assert_tie_values_match_rege(g, 3, True)
     assert hashlib.sha256(matrix.values.tobytes()).hexdigest() == (
         "4ef1a1b2152dbd8b44a8f5e2d0855218802a8c9ebbcc55091c966e4e0fb353de"
@@ -482,11 +458,22 @@ def test_memory_estimate_covers_the_peak(n, monkeypatch):
 
 def test_memory_estimate_admits_11500_users():
     # Two n x n float64 matrices and the band buffers fit 2 GiB up to
-    # 11,545 users.
+    # 11,568 users.
     def estimate(n):
         return (2 * n * n + equivalence._BUFFER_VALUES) * 8
 
-    assert estimate(11_545) <= equivalence.REGE_MEMORY_LIMIT < estimate(11_546)
+    assert estimate(11_568) <= equivalence.REGE_MEMORY_LIMIT < estimate(11_569)
+
+
+def test_readme_states_the_guards_limit():
+    # The README's "n up to N" is the largest n the memory guard admits.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.findall(r"n\s+up\s+to\s+([\d,]+)", readme)
+    assert len(found) == 1
+    n = int(found[0].replace(",", ""))
+    limit = equivalence.REGE_MEMORY_LIMIT
+    buffers = equivalence._BUFFER_VALUES
+    assert (2 * n * n + buffers) * 8 <= limit < (2 * (n + 1) ** 2 + buffers) * 8
 
 
 def test_tie_values_peak_no_higher_than_rege():

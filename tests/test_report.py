@@ -181,6 +181,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(cfg_file)
 
 
+def test_config_file_rejects_a_key_given_twice(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# settings\ntop_k = 4\nhits_weighted = true\ntop_k = 5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config_file(cfg_file)
+    assert str(info.value) == f"{cfg_file}:4: config key 'top_k' given twice (first at line 2)"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
