@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 from . import __version__
 from .centrality import degree_centrality, hits
 from .cohesion import ego_network, maximal_cliques
-from .connectivity import top_links
+from .connectivity import MODES, top_links
 from .equivalence import rege
 from .graph import format_weight, mutual_ties_view, to_undirected, write_graph_csv
 from .ingest import write_corpus_jsonl
@@ -35,36 +35,36 @@ from .skeleton import abcd_skeleton, bowtie
 _CSV_ANALYSES = ("hits-csv", "partition", "toplinks", "rege-matrix")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# The two flags that are not their field's name with dashes.
+_RENAMED_FLAGS = {"top_links_count": "--top-links", "case_insensitive": "--case-sensitive"}
+_FLAG_HELP = {
+    "case_insensitive": "require mentions to match the canonical nick exactly",
+    "analyses": "comma-separated subset of: " + ",".join(ALL_ANALYSES),
+}
+# The parameters each subcommand reads: extract builds the graph, export's
+# --attrs adds HITS, analyze's --what stands in for analyses.
+_PARAMETERS = tuple(AnalysisConfig().echo())
+_EXTRACT_READS = ("min_nick_length", "case_insensitive")
+_EXPORT_READS = _EXTRACT_READS + ("hits_tolerance", "hits_max_iterations", "hits_weighted")
+_ANALYZE_READS = tuple(name for name in _PARAMETERS if name != "analyses")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
     grp = parser.add_argument_group("analysis parameters")
     grp.add_argument("--config", help="key = value config file; flags override it")
-    grp.add_argument("--min-nick-length", type=int, dest="min_nick_length")
-    grp.add_argument(
-        "--case-sensitive",
-        action="store_false",
-        default=None,
-        dest="case_insensitive",
-        help="require mentions to match the canonical nick exactly",
-    )
-    grp.add_argument("--hits-tolerance", type=float, dest="hits_tolerance")
-    grp.add_argument("--hits-max-iterations", type=int, dest="hits_max_iterations")
-    grp.add_argument(
-        "--hits-weighted", action="store_true", default=None, dest="hits_weighted"
-    )
-    grp.add_argument("--clique-min-size", type=int, dest="clique_min_size")
-    grp.add_argument("--rege-iterations", type=int, dest="rege_iterations")
-    grp.add_argument("--eq-threshold", type=float, dest="eq_threshold")
-    grp.add_argument("--tie-cutoff", type=float, dest="tie_cutoff")
-    grp.add_argument("--people-cutoff", type=float, dest="people_cutoff")
-    grp.add_argument("--lambda-mode", choices=("unit", "weighted"), dest="lambda_mode")
-    grp.add_argument("--top-links", type=int, dest="top_links_count")
-    grp.add_argument("--top-k", type=int, dest="top_k")
-    grp.add_argument(
-        "--analyses",
-        # an empty value means "not given"
-        type=lambda raw: split_list(raw) if raw else None,
-        help="comma-separated subset of: " + ",".join(ALL_ANALYSES),
-    )
+    for f in fields(AnalysisConfig):
+        if f.name not in names:
+            continue
+        spec = {"dest": f.name, "help": _FLAG_HELP.get(f.name)}
+        if isinstance(f.default, bool):
+            spec.update(action="store_false" if f.default else "store_true", default=None)
+        elif isinstance(f.default, tuple):  # an empty value means "not given"
+            spec["type"] = lambda raw: split_list(raw) if raw else None
+        elif f.name == "lambda_mode":
+            spec["choices"] = MODES
+        else:
+            spec["type"] = type(f.default)
+        grp.add_argument(_RENAMED_FLAGS.get(f.name, "--" + f.name.replace("_", "-")), **spec)
 
 
 def _input_flags(parser: argparse.ArgumentParser, builds_graph: bool = True) -> None:
@@ -78,9 +78,6 @@ def _input_flags(parser: argparse.ArgumentParser, builds_graph: bool = True) -> 
     parser.add_argument("--manifest", help="CSV manifest of path,YYYY-MM-DD lines")
     if builds_graph:
         parser.add_argument("--roster", help="prior participant list, one nick per line")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; parsing is serial"
-    )
 
 
 def _build_config(args) -> AnalysisConfig:
@@ -196,8 +193,7 @@ def _cmd_analyze(args) -> int:
             ensure_ascii=False,
         ) + "\n"
     else:
-        cfg = replace(cfg, analyses=(args.what,))
-        report = run_pipeline(cfg, threads=args.threads)
+        report = run_pipeline(replace(cfg, analyses=(args.what,)))
         text = json.dumps(report.section(args.what), indent=2, ensure_ascii=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -208,6 +204,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.attrs and args.format == "csv":
+        raise PipelineError("config", "--attrs applies to --format dot and graphml only")
     cfg = _build_config(args)
     graph = load_input_graph(cfg)
     if args.ego:
@@ -255,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="build the mention graph CSV")
     _input_flags(p)
-    _add_config_flags(p)
+    _add_config_flags(p, _EXTRACT_READS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("analyze", help="run one analysis and print or save it")
     _input_flags(p)
-    _add_config_flags(p)
+    _add_config_flags(p, _ANALYZE_READS)
     p.add_argument(
         "--what",
         required=True,
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write DOT, GraphML, or CSV")
     _input_flags(p)
-    _add_config_flags(p)
+    _add_config_flags(p, _EXPORT_READS)
     p.add_argument("--format", required=True, choices=EXPORT_FORMATS)
     p.add_argument("--ego", help="export this actor's ego network instead")
     p.add_argument(
@@ -291,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full pipeline to report.json (+ markdown)")
     _input_flags(p)
-    _add_config_flags(p)
+    _add_config_flags(p, _PARAMETERS)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored; parsing is serial")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--markdown", help="also write a human-readable summary")
     p.set_defaults(func=_cmd_report)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
@@ -94,24 +95,37 @@ class GomoryHuTree:
 
     @property
     def edges(self) -> tuple[tuple[str, str, float], ...]:
-        up = self.up.tolist()
+        up = self._up
         edges = [
             (self.nicks[c], self.nicks[up[c]], cap)
-            for c, cap in enumerate(self.capacity.tolist())
+            for c, cap in enumerate(self._capacity)
             if up[c] >= 0
         ]
         return tuple(sorted(edges))
 
+    # The arrays as lists and the nick -> id index, built once per tree.
+    @cached_property
+    def _up(self) -> list[int]:
+        return self.up.tolist()
+
+    @cached_property
+    def _capacity(self) -> list[float]:
+        return self.capacity.tolist()
+
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {nick: i for i, nick in enumerate(self.nicks)}
+
     def _id(self, nick: str) -> int:
         try:
-            return self.nicks.index(nick)
-        except ValueError:
+            return self._ids[nick]
+        except KeyError:
             raise KeyError(f"unknown node '{nick}'") from None
 
     def lambda_between(self, a: str, b: str) -> float:
         if a == b:
             raise ValueError("endpoints must differ")
-        up, capacity = self.up.tolist(), self.capacity.tolist()
+        up, capacity = self._up, self._capacity
         # Path minimum from a to each of its ancestors, then climb from b to
         # the first of them.
         x, best = self._id(a), float("inf")
@@ -141,12 +155,7 @@ class LambdaHierarchy:
     levels: tuple[tuple[float, tuple[frozenset[str], ...]], ...]
 
     def all_sets(self) -> list[frozenset[str]]:
-        seen = []
-        for _, sets in self.levels:
-            for s in sets:
-                if s not in seen:
-                    seen.append(s)
-        return seen
+        return list(dict.fromkeys(s for _, sets in self.levels for s in sets))
 
 
 def _dfs_blocks(adj: csr_matrix):

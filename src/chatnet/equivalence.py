@@ -65,11 +65,15 @@ class EquivalenceMatrix:
     def values(self) -> np.ndarray:
         return _full_round(self._before_last, self._classes, self._setup)
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {nick: i for i, nick in enumerate(self.nicks)}
+
     def value(self, a: str, b: str) -> float:
         for nick in (a, b):
-            if nick not in self.nicks:
+            if nick not in self._ids:
                 raise KeyError(f"unknown node '{nick}'")
-        return float(self.values[self.nicks.index(a), self.nicks.index(b)])
+        return float(self.values[self._ids[a], self._ids[b]])
 
     def _ties(self):
         """The slots (rows, ks) and the last round run at them alone:

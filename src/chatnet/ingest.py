@@ -298,8 +298,8 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
     136 bytes per message, body included, on chat-shaped logs.
     Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
     measured slower than one thread.  The only thread knob left is
-    ``run_pipeline``'s ``threads`` (the CLI's ``--threads``), kept for
-    compatibility and ignored.
+    ``run_pipeline``'s ``threads`` (``--threads``, a flag of ``chatnet
+    report`` only), kept for compatibility and ignored.
     """
     entries = [(str(path), _coerce_date(date)) for path, date in files]
     if not entries:

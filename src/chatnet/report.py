@@ -21,6 +21,7 @@ from . import __version__
 from .centrality import hits, ranked
 from .cohesion import clique_comembership, maximal_cliques
 from .connectivity import (
+    MODES,
     articulation_points_and_blocks,
     fractional_weight_error,
     lambda_sets,
@@ -170,7 +171,7 @@ class AnalysisConfig:
             raise ValueError("tie_cutoff must lie in [0, 1]")
         if not 0 <= self.people_cutoff <= 1:
             raise ValueError("people_cutoff must lie in [0, 1]")
-        if self.lambda_mode not in ("unit", "weighted"):
+        if self.lambda_mode not in MODES:
             raise ValueError("lambda_mode must be 'unit' or 'weighted'")
         if self.top_links_count < 1:
             raise ValueError("top_links_count must be at least 1")
@@ -465,7 +466,8 @@ def run_pipeline(config: AnalysisConfig, threads: int = 1) -> AnalysisReport:
     """Ingest, extract, run the enabled analyses in fixed order, and report.
 
     ``threads`` is accepted and ignored, kept so that callers passing it
-    still work; the report never depends on it.  Any stage failure raises
+    still work (as does ``chatnet report --threads``, the only subcommand
+    with that flag); the report never depends on it.  Any stage failure raises
     PipelineError naming the stage.
     """
     check_config(config)

@@ -189,6 +189,14 @@ def test_cli_export_with_attributes(fixture_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_export_refuses_attrs_with_csv(fixture_files, tmp_path, capsys):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "graph.csv"
+    assert main(["export", *logs, "--format", "csv", "--attrs", "-o", str(out)]) == 1
+    assert "--attrs applies to --format dot and graphml only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_ingest_with_manifest(fixture_files, tmp_path, capsys):
     manifest = tmp_path / "files.csv"
     manifest.write_text(
@@ -423,6 +431,61 @@ def test_every_parameter_is_set_by_exactly_one_report_flag():
     for name in PARAMETERS:
         assert dests.count(name) == 1, name
     assert not set(INPUT_FIELDS) & set(dests)
+
+
+# The parameters each subcommand reads; analyze's --what stands in for analyses.
+SUBCOMMAND_PARAMETERS = {
+    "ingest": [],
+    "extract": ["min_nick_length", "case_insensitive"],
+    "export": [
+        "min_nick_length", "case_insensitive",
+        "hits_tolerance", "hits_max_iterations", "hits_weighted",
+    ],
+    "analyze": [name for name in PARAMETERS if name != "analyses"],
+    "report": PARAMETERS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_PARAMETERS))
+def test_each_subcommand_offers_the_parameters_it_reads(command):
+    dests = [action.dest for action in _subcommand(command)._actions]
+    assert [dest for dest in dests if dest in PARAMETERS] == SUBCOMMAND_PARAMETERS[command]
+    assert ("threads" in dests) == (command == "report")
+    assert ("config" in dests) == (command != "ingest")
+
+
+def test_cli_refuses_a_parameter_its_subcommand_does_not_read(fixture_files, tmp_path, capsys):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "g.csv"
+    for flags in (["--rege-iterations", "2"], ["--threads", "8"]):
+        with pytest.raises(SystemExit) as info:
+            main(["extract", *logs, *flags, "-o", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_flag_rule_matches_report_flags():
+    # README: "A flag is the key with dashes, except `--top-links` (key
+    # `top_links_count`) and `--case-sensitive` (key ...".
+    text = " ".join(README.read_text(encoding="utf-8").split("### Configuration", 1)[1].split())
+    found = re.search(
+        r"A flag is the key with dashes, except `(--[\w-]+)` \(key `(\w+)`\) "
+        r"and `(--[\w-]+)` \(key `(\w+)",
+        text,
+    )
+    assert found, "README's flag rule is missing"
+    exceptions = {found[2]: found[1], found[4]: found[3]}
+    flags = {
+        action.dest: action.option_strings
+        for action in _subcommand("report")._actions
+        if action.dest in PARAMETERS
+    }
+    assert set(flags) == set(PARAMETERS)
+    for name, option_strings in flags.items():
+        assert option_strings == [exceptions.get(name, "--" + name.replace("_", "-"))], name
+    renamed = {name for name, (flag,) in flags.items() if flag != "--" + name.replace("_", "-")}
+    assert renamed == set(exceptions)
 
 
 def _changed(default, name):
