@@ -41,12 +41,35 @@ _FLAG_HELP = {
     "case_insensitive": "require mentions to match the canonical nick exactly",
     "analyses": "comma-separated subset of: " + ",".join(ALL_ANALYSES),
 }
-# The parameters each subcommand reads: extract builds the graph, export's
-# --attrs adds HITS, analyze's --what stands in for analyses.
 _PARAMETERS = tuple(AnalysisConfig().echo())
-_EXTRACT_READS = ("min_nick_length", "case_insensitive")
-_EXPORT_READS = _EXTRACT_READS + ("hits_tolerance", "hits_max_iterations", "hits_weighted")
-_ANALYZE_READS = tuple(name for name in _PARAMETERS if name != "analyses")
+# The parameters each analyze target and export's --attrs read besides the
+# graph's.  A subcommand offers the flags of its targets and refuses a flag
+# that the chosen target does not read.
+_GRAPH_READS = ("min_nick_length", "case_insensitive")
+_HITS_READS = ("hits_tolerance", "hits_max_iterations", "hits_weighted")
+_TARGET_READS = {
+    "stats": (),
+    "hits": _HITS_READS + ("top_k",),
+    "bowtie": (),
+    "skeleton": (),
+    "cliques": ("clique_min_size",),  # every clique, so no top_k
+    "blocks": (),
+    "lambda": ("lambda_mode", "top_links_count"),
+    "roles": ("rege_iterations", "eq_threshold", "tie_cutoff", "people_cutoff"),
+    "hits-csv": _HITS_READS,
+    "partition": (),
+    "toplinks": ("top_links_count",),
+    "rege-matrix": ("rege_iterations",),
+    "attrs": _HITS_READS,
+}
+_ANALYZE_READS = _GRAPH_READS + tuple(
+    name for target in ALL_ANALYSES + _CSV_ANALYSES for name in _TARGET_READS[target]
+)
+_EXPORT_READS = _GRAPH_READS + _TARGET_READS["attrs"]
+
+
+def _flag(name: str) -> str:
+    return _RENAMED_FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
@@ -64,7 +87,17 @@ def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
             spec["choices"] = MODES
         else:
             spec["type"] = type(f.default)
-        grp.add_argument(_RENAMED_FLAGS.get(f.name, "--" + f.name.replace("_", "-")), **spec)
+        grp.add_argument(_flag(f.name), **spec)
+
+
+def _refuse_unread(args, target: str | None, what: str) -> None:
+    # A parameter flag given for a target that never reads it is an error.
+    reads = _GRAPH_READS + _TARGET_READS.get(target, ())
+    unread = [
+        name for name in _PARAMETERS if name not in reads and getattr(args, name, None) is not None
+    ]
+    if unread:
+        raise PipelineError("config", f"{what} does not read {', '.join(map(_flag, unread))}")
 
 
 def _input_flags(parser: argparse.ArgumentParser, builds_graph: bool = True) -> None:
@@ -173,6 +206,7 @@ def _analyze_csv(what: str, graph, cfg) -> str:
 def _cmd_analyze(args) -> int:
     if args.mutual_ties and args.what != "cliques":
         raise PipelineError("config", "--mutual-ties applies to --what cliques only")
+    _refuse_unread(args, args.what, f"--what {args.what}")
     cfg = _build_config(args)
     if args.what in _CSV_ANALYSES:
         graph = load_input_graph(cfg)
@@ -206,6 +240,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_export(args) -> int:
     if args.attrs and args.format == "csv":
         raise PipelineError("config", "--attrs applies to --format dot and graphml only")
+    _refuse_unread(args, "attrs" if args.attrs else None, "export without --attrs")
     cfg = _build_config(args)
     graph = load_input_graph(cfg)
     if args.ego:
@@ -253,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="build the mention graph CSV")
     _input_flags(p)
-    _add_config_flags(p, _EXTRACT_READS)
+    _add_config_flags(p, _GRAPH_READS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_extract)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,47 +18,85 @@ from .graph import MentionGraph, UndirectedView
 MAX_CLIQUES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliqueReport:
     """Maximal cliques of size >= min_size, as ids into the view's ``nicks``.
 
-    Each clique's ids ascend, and the largest clique comes first, then by
-    members.  ``cliques`` names the members each time it is read.
+    ``members`` holds every clique's ids in one flat int32 array, clique i
+    at ``members[offsets[i]:offsets[i + 1]]``: 4 bytes per member
+    reference, with no Python object per clique.  Each clique's ids ascend,
+    and the largest clique comes first, then by members.  ``cliques``
+    names the members each time it is read.
     """
 
     nicks: tuple[str, ...]
-    members: tuple[tuple[int, ...], ...]
+    members: np.ndarray
+    offsets: np.ndarray
     min_size: int
     max_clique_size: int
 
     @property
     def cliques(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(self.nicks[v] for v in c) for c in self.members)
+        ids, bounds = self.members.tolist(), self.offsets.tolist()
+        return tuple(
+            tuple(self.nicks[v] for v in ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        )
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.offsets) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoMembershipMatrix:
-    """Symmetric pair -> number of shared cliques; diagonal = memberships.
+    """Actor pairs that share cliques, ranked, and each actor's memberships.
 
-    Only pairs that actually co-occur are stored; ``count`` answers 0 for the
-    rest.  ``pair_counts`` iterates in rank order: most shared cliques
-    first, smallest pair first on ties.  ``max_pair`` is its first item, or
-    None when no clique has two members.
+    Row i of ``pairs`` holds node ids a < b into ``nicks`` that share
+    ``shared[i]`` cliques, int32 arrays of 12 bytes a pair with no Python
+    object per pair.  Only pairs that co-occur are stored, most
+    shared cliques first, smallest pair first on ties; ``count`` answers 0
+    for the rest.  ``memberships[v]`` is the number of cliques holding v,
+    the matrix's diagonal.  A pair is named only when it is read: ``top(k)``
+    names the first k, ``pair_counts`` every pair, and ``max_pair`` is the
+    first, or None when no clique has two members.
     """
 
-    pair_counts: dict[tuple[str, str], int]
-    diagonal: dict[str, int]
-    max_pair: tuple[tuple[str, str], int] | None
+    nicks: tuple[str, ...]
+    pairs: np.ndarray
+    shared: np.ndarray
+    memberships: np.ndarray
+
+    def top(self, k: int | None = None) -> list[tuple[tuple[str, str], int]]:
+        names = self.nicks
+        pairs, shared = self.pairs[:k].tolist(), self.shared[:k].tolist()
+        return [((names[a], names[b]), count) for (a, b), count in zip(pairs, shared)]
+
+    @property
+    def pair_counts(self) -> dict[tuple[str, str], int]:
+        return dict(self.top())
+
+    @property
+    def diagonal(self) -> dict[str, int]:
+        counts = self.memberships.tolist()
+        return {self.nicks[v]: count for v, count in enumerate(counts) if count}
+
+    @property
+    def max_pair(self) -> tuple[tuple[str, str], int] | None:
+        return next(iter(self.top(1)), None)
 
     def count(self, a: str, b: str) -> int:
-        if a == b:
-            return self.diagonal.get(a, 0)
-        key = (a, b) if a <= b else (b, a)
-        return self.pair_counts.get(key, 0)
+        i, j = sorted((self._id(a), self._id(b)))
+        if i < 0:
+            return 0
+        if i == j:
+            return int(self.memberships[i])
+        at = np.flatnonzero((self.pairs[:, 0] == i) & (self.pairs[:, 1] == j))
+        return int(self.shared[at[0]]) if len(at) else 0
+
+    def _id(self, nick: str) -> int:
+        # nicks ascend, so a bisection finds an id; -1 for an unknown nick
+        at = bisect_left(self.nicks, nick)
+        return at if at < len(self.nicks) and self.nicks[at] == nick else -1
 
 
 @dataclass(frozen=True)
@@ -83,16 +123,24 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
     One search over the whole node set emits each maximal clique exactly
     once (Tomita, Tanaka & Takahashi 2006).  It has no outer degeneracy
     ordering: that ordering only tightens the worst-case bound, and it was
-    measured slower on every graph tried, chat-shaped ones included.  Output
-    order is canonical regardless of input order.
+    measured slower on every graph tried, chat-shaped ones included.  Each
+    kept clique's sorted ids go onto one flat int32 array, and numpy ranks
+    the cliques, so output order is canonical regardless of input order.
     Raises ValueError on finding more than ``MAX_CLIQUES`` maximal cliques.
     """
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
-    rows = _rows(u)
-    nbr = [frozenset(row) for row in rows]
+    members, offsets = _ranked(*_search(u, min_size))
+    max_size = int(offsets[1]) if len(offsets) > 1 else 0
+    return CliqueReport(u.nicks, members, offsets, min_size, max_size)
+
+
+def _search(u: UndirectedView, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+    # The members of each maximal clique of at least min_size nodes, sorted,
+    # on one flat array, and the cliques' sizes, in the order found.
+    nbr = [frozenset(row) for row in _rows(u)]
     found = 0
-    kept: list[tuple[int, ...]] = []
+    kept, sizes = array("i"), array("i")
     # An explicit stack, since a clique of k members nests k branches deep.
     # Each frame: the clique so far, cand, excl and the branches left.
     stack = []
@@ -124,9 +172,10 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
         found += 1
         # min_size >= 1 drops the empty clique an empty view reports
         if len(clique) >= min_size:
-            kept.append(tuple(sorted(clique)))
+            kept.extend(sorted(clique))
+            sizes.append(len(clique))
 
-    enter((), set(range(len(rows))), set())
+    enter((), set(range(len(nbr))), set())
     while stack:
         clique, cand, excl, branches = stack[-1]
         v = next(branches, None)
@@ -137,35 +186,42 @@ def maximal_cliques(u: UndirectedView, min_size: int = 3) -> CliqueReport:
         cand.discard(v)
         excl.add(v)
 
-    # ids ascend with nicks, so id order is member-name order
-    kept.sort(key=lambda c: (-len(c), c))
-    max_size = len(kept[0]) if kept else 0
-    return CliqueReport(u.nicks, tuple(kept), min_size, max_size)
+    return np.asarray(kept, dtype=np.int32), np.asarray(sizes, dtype=np.int64)
+
+
+def _ranked(members: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Cliques, as flat members and their sizes, ranked by (-size, members):
+    # the cliques of one size are rows of a matrix, sorted by one lexsort.
+    # Ids ascend with nicks, so id order is member-name order.
+    starts = np.cumsum(sizes) - sizes
+    ranked = [members[:0]]
+    for size in np.unique(sizes)[::-1].tolist():
+        rows = members[starts[sizes == size, None] + np.arange(size)]
+        ranked.append(rows[np.lexsort(rows.T[::-1])].ravel())
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.sort(sizes)[::-1], out=offsets[1:])
+    return np.concatenate(ranked), offsets
 
 
 def clique_comembership(report: CliqueReport) -> CoMembershipMatrix:
     """Tally, for every actor pair, how many of the report's cliques hold both.
 
     The tallies are the product M^T M of the clique x node incidence matrix
-    M, built from the member ids.  Ids ascend with nicks, so each pair of
-    its strict upper triangle is keyed (a, b) with a < b, and one lexsort of
-    the pairs by (-shared, row, column) ranks them by (-shared, pair).
+    M, built from the flat member ids and their offsets.  Ids ascend with
+    nicks, so each pair of its strict upper triangle is an id pair a < b,
+    and one lexsort of the pairs by (-shared, row, column) ranks them by
+    (-shared, pair).  The pairs stay int32 arrays, 12 bytes each, until read.
     """
-    names, members = report.nicks, report.members
-    indptr = np.cumsum([0] + [len(c) for c in members])
     incidence = csr_matrix(
-        (np.ones(indptr[-1], dtype=np.int64), [v for c in members for v in c], indptr),
-        shape=(len(members), len(names)),
+        (np.ones(len(report.members), dtype=np.int32), report.members, report.offsets),
+        shape=(report.count, len(report.nicks)),
     )
     tally = (incidence.T @ incidence).tocsr()
+    memberships = tally.diagonal()
     pairs = triu(tally, k=1).tocoo()
     rank = np.lexsort((pairs.col, pairs.row, -pairs.data))
-    rows, cols, counts = (a[rank].tolist() for a in (pairs.row, pairs.col, pairs.data))
-    pair_counts = {(names[a], names[b]): count for a, b, count in zip(rows, cols, counts)}
-    diagonal = {
-        names[v]: count for v, count in enumerate(tally.diagonal().tolist()) if count
-    }
-    return CoMembershipMatrix(pair_counts, diagonal, next(iter(pair_counts.items()), None))
+    ends = np.stack((pairs.row[rank], pairs.col[rank]), axis=1).astype(np.int32)
+    return CoMembershipMatrix(report.nicks, ends, pairs.data[rank], memberships)
 
 
 def clique_participation(
@@ -180,7 +236,8 @@ def clique_participation(
     if report.nicks != u.nicks:
         raise ValueError("clique report does not match the graph")
     scores: dict[tuple[str, int], float] = {}
-    clique_ids = [frozenset(members) for members in report.members]
+    ids, bounds = report.members.tolist(), report.offsets.tolist()
+    clique_ids = [frozenset(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     for v, row in enumerate(_rows(u)):
         nick = u.nicks[v]
         adjacent = frozenset(row)

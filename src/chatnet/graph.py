@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .ingest import CONTROL_CHARS, USER_MESSAGE, ChatCorpus
+from .ingest import CONTROL_CHARS, ChatCorpus, MentionCorpus
 
 # Characters legal in IRC nicks; anything else is a token boundary when
 # scanning message bodies for mentions.
@@ -237,7 +237,7 @@ class GraphStats:
 
 
 def extract_network(
-    corpus: ChatCorpus,
+    corpus: ChatCorpus | MentionCorpus,
     roster: Mapping[str, int],
     *,
     min_nick_length: int = 3,
@@ -258,12 +258,13 @@ def extract_network(
     (case-folded) nick exactly.
 
     A message's tokens meet the matchable nicks in one set intersection.
-    A file's bodies are joined at \n, encoded to ASCII (each other code
-    point one ``?``) and translated in one call, which lowercases token
-    characters and turns every other character into a space, then split
-    into lines and each line into tokens.  Token characters are ASCII, so
-    ``ſ`` or Kelvin ``K`` only ends a token.  A body holding \n, which no
-    log line gives, raises ValueError naming the file's date.
+    Extraction reads each file's ``MentionText``: its bodies joined at \n
+    and encoded to ASCII (each other code point one ``?``), which it
+    translates in one call, lowercasing token characters and turning every
+    other character into a space, then splits into lines and each line into
+    tokens.  Token characters are ASCII, so ``ſ`` or Kelvin ``K`` only ends
+    a token.  A body holding \n, which no log line gives, raises ValueError
+    naming the file's date.
     """
     if not roster:
         raise ValueError("no participants")
@@ -271,17 +272,11 @@ def extract_network(
     matchable = {nick for nick in roster if len(nick) >= min_nick_length}
     table = _FOLD_ASCII if case_insensitive else _SPLIT_ASCII
     weights: dict[tuple[str, str], int] = {}
-    for columns in corpus.columns:
-        fold = {nick: nick.casefold() for nick in set(columns.nicks)}
-        senders, bodies = [], []
-        for nick, body, kind in zip(columns.nicks, columns.bodies, columns.kinds):
-            if kind == USER_MESSAGE:
-                senders.append(fold[nick])
-                bodies.append(body)
-        text = "\n".join(bodies).encode("ascii", "replace").decode("ascii")
-        lines = text.translate(table).split("\n")
-        if len(lines) > max(len(bodies), 1):  # "" splits into one line
-            raise ValueError(f"{columns.date.isoformat()}: a message body holds a line break")
+    for mentions in corpus.mention_texts():
+        senders = mentions.senders
+        lines = mentions.text.translate(table).split("\n")
+        if len(lines) > max(len(senders), 1):  # "" splits into one line
+            raise ValueError(f"{mentions.date.isoformat()}: a message body holds a line break")
         for sender, mentioned in zip(senders, map(matchable.intersection, map(str.split, lines))):
             mentioned.discard(sender)
             if mentioned and sender in roster:

@@ -196,6 +196,77 @@ class ChatCorpus:
     def skipped_count(self) -> int:
         return sum(s.skipped for s in self.file_stats)
 
+    def sender_counts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for columns in self.columns:
+            _count_senders(counts, columns)
+        return counts
+
+    def mention_texts(self) -> Iterator[MentionText]:
+        return map(_mention_text, self.columns)
+
+
+@dataclass(frozen=True, slots=True)
+class MentionText:
+    """What mention extraction reads of one date's user messages.
+
+    ``senders`` holds each message's case-folded sender, ``text`` their
+    bodies joined at \n and encoded to ASCII, each other code point one
+    ``?``: one byte per body character and one pointer per message.
+    """
+
+    date: dt.date
+    senders: tuple[str, ...]
+    text: str
+
+
+def _mention_text(columns: MessageColumns) -> MentionText:
+    fold = {nick: nick.casefold() for nick in set(columns.nicks)}
+    senders, bodies = [], []
+    for nick, body, kind in zip(columns.nicks, columns.bodies, columns.kinds):
+        if kind == USER_MESSAGE:
+            senders.append(fold[nick])
+            bodies.append(body)
+    text = "\n".join(bodies).encode("ascii", "replace").decode("ascii")
+    return MentionText(columns.date, tuple(senders), text)
+
+
+def _count_senders(counts: dict[str, int], columns: MessageColumns) -> None:
+    # Adds each case-folded nick's user messages and actions to counts.
+    spoke = Counter(nick for nick, kind in zip(columns.nicks, columns.kinds) if kind != SYSTEM)
+    for nick, count in spoke.items():
+        nick = nick.casefold()
+        counts[nick] = counts.get(nick, 0) + count
+
+
+@dataclass(frozen=True)
+class MentionCorpus:
+    """Parsed log files as mention extraction reads them, with no bodies.
+
+    ``parse_corpus(files, mentions_only=True)`` builds it one file at a
+    time: the roster's counts summed over the files, one ``MentionText``
+    per file and the files' stats.  ``build_roster`` and
+    ``extract_network`` read it as they read a ``ChatCorpus``.
+    """
+
+    texts: tuple[MentionText, ...]
+    file_stats: tuple[FileStats, ...]
+    counts: dict[str, int]
+
+    @property
+    def message_count(self) -> int:
+        return sum(s.parsed for s in self.file_stats)
+
+    @property
+    def skipped_count(self) -> int:
+        return sum(s.skipped for s in self.file_stats)
+
+    def sender_counts(self) -> dict[str, int]:
+        return dict(self.counts)
+
+    def mention_texts(self) -> tuple[MentionText, ...]:
+        return self.texts
+
 
 def _clock(clock: str) -> str | None:
     hh, mm = clock.split(":")
@@ -287,15 +358,25 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[MessageColumns, FileStats
     return columns, FileStats(path, date, len(columns), total - len(columns), total)
 
 
-def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
+def parse_corpus(
+    files: Sequence[tuple[str, object]], *, mentions_only: bool = False
+) -> ChatCorpus | MentionCorpus:
     """Parse log files given as (path, date) pairs, in the order given.
 
-    Each file is decoded whole and read by one pass of the line grammar
-    that ``parse_line`` uses, so a file's messages are exactly
-    ``parse_line`` of each of its ``split_lines``.  The corpus keeps each
-    file's messages as ``MessageColumns`` and builds no ``ChatMessage``;
-    the rows share one string per clock and per nick, which holds about
-    136 bytes per message, body included, on chat-shaped logs.
+    The file set is checked first: it must not be empty, and the dates must
+    be strictly increasing.  Each file is then decoded whole and read by
+    one pass of the line grammar that ``parse_line`` uses, so a file's
+    messages are exactly ``parse_line`` of each of its ``split_lines``.
+    The corpus keeps each file's messages as ``MessageColumns`` and builds
+    no ``ChatMessage``; the rows share one string per clock and per nick,
+    which holds about 136 bytes per message, body included, on chat-shaped
+    logs.
+
+    With ``mentions_only`` the result is a ``MentionCorpus``: each file's
+    columns are dropped once its sender counts are added and its
+    ``MentionText`` is taken, about 55 bytes per message on the same logs,
+    so no more than one file's messages are held at a time.
+
     Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
     measured slower than one thread.  The only thread knob left is
     ``run_pipeline``'s ``threads`` (``--threads``, a flag of ``chatnet
@@ -310,22 +391,28 @@ def parse_corpus(files: Sequence[tuple[str, object]]) -> ChatCorpus:
                 f"file dates must be strictly increasing: {first} ({before}) "
                 f"is followed by {second} ({after})"
             )
-    parsed = [_parse_one_file(path, date) for path, date in entries]
-    return ChatCorpus.from_columns(*zip(*parsed))
+    if not mentions_only:
+        parsed = [_parse_one_file(path, date) for path, date in entries]
+        return ChatCorpus.from_columns(*zip(*parsed))
+    counts: dict[str, int] = {}
+    texts, file_stats = [], []
+    for path, date in entries:
+        columns, stat = _parse_one_file(path, date)
+        _count_senders(counts, columns)
+        texts.append(_mention_text(columns))
+        file_stats.append(stat)
+    return MentionCorpus(tuple(texts), tuple(file_stats), counts)
 
 
-def build_roster(corpus: ChatCorpus, prior_nicks: Iterable[str] = ()) -> dict[str, int]:
+def build_roster(
+    corpus: ChatCorpus | MentionCorpus, prior_nicks: Iterable[str] = ()
+) -> dict[str, int]:
     """Case-folded nick -> number of user messages and actions it sent.
 
     ``prior_nicks`` folds in an externally supplied participant list (users
     known from a larger archive); a nick that sent nothing here counts 0.
     """
-    counts: dict[str, int] = {}
-    for columns in corpus.columns:
-        spoke = Counter(nick for nick, kind in zip(columns.nicks, columns.kinds) if kind != SYSTEM)
-        for nick, count in spoke.items():
-            nick = nick.casefold()
-            counts[nick] = counts.get(nick, 0) + count
+    counts = corpus.sender_counts()
     for nick in prior_nicks:
         counts.setdefault(nick.casefold(), 0)
     return counts

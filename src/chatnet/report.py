@@ -14,7 +14,6 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +38,7 @@ from .graph import (
 )
 from .ingest import (
     ChatCorpus,
+    MentionCorpus,
     build_roster,
     data_lines,
     discover_log_files,
@@ -358,7 +358,7 @@ def _cliques_section(u, cfg: AnalysisConfig) -> dict:
         "max_clique_size": report.max_clique_size,
         "top_comembership": [
             {"pair": list(pair), "shared": count}
-            for pair, count in islice(co.pair_counts.items(), cfg.top_k)
+            for pair, count in co.top(cfg.top_k)
         ],
     }
 
@@ -428,10 +428,12 @@ def check_config(config: AnalysisConfig) -> AnalysisConfig:
     return config
 
 
-def load_corpus(cfg: AnalysisConfig) -> ChatCorpus:
+def load_corpus(cfg: AnalysisConfig, mentions_only: bool = False) -> ChatCorpus | MentionCorpus:
     """Read the config's corpus JSONL, or parse its manifest's or logs' files.
 
-    A graph CSV holds no messages, so it is an error here.  Failures raise
+    With ``mentions_only``, log files give a ``MentionCorpus`` (see
+    ``parse_corpus``); a corpus JSONL is read whole either way.  A graph
+    CSV holds no messages, so it is an error here.  Failures raise
     ValueError or OSError.
     """
     if cfg.graph_path is not None:
@@ -439,19 +441,22 @@ def load_corpus(cfg: AnalysisConfig) -> ChatCorpus:
     if cfg.corpus_path is not None:
         return read_corpus_jsonl(cfg.corpus_path)
     if cfg.manifest_path is not None:
-        return parse_corpus(read_manifest(cfg.manifest_path))
-    return parse_corpus(discover_log_files(cfg.log_paths))
+        files = read_manifest(cfg.manifest_path)
+    else:
+        files = discover_log_files(cfg.log_paths)
+    return parse_corpus(files, mentions_only=mentions_only)
 
 
 def load_input_graph(cfg: AnalysisConfig) -> MentionGraph:
     """Validate the config and build the mention graph from its input source.
 
-    Failures raise ValueError or OSError.
+    Log files are parsed one at a time into a ``MentionCorpus``, which
+    keeps no message bodies.  Failures raise ValueError or OSError.
     """
     cfg.validate()
     if cfg.graph_path is not None:
         return read_graph_csv(cfg.graph_path)
-    corpus = load_corpus(cfg)
+    corpus = load_corpus(cfg, mentions_only=True)
     prior = read_roster_file(cfg.roster_path) if cfg.roster_path else ()
     roster = build_roster(corpus, prior_nicks=prior)
     return extract_network(

@@ -95,3 +95,52 @@ def preferential_attachment_graph(
     return MentionGraph.from_edge_list(
         triples, extra_nodes=[f"user{v:04d}" for v in range(n)]
     )
+
+
+_CHAT_WORDS = "the a is on it apt grub boot kernel fix try log disk wifi thanks yes no".split()
+
+
+def write_chat_logs(directory, seed: int, days: int, lines_per_day: int, users: int = 150):
+    """Daily logs ``2014-03-DD.txt`` of a busy channel; returns (path, date) pairs.
+
+    Speakers address a recent speaker as ``nick:`` or mid-sentence, in any
+    letter case; actions, notices, malformed lines and non-ASCII text are
+    mixed in.  Each day a few new users arrive, some of them mentioned a
+    day before they first speak; ``quiet0`` to ``quiet4`` are mentioned and
+    never speak.
+    """
+    rng = random.Random(seed)
+    names = [f"{rng.choice(['ubu', 'dev', 'kim', 'zed', 'ol'])}{k}" for k in range(users)]
+    quiet = [f"quiet{k}" for k in range(5)]
+    files = []
+    for day in range(days):
+        present = names[: users * (day + 1) // days]
+        ahead = names[len(present) : len(present) + 5]
+        recent = present[:3]
+        lines = []
+        for i in range(lines_per_day):
+            stamp = f"[{i * 1440 // lines_per_day // 60:02d}:{i * 1440 // lines_per_day % 60:02d}]"
+            who = rng.choice(present)
+            roll = rng.random()
+            if roll < 0.03:
+                lines.append(rng.choice(["garbage", "[99:99] <x> y", "--- Day changed"]))
+            elif roll < 0.08:
+                lines.append(f"{stamp} *** {who} has joined #help")
+            elif roll < 0.12:
+                lines.append(f"{stamp} * {who} waves at {rng.choice(recent)}")
+            else:
+                words = rng.choices(_CHAT_WORDS, k=rng.randint(2, 10))
+                target = rng.choice(recent + ahead + quiet if rng.random() < 0.1 else recent)
+                target = target.upper() if rng.random() < 0.1 else target
+                if rng.random() < 0.5:
+                    words.insert(0, f"{target}:")
+                else:
+                    words.insert(rng.randrange(len(words) + 1), target)
+                if rng.random() < 0.05:
+                    words.append("café ✓")
+                lines.append(f"{stamp} <{'@' if roll > 0.97 else ''}{who}> {' '.join(words)}")
+            recent = (recent + [who])[-6:]
+        path = directory / f"2014-03-{day + 1:02d}.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files.append((str(path), f"2014-03-{day + 1:02d}"))
+    return files

@@ -465,6 +465,97 @@ def test_cli_refuses_a_parameter_its_subcommand_does_not_read(fixture_files, tmp
     assert not out.exists()
 
 
+# A valid value for each parameter, other than its default.
+OTHER_VALUES = {
+    "min_nick_length": 4,
+    "case_insensitive": False,
+    "hits_tolerance": 1e-3,
+    "hits_max_iterations": 3,
+    "hits_weighted": True,
+    "clique_min_size": 4,
+    "rege_iterations": 1,
+    "eq_threshold": 0.9,
+    "tie_cutoff": 0.9,
+    "people_cutoff": 0.9,
+    "lambda_mode": "weighted",
+    "top_links_count": 2,
+    "top_k": 2,
+}
+
+
+def _flag_args(name):
+    flag = {"top_links_count": "--top-links", "case_insensitive": "--case-sensitive"}.get(
+        name, "--" + name.replace("_", "-")
+    )
+    value = OTHER_VALUES[name]
+    return [flag] if isinstance(value, bool) else [flag, str(value)]
+
+
+def test_analyze_and_export_refuse_a_flag_their_target_does_not_read(
+    fixture_files, tmp_path, capsys
+):
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "out"
+    refused = [
+        (["analyze", "--what", "stats", "--rege-iterations", "7"],
+         "--what stats does not read --rege-iterations"),
+        (["analyze", "--what", "cliques", "--top-k", "5", "--clique-min-size", "4"],
+         "--what cliques does not read --top-k"),
+        (["analyze", "--what", "toplinks", "--hits-weighted", "--lambda-mode", "weighted"],
+         "--what toplinks does not read --hits-weighted, --lambda-mode"),
+        (["export", "--format", "dot", "--hits-weighted"],
+         "export without --attrs does not read --hits-weighted"),
+        (["export", "--format", "graphml", "--hits-max-iterations", "5", "--ego", "mdz"],
+         "export without --attrs does not read --hits-max-iterations"),
+    ]
+    for command, message in refused:
+        assert main([command[0], *logs, *command[1:], "-o", str(out)]) == 1
+        assert f"chatnet: config: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+    accepted = [
+        ["analyze", "--what", "cliques", "--clique-min-size", "4", "--min-nick-length", "2"],
+        ["analyze", "--what", "hits", "--top-k", "3", "--hits-weighted", "--case-sensitive"],
+        ["analyze", "--what", "stats", "--min-nick-length", "4"],
+        ["export", "--format", "dot", "--attrs", "--hits-weighted", "--hits-max-iterations", "5"],
+        ["export", "--format", "csv", "--min-nick-length", "4"],
+    ]
+    for command in accepted:
+        assert main([command[0], *logs, *command[1:], "-o", str(out)]) == 0, command
+        out.unlink()
+
+
+def test_each_target_offers_the_flags_it_reads_and_ignores_the_rest(fixture_files, tmp_path):
+    # The table the refusals come from, checked against the program: every
+    # flag a target reads is accepted, and setting any other parameter in a
+    # config file leaves the target's output as it is.
+    from chatnet.cli import _CSV_ANALYSES, _GRAPH_READS, _TARGET_READS
+
+    logs = [path for path, _ in fixture_files]
+    out = tmp_path / "out"
+    conf = tmp_path / "other.conf"
+    targets = [("analyze", "--what", what) for what in ALL_ANALYSES + _CSV_ANALYSES]
+    targets += [("export", "--format", "dot", "--attrs"), ("export", "--format", "dot")]
+
+    def output(command, *extra):
+        assert main([command[0], *logs, *command[1:], *extra, "-o", str(out)]) == 0, extra
+        return out.read_bytes()
+
+    for command in targets:
+        if command[0] == "analyze":
+            reads = _GRAPH_READS + _TARGET_READS[command[2]]
+        else:
+            reads = _GRAPH_READS + (_TARGET_READS["attrs"] if "--attrs" in command else ())
+        expected = output(command)
+        for name in PARAMETERS:
+            if name == "analyses":
+                continue
+            if name in reads:
+                output(command, *_flag_args(name))
+            else:
+                conf.write_text(f"{name} = {str(OTHER_VALUES[name]).lower()}\n")
+                assert output(command, "--config", str(conf)) == expected, (command, name)
+
+
 def test_readme_flag_rule_matches_report_flags():
     # README: "A flag is the key with dashes, except `--top-links` (key
     # `top_links_count`) and `--case-sensitive` (key ...".

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +12,19 @@ from scipy.sparse import csr_matrix
 from chatnet import cohesion
 from chatnet.cohesion import (
     CliqueReport,
+    CoMembershipMatrix,
     clique_comembership,
     clique_participation,
     ego_network,
     maximal_cliques,
 )
-from chatnet.graph import MentionGraph, UndirectedView, write_graph_csv
+from chatnet.graph import (
+    MentionGraph,
+    UndirectedView,
+    read_graph_csv,
+    to_undirected,
+    write_graph_csv,
+)
 from chatnet.report import AnalysisConfig, PipelineError, run_pipeline
 
 from oracles import cliques_oracle
@@ -43,7 +52,8 @@ def test_complete_graph_of_1000_is_found_quickly():
     start = time.perf_counter()
     report = maximal_cliques(g)
     assert time.perf_counter() - start < 5
-    assert report.members == (tuple(range(n)),)
+    assert report.members.tolist() == list(range(n))
+    assert report.offsets.tolist() == [0, n]
 
 
 def test_pendant_filtered_by_min_size():
@@ -192,8 +202,10 @@ def test_comembership_matches_plain_tally_with_string_order():
 
 
 def test_comembership_of_no_cliques_is_empty():
-    co = clique_comembership(CliqueReport(("a", "b"), (), 3, 0))
-    assert (co.pair_counts, co.diagonal, co.max_pair) == ({}, {}, None)
+    empty = CliqueReport(("a", "b"), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int64), 3, 0)
+    co = clique_comembership(empty)
+    assert (co.pair_counts, co.diagonal, co.max_pair, co.top(10)) == ({}, {}, None, [])
+    assert co.count("a", "b") == 0
 
 
 def moon_moser_graph(parts):
@@ -251,7 +263,8 @@ def test_clique_search_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert (report.count, report.max_clique_size) == (1, 80)
-    assert report.members == (tuple(range(80)),)
+    assert report.members.tolist() == list(range(80))
+    assert report.offsets.tolist() == [0, 80]
 
 
 def test_report_path_names_no_clique_members(data_dir, monkeypatch):
@@ -264,6 +277,64 @@ def test_report_path_names_no_clique_members(data_dir, monkeypatch):
 
     monkeypatch.setattr(CliqueReport, "cliques", property(refuse))
     assert run_pipeline(cfg).to_json_text() == expected
+
+
+def test_report_path_names_only_top_k_comembership_pairs(data_dir, monkeypatch):
+    # The golden graph's two cliques share 4 pairs; the report names 2.
+    cfg = AnalysisConfig(
+        graph_path=str(data_dir / "graph.golden.csv"),
+        analyses=("cliques",),
+        clique_min_size=2,
+        top_k=2,
+    )
+    expected = run_pipeline(cfg).to_json_text()
+    view = to_undirected(read_graph_csv(cfg.graph_path))
+    assert len(clique_comembership(maximal_cliques(view, 2)).shared) == 4
+    looked_up = []
+
+    class Names(tuple):
+        def __getitem__(self, index):
+            looked_up.append(index)
+            return tuple.__getitem__(self, index)
+
+    def counted(g):
+        u = to_undirected(g)
+        u.nicks = Names(u.nicks)
+        return u
+
+    def refuse(self):
+        raise AssertionError("every pair was named")
+
+    monkeypatch.setattr("chatnet.report.to_undirected", counted)
+    monkeypatch.setattr(CoMembershipMatrix, "pair_counts", property(refuse))
+    assert run_pipeline(cfg).to_json_text() == expected
+    assert len(looked_up) == 2 * cfg.top_k
+
+
+def peak_bytes(call):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cliques_section_holds_under_25_bytes_per_member_reference():
+    # 19,683 maximal cliques of 9 on 27 nodes, 177,147 member references.
+    # The search, the ranking and the co-membership tally peak at about 19
+    # bytes a reference: each clique's ids go onto one flat int32 array and
+    # numpy ranks the cliques and pairs.  A tuple per clique and a dict entry
+    # per named pair took about 40.
+    g = moon_moser_graph(9)
+
+    def section():
+        found = maximal_cliques(g, 3)
+        assert (found.count, len(found.members)) == (3**9, 9 * 3**9)
+        clique_comembership(found).top(10)
+
+    assert peak_bytes(section) < 25 * 9 * 3**9
 
 
 def test_participation_members_score_one(fixture_undirected):

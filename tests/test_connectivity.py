@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,3 +427,25 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     # the pendant steps of the fixture are certified without a max-flow
     components, _ = connected_components(fixture_undirected.csr(), directed=False)
     assert tree.flows < fixture_undirected.node_count - components
+
+
+def test_top_links_hold_under_400_bytes_per_edge():
+    # 20,000 weighted edges on 1,000 nodes.  The edges are ranked by numpy
+    # lexsorts over bound, weight and index, about 320 bytes an edge at the
+    # peak with the cut tree of the candidates' ends; a tuple per edge and
+    # per sort key took about 600.
+    rng = random.Random(5)
+    pairs = set()
+    while len(pairs) < 20_000:
+        a, b = sorted(rng.sample(range(1000), 2))
+        pairs.add((a, b))
+    u = as_undirected(1000, [(a, b, rng.randint(1, 5)) for a, b in sorted(pairs)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        links = top_links(u, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(links) == 10
+    assert peak < 400 * 20_000
