@@ -15,7 +15,7 @@ from .cohesion import ego_network, maximal_cliques
 from .connectivity import MODES, top_links
 from .equivalence import rege
 from .graph import format_weight, mutual_ties_view, to_undirected, write_graph_csv
-from .ingest import write_corpus_jsonl
+from .ingest import corpus_jsonl_text, replacing
 from .report import (
     ALL_ANALYSES,
     EXPORT_FORMATS,
@@ -24,8 +24,8 @@ from .report import (
     check_config,
     export_graph,
     load_config_file,
-    load_corpus,
     load_input_graph,
+    read_input,
     run_pipeline,
     split_list,
 )
@@ -145,12 +145,19 @@ def _build_config(args) -> AnalysisConfig:
 
 
 def _cmd_ingest(args) -> int:
-    corpus = load_corpus(_build_config(args))
-    write_corpus_jsonl(corpus, args.output)
-    days = len({columns.date for columns in corpus.columns})
+    # One run's records at a time; the output is moved into place only
+    # once every run has read cleanly.
+    runs = read_input(_build_config(args))
+    messages = skipped = 0
+    days = set()
+    with replacing(args.output) as out:
+        for run in runs:
+            out.write(corpus_jsonl_text(run))
+            messages += run.message_count
+            skipped += run.skipped_count
+            days.update(columns.date for columns in run.columns)
     print(
-        f"read {corpus.message_count} messages "
-        f"({corpus.skipped_count} lines skipped) over {days} day(s) "
+        f"read {messages} messages ({skipped} lines skipped) over {len(days)} day(s) "
         f"-> {args.output}",
         file=sys.stderr,
     )

@@ -226,15 +226,28 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def fractional_weight_error(weights: np.ndarray) -> str | None:
-    """Why weighted connectivity cannot use these edge weights, or None."""
+# scipy's maximum_flow wraps a single capacity above this: a 2**31 arc
+# carries no flow.  Flow totals above it are fine.
+MAX_CAPACITY = 2**31 - 1
+
+
+def capacity_error(weights: np.ndarray) -> str | None:
+    """Why weighted connectivity cannot use these undirected edge weights
+    as flow capacities, or None: each must be integral and at most
+    ``MAX_CAPACITY``."""
     fractional = np.flatnonzero(weights % 1 != 0)
-    if not len(fractional):
-        return None
-    return (
-        "weighted connectivity requires integral edge weights, "
-        f"got {float(weights[fractional[0]])!r}"
-    )
+    if len(fractional):
+        return (
+            "weighted connectivity requires integral edge weights, "
+            f"got {float(weights[fractional[0]])!r}"
+        )
+    large = np.flatnonzero(weights > MAX_CAPACITY)
+    if len(large):
+        return (
+            f"weighted connectivity requires edge weights of at most {MAX_CAPACITY}, "
+            f"got {float(weights[large[0]])!r}"
+        )
+    return None
 
 
 def _capacities(adj: csr_matrix, mode: str) -> csr_matrix:
@@ -243,7 +256,7 @@ def _capacities(adj: csr_matrix, mode: str) -> csr_matrix:
     if mode == "unit":
         weights = np.ones_like(weights)
     else:
-        error = fractional_weight_error(weights)
+        error = capacity_error(weights)
         if error is not None:
             raise ValueError(error)
     return csr_matrix(

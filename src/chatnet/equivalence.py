@@ -150,7 +150,7 @@ def _partner_groups(indptr, ks, out_w, in_w, pair):
     candidate, and a nonnegative factor keeps the order of E entries, so
     per key only the group's largest E[k, m] can win the match.  Per j: the
     first m of each group, the group's w(j -> m) and w(m -> j) as columns,
-    and (group, m) for every further member.
+    and a 2 x d array of the group and the m of each further member, or None.
     """
     partners = []
     for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
@@ -159,7 +159,7 @@ def _partner_groups(indptr, ks, out_w, in_w, pair):
         head[1:] = np.diff(pair[order]) != 0
         group = np.cumsum(head) - 1
         heads = order[head]
-        dups = list(zip(group[~head].tolist(), ks[order[~head]].tolist()))
+        dups = np.stack((group[~head], ks[order[~head]])) if not head.all() else None
         partners.append((ks[heads], out_w[heads, None], in_w[heads, None], dups))
     return partners
 
@@ -228,9 +228,15 @@ def _partner_scores(Ec, classes, partner, key_col, key_pair, s: _Setup):
         return np.zeros(len(key_col)), (s.pair_out + s.pair_in)[key_pair]
     # E is symmetric, so row m of E holds E[k, m] for every key's k, and
     # the key's column of Ec holds it once per class.
-    group_rows = Ec[classes[heads]]
-    for group, m in dups:
-        np.maximum(group_rows[group], Ec[classes[m]], out=group_rows[group])
+    head_classes = classes[heads]
+    group_rows = Ec[head_classes]
+    if dups is not None:
+        # A further member in its head's row class changes nothing.
+        groups, members = dups
+        member_classes = classes[members]
+        differ = member_classes != head_classes[groups]
+        for group, c in zip(groups[differ].tolist(), member_classes[differ].tolist()):
+            np.maximum(group_rows[group], Ec[c], out=group_rows[group])
     match = group_rows.take(key_col, axis=1)
     match *= (np.minimum(s.pair_out, out_j) + np.minimum(s.pair_in, in_j)).take(
         key_pair, axis=1

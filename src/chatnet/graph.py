@@ -258,13 +258,13 @@ def extract_network(
     (case-folded) nick exactly.
 
     A message's tokens meet the matchable nicks in one set intersection.
-    Extraction reads each file's ``MentionText``: its bodies joined at \n
+    Extraction reads each run's ``MentionText``: its bodies joined at \n
     and encoded to ASCII (each other code point one ``?``), which it
     translates in one call, lowercasing token characters and turning every
     other character into a space, then splits into lines and each line into
     tokens.  Token characters are ASCII, so ``ſ`` or Kelvin ``K`` only ends
     a token.  A body holding \n, which no log line gives, raises ValueError
-    naming the file's date.
+    naming the run's date.
     """
     if not roster:
         raise ValueError("no participants")

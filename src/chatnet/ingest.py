@@ -14,15 +14,17 @@ informal and a parser that aborts on one bad line is useless on them.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, TextIO
 
 USER_MESSAGE = "user_message"
 ACTION = "action"
@@ -166,7 +168,8 @@ class ChatCorpus:
     per run of one date in a corpus JSONL, each read by the line grammar.
     ``messages`` builds the objects anew each time it
     is read; counting, the roster, extraction and the JSONL text read the
-    columns and build none.
+    columns and build none.  The per-run readers (``log_file_runs``,
+    ``corpus_jsonl_runs``) hand out corpora of one run each.
     """
 
     __slots__ = ("columns", "file_stats")
@@ -241,21 +244,34 @@ def _count_senders(counts: dict[str, int], columns: MessageColumns) -> None:
 
 @dataclass(frozen=True)
 class MentionCorpus:
-    """Parsed log files as mention extraction reads them, with no bodies.
+    """An input's messages as mention extraction reads them, with no bodies.
 
-    ``parse_corpus(files, mentions_only=True)`` builds it one file at a
-    time: the roster's counts summed over the files, one ``MentionText``
-    per file and the files' stats.  ``build_roster`` and
-    ``extract_network`` read it as they read a ``ChatCorpus``.
+    ``MentionCorpus.fold`` builds it from a stream of corpora, one run at a
+    time: the roster's counts summed over the runs, one ``MentionText`` per
+    run, the runs' file stats (none for a corpus JSONL) and the number of
+    messages it read, so a JSONL and the logs it came from give the same
+    ``message_count``.  ``build_roster`` and ``extract_network`` read it as
+    they read a ``ChatCorpus``.
     """
 
     texts: tuple[MentionText, ...]
     file_stats: tuple[FileStats, ...]
     counts: dict[str, int]
+    message_count: int
 
-    @property
-    def message_count(self) -> int:
-        return sum(s.parsed for s in self.file_stats)
+    @classmethod
+    def fold(cls, corpora: Iterable[ChatCorpus]) -> "MentionCorpus":
+        """Each corpus's sender counts and mention texts, dropping its columns
+        before the next is read."""
+        counts: dict[str, int] = {}
+        texts, file_stats, messages = [], [], 0
+        for corpus in corpora:
+            for columns in corpus.columns:
+                _count_senders(counts, columns)
+                texts.append(_mention_text(columns))
+                messages += len(columns)
+            file_stats.extend(corpus.file_stats)
+        return cls(tuple(texts), tuple(file_stats), counts, messages)
 
     @property
     def skipped_count(self) -> int:
@@ -358,30 +374,9 @@ def _parse_one_file(path: str, date: dt.date) -> tuple[MessageColumns, FileStats
     return columns, FileStats(path, date, len(columns), total - len(columns), total)
 
 
-def parse_corpus(
-    files: Sequence[tuple[str, object]], *, mentions_only: bool = False
-) -> ChatCorpus | MentionCorpus:
-    """Parse log files given as (path, date) pairs, in the order given.
-
-    The file set is checked first: it must not be empty, and the dates must
-    be strictly increasing.  Each file is then decoded whole and read by
-    one pass of the line grammar that ``parse_line`` uses, so a file's
-    messages are exactly ``parse_line`` of each of its ``split_lines``.
-    The corpus keeps each file's messages as ``MessageColumns`` and builds
-    no ``ChatMessage``; the rows share one string per clock and per nick,
-    which holds about 136 bytes per message, body included, on chat-shaped
-    logs.
-
-    With ``mentions_only`` the result is a ``MentionCorpus``: each file's
-    columns are dropped once its sender counts are added and its
-    ``MentionText`` is taken, about 55 bytes per message on the same logs,
-    so no more than one file's messages are held at a time.
-
-    Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
-    measured slower than one thread.  The only thread knob left is
-    ``run_pipeline``'s ``threads`` (``--threads``, a flag of ``chatnet
-    report`` only), kept for compatibility and ignored.
-    """
+def _file_set(files: Iterable[tuple[str, object]]) -> list[tuple[str, dt.date]]:
+    # (path, date) pairs of a set of log files that is not empty and whose
+    # dates strictly increase.
     entries = [(str(path), _coerce_date(date)) for path, date in files]
     if not entries:
         raise ValueError("empty input set")
@@ -391,17 +386,38 @@ def parse_corpus(
                 f"file dates must be strictly increasing: {first} ({before}) "
                 f"is followed by {second} ({after})"
             )
-    if not mentions_only:
-        parsed = [_parse_one_file(path, date) for path, date in entries]
-        return ChatCorpus.from_columns(*zip(*parsed))
-    counts: dict[str, int] = {}
-    texts, file_stats = [], []
-    for path, date in entries:
-        columns, stat = _parse_one_file(path, date)
-        _count_senders(counts, columns)
-        texts.append(_mention_text(columns))
-        file_stats.append(stat)
-    return MentionCorpus(tuple(texts), tuple(file_stats), counts)
+    return entries
+
+
+def parse_corpus(files: Iterable[tuple[str, object]]) -> ChatCorpus:
+    """Parse log files given as (path, date) pairs, in the order given.
+
+    The file set is checked first: it must not be empty, and the dates must
+    be strictly increasing.  Each file is then decoded whole and read by
+    one pass of the line grammar that ``parse_line`` uses, so a file's
+    messages are exactly ``parse_line`` of each of its ``split_lines``.
+    The corpus keeps each file's messages as ``MessageColumns`` and builds
+    no ``ChatMessage``; the rows share one string per clock and per nick,
+    which holds about 136 bytes per message, body included, on chat-shaped
+    logs.  ``log_file_runs`` reads the same files one at a time.
+
+    Parsing is serial: it is regex-bound and holds the GIL, so a thread pool
+    measured slower than one thread.  The only thread knob left is
+    ``run_pipeline``'s ``threads`` (``--threads``, a flag of ``chatnet
+    report`` only), kept for compatibility and ignored.
+    """
+    parsed = [_parse_one_file(path, date) for path, date in _file_set(files)]
+    return ChatCorpus.from_columns(*zip(*parsed))
+
+
+def log_file_runs(files: Iterable[tuple[str, object]]) -> Iterator[ChatCorpus]:
+    """The ``parse_corpus`` of each log file in turn, one file held at a time.
+
+    The file set is checked before the first file is read, as
+    ``parse_corpus`` checks it; a file that cannot be read fails when its
+    turn comes.  Each corpus has one run and that file's ``FileStats``.
+    """
+    return (parse_corpus([entry]) for entry in _file_set(files))
 
 
 def build_roster(
@@ -429,40 +445,82 @@ def corpus_jsonl_text(corpus: ChatCorpus) -> str:
     return "".join(lines)
 
 
+@contextlib.contextmanager
+def replacing(path) -> Iterator[TextIO]:
+    """A UTF-8 text file that becomes ``path`` once the block ends cleanly.
+
+    It is written beside ``path`` (beside the file a symlink names) under a
+    temporary name and moved into place at the end, so a block that raises
+    leaves an existing ``path`` as it was and creates none.  A ``path``
+    that exists and is no regular file, such as a device or a pipe, is
+    written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(temp, "x", encoding="utf-8")
+    except OSError as exc:  # named after the file asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_corpus_jsonl(corpus: ChatCorpus, path) -> None:
-    Path(path).write_text(corpus_jsonl_text(corpus), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(corpus_jsonl_text(corpus))
 
 
-def read_corpus_jsonl(path) -> ChatCorpus:
-    """Load a corpus previously written by ``write_corpus_jsonl``.
+def corpus_jsonl_runs(path) -> Iterator[ChatCorpus]:
+    """A corpus JSONL's messages, one corpus per run of records of one date.
 
     A record is a JSON object whose five fields are strings, its kind one
     of ``KINDS`` and its date ``YYYY-MM-DD``.  Beyond that, a record is
     accepted when its log line reads back as it: ``[time] <nick> body``,
     ``[time] * nick body`` or ``[time] *** body``, read by the grammar that
     ``parse_corpus`` runs over a log file.  Any other record is refused,
-    naming its line; with several bad records, the first one is named.
-    The corpus has no file stats: a JSONL holds messages, not the log
-    lines they were read from, so it has no lines read or skipped to
-    account for.  The rows share their clocks and nicks within a run of
-    one date, as a parsed log file's rows do.
+    naming its line; with several bad records, the first one is named, so
+    the run in progress is read back before a record's JSON error is
+    raised.  Only the run in progress is held.  The corpora have no file
+    stats: a JSONL holds messages, not the log lines they were read from,
+    so it has no lines read or skipped to account for.  The rows share
+    their clocks and nicks within a run, as a parsed log file's rows do.
     """
-    records, error = [], None
+    run, error = [], None
     with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append((lineno, *_record_fields(json.loads(line))))
+                record = (lineno, *_record_fields(json.loads(line)))
             except (KeyError, ValueError) as exc:
                 error = exc
                 break
-    # the records before line ``lineno`` go first: an earlier bad one is named
-    columns = [_read_back(path, run) for _, run in groupby(records, itemgetter(1))]
+            if run and record[1] != run[-1][1]:
+                yield ChatCorpus.from_columns([_read_back(path, run)], ())
+                run = []
+            run.append(record)
+    if run:
+        yield ChatCorpus.from_columns([_read_back(path, run)], ())
     if error:
         raise ValueError(f"{path}:{lineno}: bad corpus record: {error}") from error
-    return ChatCorpus.from_columns(columns, ())
+
+
+def read_corpus_jsonl(path) -> ChatCorpus:
+    """Load a corpus previously written by ``write_corpus_jsonl``: the runs
+    of ``corpus_jsonl_runs``, which checks each record, joined.  The corpus
+    has no file stats."""
+    runs = corpus_jsonl_runs(path)
+    return ChatCorpus.from_columns(chain.from_iterable(run.columns for run in runs), ())
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:

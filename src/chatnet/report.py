@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .centrality import hits, ranked
@@ -22,7 +23,7 @@ from .cohesion import clique_comembership, maximal_cliques
 from .connectivity import (
     MODES,
     articulation_points_and_blocks,
-    fractional_weight_error,
+    capacity_error,
     lambda_sets,
     top_links,
 )
@@ -40,10 +41,10 @@ from .ingest import (
     ChatCorpus,
     MentionCorpus,
     build_roster,
+    corpus_jsonl_runs,
     data_lines,
     discover_log_files,
-    parse_corpus,
-    read_corpus_jsonl,
+    log_file_runs,
     read_manifest,
     read_roster_file,
 )
@@ -374,9 +375,10 @@ def _blocks_section(u) -> dict:
 
 def _lambda_section(u, cfg: AnalysisConfig) -> dict:
     hierarchy = lambda_sets(u, cfg.lambda_mode)
-    # Top links need the weighted cut tree, so fractional weights skip them;
-    # unit levels stand without it (weighted lambda_sets has raised already).
-    skipped = fractional_weight_error(u.csr().data)
+    # Top links need the weighted cut tree, so weights it cannot take as
+    # capacities skip them; unit levels stand without it (weighted
+    # lambda_sets has raised already).
+    skipped = capacity_error(u.csr().data)
     links = top_links(u, cfg.top_links_count) if skipped is None else []
     section = {
         "mode": cfg.lambda_mode,
@@ -428,35 +430,48 @@ def check_config(config: AnalysisConfig) -> AnalysisConfig:
     return config
 
 
-def load_corpus(cfg: AnalysisConfig, mentions_only: bool = False) -> ChatCorpus | MentionCorpus:
-    """Read the config's corpus JSONL, or parse its manifest's or logs' files.
+def read_input(cfg: AnalysisConfig) -> Iterator[ChatCorpus]:
+    """The config's messages, one run at a time, from any input form.
 
-    With ``mentions_only``, log files give a ``MentionCorpus`` (see
-    ``parse_corpus``); a corpus JSONL is read whole either way.  A graph
-    CSV holds no messages, so it is an error here.  Failures raise
-    ValueError or OSError.
+    Logs and a manifest's files give one corpus per file, with its
+    ``FileStats`` (``log_file_runs``); a corpus JSONL gives one per run of
+    records of one date, with none (``corpus_jsonl_runs``).  The file set
+    is checked before the first run; a bad file or record fails when the
+    stream reaches it.  A graph CSV holds no messages, so it is an error
+    here.  Failures raise ValueError or OSError.
     """
     if cfg.graph_path is not None:
         raise ValueError(f"'{cfg.graph_path}' is a graph CSV, not logs or a corpus")
     if cfg.corpus_path is not None:
-        return read_corpus_jsonl(cfg.corpus_path)
+        return corpus_jsonl_runs(cfg.corpus_path)
     if cfg.manifest_path is not None:
         files = read_manifest(cfg.manifest_path)
     else:
         files = discover_log_files(cfg.log_paths)
-    return parse_corpus(files, mentions_only=mentions_only)
+    return log_file_runs(files)
+
+
+def load_corpus(cfg: AnalysisConfig) -> MentionCorpus:
+    """The config's input folded one run at a time into a ``MentionCorpus``.
+
+    Every input form reaches it through ``read_input`` and the one fold,
+    so no more than one run's messages are held at a time.  Failures raise
+    ValueError or OSError.
+    """
+    return MentionCorpus.fold(read_input(cfg))
 
 
 def load_input_graph(cfg: AnalysisConfig) -> MentionGraph:
     """Validate the config and build the mention graph from its input source.
 
-    Log files are parsed one at a time into a ``MentionCorpus``, which
-    keeps no message bodies.  Failures raise ValueError or OSError.
+    Logs, a manifest and a corpus JSONL are read into a ``MentionCorpus``
+    by ``load_corpus``, which keeps no message bodies.  Failures raise
+    ValueError or OSError.
     """
     cfg.validate()
     if cfg.graph_path is not None:
         return read_graph_csv(cfg.graph_path)
-    corpus = load_corpus(cfg, mentions_only=True)
+    corpus = load_corpus(cfg)
     prior = read_roster_file(cfg.roster_path) if cfg.roster_path else ()
     roster = build_roster(corpus, prior_nicks=prior)
     return extract_network(

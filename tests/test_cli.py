@@ -1,9 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
+import stat
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -206,6 +209,67 @@ def test_cli_ingest_with_manifest(fixture_files, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     assert main(["ingest", "--manifest", str(manifest), "-o", str(corpus)]) == 0
     assert len(corpus.read_text(encoding="utf-8").splitlines()) == 11
+    capsys.readouterr()
+
+
+def failing_ingest_input(kind, fixture_files, data_dir, tmp_path):
+    # Input whose first run reads cleanly and whose last one fails: the
+    # ingest arguments and what the error names.
+    if kind == "manifest":
+        first, date = fixture_files[0]
+        missing = tmp_path / "2012-03-15.txt"
+        manifest = tmp_path / "files.csv"
+        manifest.write_text(f"{first},{date}\n{missing},2012-03-15\n", encoding="utf-8")
+        return ["--manifest", str(manifest)], f"cannot read log file '{missing}'"
+    lines = (data_dir / "corpus.golden.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["date"] < json.loads(lines[-1])["date"]
+    lines[-1] = lines[-1].replace('"time": "', '"time": "9')
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [str(corpus)], f"corpus.jsonl:{len(lines)}: bad corpus record"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("kind", ["manifest", "jsonl"])
+def test_cli_ingest_that_fails_partway_leaves_the_output_as_it_was(
+    kind, existing, fixture_files, data_dir, tmp_path, capsys
+):
+    args, named = failing_ingest_input(kind, fixture_files, data_dir, tmp_path)
+    out = tmp_path / "out" / "corpus.jsonl"
+    out.parent.mkdir()
+    if existing:
+        out.write_bytes(b"an earlier corpus\n")
+    assert main(["ingest", *args, "-o", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    if existing:
+        assert out.read_bytes() == b"an earlier corpus\n"
+    else:
+        assert not out.exists()
+    assert [path.name for path in out.parent.iterdir()] == ([out.name] if existing else [])
+
+
+def test_cli_ingest_writes_through_a_symlink(data_dir, tmp_path, capsys):
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["ingest", str(data_dir / "corpus.golden.jsonl"), "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (data_dir / "corpus.golden.jsonl").read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_ingest_writes_into_a_pipe(data_dir, tmp_path, capsys):
+    # A path that is no regular file is written in place, not replaced.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["ingest", str(data_dir / "corpus.golden.jsonl"), "-o", str(pipe)]) == 0
+    reader.join(timeout=10)
+    assert received == [(data_dir / "corpus.golden.jsonl").read_bytes()]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
     capsys.readouterr()
 
 

@@ -705,3 +705,37 @@ def test_hits_matches_networkx(seed, weighted):
         other = np.array([theirs[v] for v in g.nicks])
         assert np.abs(mine - other).max() <= 1e-8
         assert_same_ranking(mine, other)
+
+
+def capacity_edge_ugraph(seed, n):
+    # A random graph with small weights, a share of them at the largest
+    # capacity max-flow takes, and a triangle of those, so flows and cuts
+    # reach several times that capacity.
+    rng = random.Random(seed)
+    big = connectivity.MAX_CAPACITY
+    weighted = [(0, 1, big), (1, 2, big), (0, 2, big)]
+    weighted += [
+        (a, b, big if rng.random() < 0.3 else rng.randint(1, 6))
+        for a, b in random_ugraph(rng, n, 0.25)
+        if {a, b} - {0, 1, 2}
+    ]
+    return weighted
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_cuts_are_exact_at_the_largest_capacity(seed):
+    n = 14
+    weighted = capacity_edge_ugraph(900 + seed, n)
+    assert_all_pairs_match_networkx(n, weighted, "weighted")
+    view = as_undirected(n, weighted)
+    reference = to_nx_graph(n, weighted, "weighted")
+    top_level = connectivity.lambda_sets(view, "weighted").levels[0]
+    assert top_level[0] >= 2 * connectivity.MAX_CAPACITY
+    # Every edge's score is its ends' minimum cut; rank them as top_links does.
+    expected = sorted(
+        (-nx.minimum_cut_value(reference, view.nicks[a], view.nicks[b]), -w, a, b)
+        for a, b, w in view.edges()
+    )
+    links = top_links(view, len(expected))
+    assert links == [((view.nicks[a], view.nicks[b]), -score) for score, _, a, b in expected]
+    assert top_links(view, 5) == links[:5]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chatnet import equivalence
+from chatnet.cli import main
 from chatnet.equivalence import classify_roles, rege
 from chatnet.graph import MentionGraph, read_graph_csv, write_graph_csv
 from chatnet.report import (
@@ -432,3 +433,39 @@ def test_fractional_weights_fail_weighted_lambda(tmp_path):
     with pytest.raises(PipelineError, match="integral edge weights, got 1.5") as info:
         run_pipeline(cfg)
     assert info.value.stage == "lambda"
+
+
+def large_weight_csv(tmp_path):
+    # a, b and c joined pairwise at 3e9; c-d 1, d-e 2**40, e-c 5.  A single
+    # max-flow capacity of 2**31 or more wraps to a flow of 0.
+    path = tmp_path / "big.csv"
+    path.write_text(
+        "source,target,weight\n"
+        "a,b,3000000000\nb,c,3000000000\na,c,3000000000\n"
+        f"c,d,1\nd,e,{2**40}\ne,c,5\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+LARGE_WEIGHT_REASON = (
+    "weighted connectivity requires edge weights of at most 2147483647, got 3000000000.0"
+)
+
+
+def test_weights_above_the_largest_capacity_fail_weighted_lambda(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [large_weight_csv(tmp_path), "--lambda-mode", "weighted", "--analyses", "lambda"]
+    assert main(["report", *argv, "-o", str(out)]) == 1
+    assert f"chatnet: lambda: {LARGE_WEIGHT_REASON}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weights_above_the_largest_capacity_skip_top_links_in_unit_mode(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    report = run_pipeline(AnalysisConfig(graph_path=large_weight_csv(tmp_path)))
+    lam = report.section("lambda")
+    assert lam["levels"] == [{"value": 2.0, "sets": [["a", "b", "c", "d", "e"]]}]
+    assert lam["top_links"] == []
+    assert lam["top_links_skipped"] == LARGE_WEIGHT_REASON
+    jsonschema.validate(json.loads(report.to_json_text()), load_report_schema())

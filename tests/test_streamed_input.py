@@ -1,9 +1,11 @@
-"""The report's streamed log input against the whole-corpus path.
+"""The report's streamed input against the whole-corpus path.
 
-``load_input_graph`` parses one log file at a time into a ``MentionCorpus``
-and keeps no message bodies; the library path parses a ``ChatCorpus``,
-builds the roster from it and extracts.  Both must give the same graph and
-the same errors, and the streamed path must hold much less memory.
+``load_input_graph`` reads logs one file at a time, and a corpus JSONL one
+run of one date at a time, into a ``MentionCorpus`` and keeps no message
+bodies; the library path parses a ``ChatCorpus``, builds the roster from it
+and extracts.  Both must give the same graph and the same errors, and the
+streamed path must hold much less memory.  ``chatnet ingest`` writes one
+run at a time from the same stream.
 """
 
 import gc
@@ -11,8 +13,15 @@ import tracemalloc
 
 import pytest
 
+from chatnet.cli import main
 from chatnet.graph import extract_network
-from chatnet.ingest import MentionCorpus, build_roster, parse_corpus, read_roster_file
+from chatnet.ingest import (
+    MentionCorpus,
+    build_roster,
+    parse_corpus,
+    read_roster_file,
+    write_corpus_jsonl,
+)
 from chatnet.report import AnalysisConfig, load_corpus, load_input_graph
 
 from synth import write_chat_logs
@@ -65,7 +74,7 @@ def test_streamed_input_equals_the_corpus_path(
     if roster:
         assert expected != corpus_path_graph(files, **options)
     assert load_input_graph(cfg) == expected
-    streamed = load_corpus(cfg, mentions_only=True)
+    streamed = load_corpus(cfg)
     assert isinstance(streamed, MentionCorpus)
     assert streamed.file_stats == parse_corpus(files).file_stats
     assert "columns" not in dir(streamed)
@@ -145,3 +154,55 @@ def test_streamed_input_peaks_well_below_the_corpus_path(tmp_path):
     streamed = peak_bytes(lambda: load_input_graph(cfg))
     whole = peak_bytes(lambda: corpus_path_graph(files))
     assert streamed < 0.6 * whole
+
+
+@pytest.fixture(scope="module")
+def twenty_days(tmp_path_factory):
+    # 20 daily files of 1,500 lines, their corpus JSONL, and its bytes.
+    directory = tmp_path_factory.mktemp("twenty")
+    logs = directory / "logs"
+    logs.mkdir()
+    files = write_chat_logs(logs, seed=5, days=20, lines_per_day=1500, users=80)
+    corpus = directory / "corpus.jsonl"
+    write_corpus_jsonl(parse_corpus(files), corpus)
+    return files, logs, corpus
+
+
+def test_corpus_jsonl_input_peaks_near_the_log_input(twenty_days):
+    # Both forms hold one run's messages at a time plus the MentionCorpus;
+    # a JSONL run's records cost more than a log file's text (about 1.1x
+    # the log input's peak with CPython 3.11; about 7x when the JSONL was
+    # read whole).
+    _, logs, corpus = twenty_days
+    from_logs = AnalysisConfig(log_paths=(str(logs),))
+    from_jsonl = AnalysisConfig(corpus_path=str(corpus))
+    assert load_input_graph(from_jsonl) == load_input_graph(from_logs)
+    assert peak_bytes(lambda: load_input_graph(from_jsonl)) <= 1.5 * peak_bytes(
+        lambda: load_input_graph(from_logs)
+    )
+
+
+def test_a_corpus_jsonl_folds_as_the_logs_it_came_from(twenty_days):
+    # A JSONL has no file stats, so the fold counts its own messages; its
+    # runs of one date are the log files.
+    files, logs, corpus = twenty_days
+    from_logs = load_corpus(AnalysisConfig(log_paths=(str(logs),)))
+    from_jsonl = load_corpus(AnalysisConfig(corpus_path=str(corpus)))
+    assert from_jsonl.file_stats == ()
+    assert from_jsonl.message_count == from_logs.message_count == parse_corpus(files).message_count
+    assert from_jsonl.texts == from_logs.texts
+    assert from_jsonl.counts == from_logs.counts
+
+
+def test_ingest_peaks_well_below_the_library_path(twenty_days, tmp_path, capsys):
+    # ingest holds one file's columns and JSONL text at a time (about 6% of
+    # the library path's peak with CPython 3.11; the same peak when ingest
+    # read everything before writing), and writes the same bytes.
+    files, logs, corpus = twenty_days
+    streamed = tmp_path / "streamed.jsonl"
+    whole = tmp_path / "whole.jsonl"
+    ingest_peak = peak_bytes(lambda: main(["ingest", str(logs), "-o", str(streamed)]))
+    library_peak = peak_bytes(lambda: write_corpus_jsonl(parse_corpus(files), whole))
+    assert streamed.read_bytes() == whole.read_bytes() == corpus.read_bytes()
+    assert ingest_peak < 0.6 * library_peak
+    capsys.readouterr()
