@@ -24,8 +24,11 @@ Massive Graphs" (ICDM 2016):
   edge of the block (Nagamochi & Ibaraki 1992);
 * the hub pass, which proves lambda(v, r) = deg(v) for many nodes v at once
   against the node r of largest degree, by max-flows from a super source
-  to batches of nodes that do not compete for a bottleneck (its rules are
-  in ``_hub_edges``).
+  at batches of nodes that do not compete for a bottleneck into a set of
+  hubs, r first.  A batch's degrees are bounded by the cut around the
+  hubs, and the next node of largest degree joins them when that saves
+  more batches than its own max-flow to r costs; it adds the edge (h, r,
+  lambda(h, r)).  The rules are in ``_hub_edges``.
 
 Top links score their candidate edges from the cut tree of those edges'
 ends alone, which is exact for two ends that share a block, as an edge's
@@ -73,9 +76,10 @@ class GomoryHuTree:
     Indexed by node id: ``up`` holds each node's parent (-1 at a component
     root) and ``capacity`` the value of the edge to it.  Both arrays are
     read-only.  ``flows`` is the number of max-flows run to build the tree,
-    and ``hub_flows`` how many of them the hub pass ran; the rest are
-    Gusfield steps.  Disconnected inputs yield a forest and cross-component
-    connectivity is 0.
+    and ``hub_flows`` how many of them the hub pass ran, its batches and
+    its hubs' flows to the first hub; the rest are Gusfield steps.
+    Disconnected inputs yield a forest and cross-component connectivity is
+    0.
     """
 
     nicks: tuple[str, ...]
@@ -371,80 +375,136 @@ def _locally_cut(caps: csr_matrix, degree: list[int], hub: int) -> np.ndarray:
     return cut
 
 
-def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndarray):
-    """Certificate edges (v, r, deg v) proven by batched flows into the hub r.
+def _flow_network(caps: csr_matrix, hubs: list[int], degree: list[int]) -> csr_matrix:
+    """The block's arcs plus a super source k and a super sink k + 1.
 
-    The hub r is the first node of largest degree.  The candidates are the
-    terminals v != r that ``certified`` does not already join to r at
-    deg(v) and that ``_locally_cut`` does not rule out, in (degree, id)
-    order.  A super source, node k of one (k+1)-node capacity matrix, gets
-    an arc of capacity deg(v) to each member v of a batch, and one max-flow
-    runs from it to r.  A member whose arc is saturated has lambda(v, r) =
-    deg(v): the flow paths that leave the source through v form a feasible
-    v-r flow on their own.  Members that compete for a bottleneck cannot
-    all be saturated; two adjacent members v and w never are, since the cut
-    around {v, w} weighs deg v + deg w - 2 w(v, w).  So a batch takes the
-    pending candidates in order, each one that keeps three rules:
-
-    * no member is adjacent to another;
-    * every node x != r receives at most deg(x) / 2 from members' edges;
-    * the members' degrees sum to at most deg(r).
-
-    The first pending candidate always fits, so no batch is empty.  An
-    unsaturated member is not tried again, and the pass stops after a batch
-    that proves none of its members.
-
-    Returns the edges as (heads, tails, weights) arrays, and the number of
-    max-flows run.
+    Row k holds a zero-capacity arc to every node, set per batch, and each
+    of the given hubs h an arc of capacity deg(h) to the sink.
     """
     k = caps.shape[0]
-    hub = int(np.argmax(degree))
+    hubs = np.sort(np.asarray(hubs, dtype=np.intp))
+    at = caps.indptr[1:][hubs]  # the end of each hub's row
+    shift = np.zeros(k + 1, dtype=caps.indptr.dtype)
+    shift[hubs + 1] = 1
+    indptr = np.append(caps.indptr + np.cumsum(shift), [caps.nnz + len(hubs) + k] * 2)
+    data = np.insert(caps.data, at, np.asarray(degree)[hubs])
+    indices = np.insert(caps.indices, at, k + 1)
+    return csr_matrix(
+        (
+            np.concatenate([data, np.zeros(k, dtype=data.dtype)]),
+            np.concatenate([indices, np.arange(k, dtype=indices.dtype)]),
+            indptr,
+        ),
+        shape=(k + 2, k + 2),
+    )
+
+
+def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndarray):
+    """Certificate edges proven by batched flows into a growing set of hubs.
+
+    The hubs H start as {r}, r the first node of largest degree.  The
+    candidates are the terminals v != r that ``certified`` does not already
+    join to r at deg(v) and that ``_locally_cut`` does not rule out, in
+    (degree, id) order.  A super source gets an arc of capacity deg(v) to
+    each member v of a batch, a super sink an arc of capacity deg(h) from
+    each hub h (``_flow_network``), and one max-flow runs from source to
+    sink, or to r itself while H = {r}.  A member v whose arc is saturated
+    has every cut that separates it from all of H weigh at least deg(v):
+    the flow paths that leave the source through v form a feasible flow on
+    their own.  A v-r cut that puts a hub h on v's side separates h from r,
+    so lambda(v, r) >= min(deg v, mu) for mu the least lambda(h, r) over
+    the hubs h != r.  So a saturated member with deg(v) <= mu has
+    lambda(v, r) = deg(v).
+
+    Members that compete for a bottleneck cannot all be saturated; two
+    adjacent members v and w never are, since the cut around {v, w} weighs
+    deg v + deg w - 2 w(v, w).  So a batch takes the pending candidates in
+    order, each one that keeps three rules:
+
+    * no member is adjacent to another;
+    * every node x outside H receives at most deg(x) / 2 from members' edges;
+    * the members' degrees sum to at most cap(H), the weight of the cut
+      around H, which bounds the flow.
+
+    Candidates of degree above mu are dropped.  The budget never falls
+    below deg(r), so the first pending candidate always fits and no batch
+    is empty.  An unsaturated member stays pending for a later batch, and
+    the pass stops after a batch that proves none of its members.  After a
+    batch that ran out of budget, the next node h of largest degree joins H
+    if that saves more batches than it costs: rest / cap(H) - rest / cap(H
+    + h) > 1, for rest the pending candidates' degree sum, so the budget
+    only grows.  A joining hub costs one max-flow, from h to r, and the
+    matrix is rebuilt with the hubs' sink arcs.
+
+    Returns the edges as (heads, tails, weights) arrays: (v, r, deg v) per
+    proven member and (h, r, lambda(h, r)) per hub h != r; and the number of
+    max-flows run, the hubs' included.
+    """
+    k = caps.shape[0]
+    by_degree = np.lexsort((np.arange(k), -np.asarray(degree))).tolist()
+    hub = by_degree[0]
     pending = sorted(
         (degree[v], v)
         for v in np.flatnonzero(terminal & ~_locally_cut(caps, degree, hub)).tolist()
         if v != hub and not certified(v, hub, degree[v])
     )
     pending = [v for _, v in pending]
-    ext = csr_matrix(
-        (
-            np.concatenate([caps.data, np.zeros(k, dtype=caps.data.dtype)]),
-            np.concatenate([caps.indices, np.arange(k, dtype=caps.indices.dtype)]),
-            np.append(caps.indptr, caps.nnz + k),
-        ),
-        shape=(k + 1, k + 1),
-    )
-    source_arcs = ext.data[caps.nnz :]  # row k of ext, one arc per node
+    hubs, in_hubs = [hub], [False] * k
+    in_hubs[hub] = True
+    budget, mu = degree[hub], degree[hub]
+    # While r is the one hub, flows run to r itself: scipy's solver takes
+    # about 15% longer through a sink arc.
+    ext, sink = _flow_network(caps, [], degree), hub
     indptr, indices, weights = caps.indptr.tolist(), caps.indices.tolist(), caps.data.tolist()
-    proven: list[int] = []
+    heads, values = [], []
     flows = 0
+    full = False  # the last batch ran out of budget
     while pending:
-        batch, left = [], []
+        if full:
+            full = False
+            h = by_degree[len(hubs)]
+            arcs = range(indptr[h], indptr[h + 1])
+            grown = budget + degree[h] - 2 * sum(weights[p] for p in arcs if in_hubs[indices[p]])
+            rest = sum(degree[v] for v in pending)
+            # rest / budget - rest / grown > 1, in integers
+            if rest * (grown - budget) > budget * grown:
+                value = int(maximum_flow(caps, h, hub).flow_value)
+                flows += 1
+                heads.append(h)
+                values.append(value)
+                hubs.append(h)
+                in_hubs[h] = True
+                budget, mu = grown, min(mu, value)
+                pending = [v for v in pending if v != h and degree[v] <= mu]
+                ext, sink = _flow_network(caps, hubs, degree), k + 1
+                continue
+        batch = []
         member, received, total = [False] * k, [0] * k, 0
-        for at, v in enumerate(pending):
-            if total + degree[v] > degree[hub]:
-                left += pending[at:]  # every later candidate is at least as large
+        for v in pending:
+            if total + degree[v] > budget:
+                full = True  # every later candidate is at least as large
                 break
             arcs = list(zip(indices[indptr[v] : indptr[v + 1]], weights[indptr[v] : indptr[v + 1]]))
-            if all(not member[x] and (x == hub or 2 * (received[x] + w) <= degree[x]) for x, w in arcs):
+            if all(not member[x] and (in_hubs[x] or 2 * (received[x] + w) <= degree[x]) for x, w in arcs):
                 batch.append(v)
                 member[v], total = True, total + degree[v]
                 for x, w in arcs:
                     received[x] += w
-            else:
-                left.append(v)
-        pending = left
+        source_arcs = ext.data[-k:]  # row k of ext, one arc per node
         source_arcs[:] = 0
         source_arcs[batch] = [degree[v] for v in batch]
-        sent = maximum_flow(ext, k, hub).flow[k].toarray().ravel()
+        sent = maximum_flow(ext, k, sink).flow[k].toarray().ravel()
         flows += 1
         saturated = [v for v in batch if sent[v] == degree[v]]
         if not saturated:
             break
-        proven += saturated
-    heads = np.array(proven, dtype=np.int64)
-    tails = np.full(len(proven), hub, dtype=np.int64)
-    weights = np.array([degree[v] for v in proven], dtype=np.int64)
-    return (heads, tails, weights), flows
+        heads += saturated
+        values += [degree[v] for v in saturated]
+        proven = set(saturated)
+        pending = [v for v in pending if v not in proven]
+    heads = np.array(heads, dtype=np.int64)
+    tails = np.full(len(heads), hub, dtype=np.int64)
+    return (heads, tails, np.array(values, dtype=np.int64)), flows
 
 
 def _block_certificates(caps: csr_matrix, blocks, terminal: np.ndarray):
@@ -483,9 +543,10 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
     the certificate's edges whose bound reaches min(deg i, deg t), the
     trivial cut, {i} or V minus {t} for whichever has that degree, is one
     and no max-flow is run.  The certificate holds every edge of the block
-    with its MA bound, plus an edge (v, r, deg v) for each terminal v that
-    the hub pass (``_hub_edges``) proves.  ``flows`` counts the hub passes'
-    max-flows too, and ``hub_flows`` counts them alone.
+    with its MA bound, plus the hub pass's edges (``_hub_edges``): (v, r,
+    deg v) for each terminal v it proves and (h, r, lambda(h, r)) for each
+    hub h it adds.  ``flows`` counts the hub passes' max-flows too, and
+    ``hub_flows`` counts them alone.
     """
     _check_mode(mode)
     n = u.node_count
@@ -498,13 +559,13 @@ def _cut_tree(u: UndirectedView, mode: str, terminal: np.ndarray) -> GomoryHuTre
     up[bridges] = parent[bridges]
     capacity[bridges] = np.asarray(caps[bridges, parent[bridges]]).ravel()
     flows = hub_flows = 0
-    for block, local_caps, degree, bounds, hub_edges, batches in _block_certificates(
+    for block, local_caps, degree, bounds, hub_edges, pass_flows in _block_certificates(
         caps, blocks, terminal
     ):
         # local 0 is the head, and the first terminal the root
         steps = np.flatnonzero(terminal[block])
         k = len(block)
-        hub_flows += batches
+        hub_flows += pass_flows
         certified = _certifier(k, *map(np.concatenate, zip(bounds, hub_edges)))
         local = np.arange(k)
         root = int(steps[0])
@@ -584,7 +645,7 @@ def top_links(u: UndirectedView, k: int) -> list[tuple[tuple[str, str], float]]:
     round 1's k-th result, if there are more, from the tree of theirs.  Its
     k-th result ranks no lower, so no third round.  k >= m builds the full
     tree; a mid-range k, two large ones: at k = m/2 the seed-7 pa graph ran
-    478 max-flows against the full tree's 270.  Both rankings are numpy
+    434 max-flows against the full tree's 240.  Both rankings are numpy
     lexsorts over arrays of bound or score, weight and edge index, with no
     Python object per edge; only the k links returned are named.
     """

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -131,19 +132,20 @@ def _row_classes(E: np.ndarray) -> np.ndarray:
     """Class id per node; two nodes share one exactly when their rows of E are equal.
 
     Rows are compared as bytes (a zero's sign counts), after one stable sort
-    of the rows viewed as bytes, which copies nothing.  Classes are numbered
-    by their first row.
+    of the rows viewed as bytes, which copies nothing; each row is then
+    copied once, as it is compared with its neighbor in the sort.  Classes
+    are numbered by their first row.
     """
     rows = E.view(np.dtype((np.void, E.itemsize * E.shape[1]))).ravel()
     order = np.argsort(rows, kind="stable")
     head = np.ones(len(E), dtype=bool)
-    head[1:] = [rows[a] != rows[b] for a, b in zip(order[:-1].tolist(), order[1:].tolist())]
+    head[1:] = [a != b for a, b in pairwise(E[i].tobytes() for i in order.tolist())]
     first = np.empty_like(order)  # per row, the first row equal to it
     first[order] = order[head][np.cumsum(head) - 1]
     return np.unique(first, return_inverse=True)[1]
 
 
-def _partner_groups(indptr, ks, out_w, in_w, pair):
+def _partner_groups(indptr, rows, ks, out_w, in_w, pair):
     """Per partner j, its slots (j, m) grouped by weight pair.
 
     The slots of one group share the tie factor and the denominator
@@ -151,16 +153,22 @@ def _partner_groups(indptr, ks, out_w, in_w, pair):
     per key only the group's largest E[k, m] can win the match.  Per j: the
     first m of each group, the group's w(j -> m) and w(m -> j) as columns,
     and a 2 x d array of the group and the m of each further member, or None.
+    One stable sort by (row, pair) groups every partner's slots at once,
+    each group in slot order.
     """
+    order = np.lexsort((pair, rows))
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (np.diff(rows[order]) != 0) | (np.diff(pair[order]) != 0)
+    # Per partner, its groups' range and its further members' range.
+    head_ptr = np.append(0, np.cumsum(head))[indptr].tolist()
+    dup_ptr = np.append(0, np.cumsum(~head))[indptr].tolist()
+    heads = order[head]
+    firsts, outs, ins = ks[heads], out_w[heads, None], in_w[heads, None]
+    group = np.cumsum(head) - 1 - np.repeat(head_ptr[:-1], np.diff(indptr))
+    dups = np.stack((group[~head], ks[order[~head]]))
     partners = []
-    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        order = a + np.argsort(pair[a:b], kind="stable")
-        head = np.ones(b - a, dtype=bool)
-        head[1:] = np.diff(pair[order]) != 0
-        group = np.cumsum(head) - 1
-        heads = order[head]
-        dups = np.stack((group[~head], ks[order[~head]])) if not head.all() else None
-        partners.append((ks[heads], out_w[heads, None], in_w[heads, None], dups))
+    for a, b, c, d in zip(head_ptr[:-1], head_ptr[1:], dup_ptr[:-1], dup_ptr[1:]):
+        partners.append((firsts[a:b], outs[a:b], ins[a:b], dups[:, c:d] if d > c else None))
     return partners
 
 
@@ -203,7 +211,7 @@ def _setup(g: MentionGraph, iterations: int) -> _Setup:
         pair=pair,
         pair_out=pair_out,
         pair_in=pair_in,
-        partners=_partner_groups(indptr, ks, out_w, in_w, pair),
+        partners=_partner_groups(indptr, rows, ks, out_w, in_w, pair),
         isolated=np.diff(indptr) == 0,
     )
 
@@ -325,6 +333,14 @@ def _tie_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     # At slot (j, i): partner j's one-sided sums over i's slots.
     num = np.zeros(len(s.rows))
     den = np.zeros(len(s.rows))
+    # Per slot (j, i), the keys of i's slots, in slot order: partner j's
+    # run is gathered[near[j]:near[j + 1]], and owner names each key's slot.
+    starts = s.indptr[s.ks]
+    counts = s.indptr[s.ks + 1] - starts
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(s.ks)), counts)
+    gathered = inverse[starts[owner] + np.arange(len(owner)) - (ends - counts)[owner]]
+    near = np.append(0, ends)[s.indptr].tolist()
     # Scratch per key, reset after each partner.
     seen = np.zeros(len(key_col), dtype=bool)
     position = np.zeros(len(key_col), dtype=np.int64)
@@ -333,13 +349,10 @@ def _tie_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
         a, b = bounds[j], bounds[j + 1]
         if a == b:
             continue
-        # The keys of j's neighbors' slots, in slot order, and for each slot
-        # the neighbor's place in N(j).
-        starts = s.indptr[s.ks[a:b]]
-        counts = s.indptr[s.ks[a:b] + 1] - starts
-        local_row = np.repeat(np.arange(b - a), counts)
-        rank = np.arange(len(local_row)) - (np.cumsum(counts) - counts)[local_row]
-        keys = inverse[starts[local_row] + rank]
+        # The keys of j's neighbors' slots, and for each the neighbor's
+        # place in N(j).
+        keys = gathered[near[j] : near[j + 1]]
+        local_row = owner[near[j] : near[j + 1]] - a
         seen[keys] = True
         used = np.flatnonzero(seen)
         seen[used] = False
