@@ -7,6 +7,12 @@ every neighbor k of i the best-matching neighbor m of j, weighting tie
 agreement by the previous round's equivalence of k and m.  Three rounds make
 the measure sensitive to three-step neighborhoods.
 
+A slot (i, k) is scored through its key, the class of k's row of E and
+the slot's weight pair.  Keys are numbered by weight pair, then class, so
+one partner's per-pair tie factors and denominator candidates reach the
+keys by ``np.repeat``, and the candidates of the best matches are kept by
+an ``fmax`` against (best - match) * inf, which is nan exactly at them.
+
 E is held once per row class, and a full round writes the next E a band
 of partners at a time, so it holds two n x n matrices at most.
 ``rege`` stops one round short, and its result runs the last round when
@@ -174,7 +180,8 @@ def _partner_groups(indptr, rows, ks, out_w, in_w, pair):
 
 @dataclass(frozen=True)
 class _Setup:
-    """What every round reads: the slots, their weight pairs, the partners."""
+    """What every round reads: the slots, their weight pairs, the partners;
+    and the adjacency they were read from (the graph's own, not a copy)."""
 
     indptr: np.ndarray
     rows: np.ndarray
@@ -184,6 +191,15 @@ class _Setup:
     pair_in: np.ndarray
     partners: list
     isolated: np.ndarray
+    adj: csr_matrix
+
+    def built_from(self, g: MentionGraph) -> bool:
+        """Whether g has the ties and weights that the setup was read from."""
+        other = g.csr()
+        return self.adj.shape == other.shape and all(
+            np.array_equal(getattr(self.adj, a), getattr(other, a))
+            for a in ("indptr", "indices", "data")
+        )
 
 
 def _setup(g: MentionGraph, iterations: int) -> _Setup:
@@ -200,7 +216,7 @@ def _setup(g: MentionGraph, iterations: int) -> _Setup:
         )
     indptr, rows, ks, out_w, in_w = _slots(g)
     # Distinct (out_w, in_w) weight pairs; tie factors and denominator
-    # candidates are computed per pair and gathered per key.
+    # candidates are computed per pair and repeated over its keys.
     (pair_out, pair_in), pair = np.unique(
         np.stack([out_w, in_w]), axis=1, return_inverse=True
     )
@@ -213,27 +229,40 @@ def _setup(g: MentionGraph, iterations: int) -> _Setup:
         pair_in=pair_in,
         partners=_partner_groups(indptr, rows, ks, out_w, in_w, pair),
         isolated=np.diff(indptr) == 0,
+        adj=g.csr(),
     )
 
 
 def _slot_keys(classes: np.ndarray, s: _Setup):
-    """Key id per slot, and each key's column (the class of its k) and weight pair."""
-    slot_key = classes[s.ks] * len(s.pair_out) + s.pair
+    """Key id per slot, and each key's column (the class of its k) and weight pair.
+
+    Keys are numbered by (weight pair, class), so each pair's keys form one
+    run and ``key_pair`` never decreases, in any subset taken in key order:
+    ``np.bincount(key_pair, minlength=P)`` gives the run lengths that
+    ``_partner_scores`` repeats the per-pair factors by.
+    """
+    n = len(classes)
+    slot_key = s.pair * n + classes[s.ks]
     keys, inverse = np.unique(slot_key, return_inverse=True)
-    key_col, key_pair = np.divmod(keys, len(s.pair_out))
+    key_pair, key_col = np.divmod(keys, n)
     return inverse, key_col, key_pair
 
 
-def _partner_scores(Ec, classes, partner, key_col, key_pair, s: _Setup):
+def _partner_scores(Ec, classes, partner, key_col, runs, s: _Setup):
     """Partner j's best match and its denominator, per key given.
 
-    Each key is scored on its own, so scoring a subset of the keys gives
-    the same bits for those keys as scoring all of them.
+    The keys come in key order, ``runs[p]`` of them with weight pair p, so
+    a pair's tie factor and denominator candidate reach its keys by
+    ``np.repeat``.  Per key, the candidates of the groups whose match ties
+    the best exactly are kept, by ``np.fmax`` against (best - match) * inf,
+    and the least of them is the denominator.  Each key is scored on its
+    own, so scoring a subset of the keys gives the same bits for those keys
+    as scoring all of them.
     """
     heads, out_j, in_j, dups = partner
     if not len(heads):
         # No neighbors: every tie of i is unmatched and counts in full.
-        return np.zeros(len(key_col)), (s.pair_out + s.pair_in)[key_pair]
+        return np.zeros(len(key_col)), (s.pair_out + s.pair_in).repeat(runs)
     # E is symmetric, so row m of E holds E[k, m] for every key's k, and
     # the key's column of Ec holds it once per class.
     head_classes = classes[heads]
@@ -246,18 +275,22 @@ def _partner_scores(Ec, classes, partner, key_col, key_pair, s: _Setup):
         for group, c in zip(groups[differ].tolist(), member_classes[differ].tolist()):
             np.maximum(group_rows[group], Ec[c], out=group_rows[group])
     match = group_rows.take(key_col, axis=1)
-    match *= (np.minimum(s.pair_out, out_j) + np.minimum(s.pair_in, in_j)).take(
-        key_pair, axis=1
+    match *= (np.minimum(s.pair_out, out_j) + np.minimum(s.pair_in, in_j)).repeat(
+        runs, axis=1
     )
-    best = match.max(axis=0)
+    best = np.maximum.reduce(match, axis=0)
     den_candidates = (
         np.maximum(s.pair_out, out_j) + np.maximum(s.pair_in, in_j)
-    ).take(key_pair, axis=1)
-    # Only the best matches keep their candidate: x / True is x, and
-    # x / False is inf because every candidate is positive.
-    with np.errstate(divide="ignore"):
-        den_candidates /= match == best
-    return best, den_candidates.min(axis=0)
+    ).repeat(runs, axis=1)
+    # Only the best matches keep their candidate: best - match is 0 exactly
+    # there (subtraction underflows gradually, so it is 0 only between equal
+    # values), so times inf it is nan there and inf elsewhere, and fmax
+    # keeps the candidate where the other operand is nan.
+    with np.errstate(invalid="ignore"):
+        np.subtract(best, match, out=match)
+        match *= np.inf
+        np.fmax(den_candidates, match, out=den_candidates)
+    return best, np.minimum.reduce(den_candidates, axis=0)
 
 
 def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
@@ -274,6 +307,7 @@ def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     n = len(classes)
     inverse, key_col, key_pair = _slot_keys(classes, s)
     K = len(key_col)
+    runs = np.bincount(key_pair, minlength=len(s.pair_out))
     slot_matrix = csr_matrix((np.ones(len(inverse)), inverse, s.indptr), shape=(n, K))
     # A band's scores (2 x width x K) and sums (n x 2 x width) stay near
     # 2 * _BAND_VALUES values each.
@@ -287,7 +321,7 @@ def _full_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
         scores = np.empty((2 * w, K))
         for c, j in enumerate(range(r, e)):
             scores[c], scores[w + c] = _partner_scores(
-                Ec, classes, s.partners[j], key_col, key_pair, s
+                Ec, classes, s.partners[j], key_col, runs, s
             )
         sums = slot_matrix @ np.ascontiguousarray(scores.T)  # row i: node i's sums
         num, den = sums[:, :w], sums[:, w:]
@@ -345,6 +379,7 @@ def _tie_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
     seen = np.zeros(len(key_col), dtype=bool)
     position = np.zeros(len(key_col), dtype=np.int64)
     bounds = s.indptr.tolist()
+    P = len(s.pair_out)
     for j, partner in enumerate(s.partners):
         a, b = bounds[j], bounds[j + 1]
         if a == b:
@@ -354,13 +389,12 @@ def _tie_round(Ec: np.ndarray, classes: np.ndarray, s: _Setup) -> np.ndarray:
         keys = gathered[near[j] : near[j + 1]]
         local_row = owner[near[j] : near[j + 1]] - a
         seen[keys] = True
-        used = np.flatnonzero(seen)
+        used = seen.nonzero()[0]
         seen[used] = False
         position[used] = np.arange(len(used))
         local = position[keys]
-        best, den_min = _partner_scores(
-            Ec, classes, partner, key_col[used], key_pair[used], s
-        )
+        runs = np.bincount(key_pair[used], minlength=P)
+        best, den_min = _partner_scores(Ec, classes, partner, key_col[used], runs, s)
         num[a:b] = np.bincount(local_row, weights=best[local], minlength=b - a)
         den[a:b] = np.bincount(local_row, weights=den_min[local], minlength=b - a)
     # E[i, j] sums the one-sided values of slot (i, j) and its mirror (j, i).
@@ -387,8 +421,12 @@ def rege(g: MentionGraph, iterations: int = 3) -> EquivalenceMatrix:
     slots are merged per weight pair first, and scatters the scores back to
     the slots, so a round costs at most O(K * S) for K keys and S slots.  In
     the first round E is all ones, so K is the number of distinct weight
-    pairs.  The result is the same, bit for bit, as scoring every slot
-    against every slot.
+    pairs.  Keys run by weight pair, then class: each of j's groups expands
+    its P per-pair factors to the K keys with one ``np.repeat`` (every pair
+    occurs at some slot, so P <= K), and a match keeps its denominator
+    candidate when best - match is exactly 0, by ``np.fmax`` against that
+    difference times inf, with no divide.  The result is the same, bit for
+    bit, as scoring every slot against every slot.
 
     Between rounds E is held once per row class, as a class x class matrix,
     and a full round writes the next E in bands of partners, so no more than
@@ -423,7 +461,7 @@ def high_eq_tie_fraction(
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    if e.nicks != g.nicks:
+    if e.nicks != g.nicks or not e._setup.built_from(g):
         raise ValueError("equivalence matrix does not match the graph")
     rows, _, values = e._ties()
     n = g.node_count

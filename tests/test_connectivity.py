@@ -20,7 +20,7 @@ from chatnet.graph import UndirectedView, to_undirected
 from chatnet.report import AnalysisConfig, run_pipeline
 
 from oracles import all_pairs_min_cut, blocks_oracle, cutpoints_oracle, top_links_by_full_tree
-from synth import as_undirected, ids_of, nick, random_ugraph
+from synth import as_undirected, ids_of, nick, preferential_attachment_graph, random_ugraph
 
 # two unit triangles joined by one bridge
 BRIDGE_EDGES = [
@@ -385,21 +385,45 @@ def test_top_links_k_validation(fixture_undirected):
     assert len(top_links(fixture_undirected, k=99)) == fixture_undirected.edge_count
 
 
+def record_flows(monkeypatch):
+    # Per max-flow run: whether the hub pass ran it, and whether it starts
+    # at a node with no arc in.  A hub pass runs its batches from the super
+    # source, the one such node, and a joining hub's flow from the hub.
+    flows, in_pass = [], []
+    real_flow, real_hub_edges = connectivity.maximum_flow, connectivity._hub_edges
+
+    def counting(csgraph, source, sink):
+        flows.append((bool(in_pass), csgraph[:, source].nnz == 0))
+        return real_flow(csgraph, source, sink)
+
+    def hub_pass(*args, **kwargs):
+        in_pass.append(True)
+        try:
+            return real_hub_edges(*args, **kwargs)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(connectivity, "maximum_flow", counting)
+    monkeypatch.setattr(connectivity, "_hub_edges", hub_pass)
+    return flows
+
+
+def assert_flows_recorded(flows, trees):
+    # Every max-flow run is one that a tree records, and the hub pass's
+    # are its hub_flows: its batches and its hub joins.  Returns the joins.
+    assert len(flows) == sum(t.flows for t in trees)
+    assert sum(hub for hub, _ in flows) == sum(t.hub_flows for t in trees)
+    assert all(hub for hub, from_super_source in flows if from_super_source)
+    return sum(hub and not from_super_source for hub, from_super_source in flows)
+
+
 def test_weighted_lambda_report_builds_one_cut_tree(
     fixture_files, fixture_undirected, monkeypatch
 ):
     # Weighted lambda_sets builds the one full tree; top_links scores its
-    # candidates from smaller trees of their own.  Every max-flow run is
-    # one that a tree records.  A hub pass flow starts at the super source,
-    # the one node with no arc in.
-    calls = []
+    # candidates from smaller trees of their own.
     full, trees = [], []
-    real_flow, real_tree = connectivity.maximum_flow, connectivity.gomory_hu
-    real_cut_tree = connectivity._cut_tree
-
-    def counting(csgraph, source, sink):
-        calls.append(csgraph[:, source].nnz == 0)
-        return real_flow(csgraph, source, sink)
+    real_tree, real_cut_tree = connectivity.gomory_hu, connectivity._cut_tree
 
     def recording(*args, **kwargs):
         full.append(real_tree(*args, **kwargs))
@@ -409,7 +433,7 @@ def test_weighted_lambda_report_builds_one_cut_tree(
         trees.append(real_cut_tree(*args, **kwargs))
         return trees[-1]
 
-    monkeypatch.setattr(connectivity, "maximum_flow", counting)
+    flows = record_flows(monkeypatch)
     monkeypatch.setattr(connectivity, "gomory_hu", recording)
     monkeypatch.setattr(connectivity, "_cut_tree", recording_cut_tree)
     cfg = AnalysisConfig(
@@ -422,11 +446,22 @@ def test_weighted_lambda_report_builds_one_cut_tree(
     (tree,) = full
     assert tree.mode == "weighted"
     assert any(t is tree for t in trees) and 2 <= len(trees) <= 3
-    assert len(calls) == sum(t.flows for t in trees)
-    assert sum(calls) == sum(t.hub_flows for t in trees)
+    assert_flows_recorded(flows, trees)
     # the pendant steps of the fixture are certified without a max-flow
     components, _ = connected_components(fixture_undirected.csr(), directed=False)
     assert tree.flows < fixture_undirected.node_count - components
+
+
+def test_hub_flows_count_the_hub_joins(monkeypatch):
+    # The weighted preferential-attachment graph of the certificate tests,
+    # whose hub pass grows its hub set: each joining hub's flow runs from
+    # the hub and counts in hub_flows.
+    n = 60
+    g = preferential_attachment_graph(n, int(3.5 * n), 1000 + n)
+    view = as_undirected(n, list(to_undirected(g).edges()))
+    flows = record_flows(monkeypatch)
+    tree = gomory_hu(view, "weighted")
+    assert assert_flows_recorded(flows, [tree]) >= 1
 
 
 def test_top_links_hold_under_400_bytes_per_edge():

@@ -8,6 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the kernel's tie-rule test needs it
+    hypothesis = None
+
 from chatnet import equivalence
 from chatnet.equivalence import (
     CASE_CHARACTERISTICS,
@@ -334,6 +340,80 @@ def test_tie_values_equal_rege_at_every_slot(make_graph, seed, weighted, iterati
     assert_tie_values_match_rege(make_graph(seed), iterations, weighted)
 
 
+def transcribed_scores(Ec, classes, s, slot_w, j, key_col, key_pair):
+    # The kernel's rule, one key and one slot (j, m) at a time: the best
+    # match, then the least denominator candidate among the slots whose
+    # match equals it exactly.  A partner without slots matches nothing.
+    out_w, in_w = slot_w
+    slots = range(s.indptr[j], s.indptr[j + 1])
+    best, den = [], []
+    for c, p in zip(key_col.tolist(), key_pair.tolist()):
+        o, i = s.pair_out[p], s.pair_in[p]
+        if not slots:
+            best.append(0.0)
+            den.append(o + i)
+            continue
+        matches = [
+            Ec[classes[s.ks[t]], c] * (min(o, out_w[t]) + min(i, in_w[t])) for t in slots
+        ]
+        top = max(matches)
+        best.append(top)
+        den.append(
+            min(max(o, out_w[t]) + max(i, in_w[t]) for t, m in zip(slots, matches) if m == top)
+        )
+    return np.array(best, dtype=np.float64), np.array(den, dtype=np.float64)
+
+
+# Fractional and tiny weights: products of E and tie factors reach the
+# subnormals, where two matches can differ by the least gap there is.
+KERNEL_WEIGHTS = (0.1, 0.3, 1.0, 2.0, 1e-10, 1e-300, 5e-324)
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_partner_scores_follow_the_tie_rule():
+    # Every round of rege on small graphs with isolated nodes and one-way
+    # ties (a key of pair (w, 0) against partner slots of pair (0, w')
+    # has tie factor 0, so every match ties at 0): the kernel's best match
+    # and denominator, bit for bit, for all keys and for a subset in key
+    # order, as the tie round passes them, where some pairs have no keys.
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 8))
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda a: a[0] != a[1]
+        )
+        ties = draw(st.dictionaries(arc, st.sampled_from(KERNEL_WEIGHTS), max_size=16))
+        edges = sorted(ties)
+        return as_mention_graph(n, edges, [ties[e] for e in edges])
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs(), st.randoms(use_true_random=False))
+    def check(g, rnd):
+        s = equivalence._setup(g, 3)
+        _, _, _, out_w, in_w = _slots(g)
+        Ec, classes = np.ones((1, 1)), np.zeros(g.node_count, dtype=np.int64)
+        for _ in range(3):
+            _, key_col, key_pair = equivalence._slot_keys(classes, s)
+            assert (np.diff(key_pair) >= 0).all()
+            K = len(key_col)
+            subset = sorted(rnd.sample(range(K), rnd.randint(0, K)))
+            for used in (np.arange(K), np.array(subset, dtype=np.int64)):
+                runs = np.bincount(key_pair[used], minlength=len(s.pair_out))
+                for j, partner in enumerate(s.partners):
+                    got = equivalence._partner_scores(
+                        Ec, classes, partner, key_col[used], runs, s
+                    )
+                    want = transcribed_scores(
+                        Ec, classes, s, (out_w, in_w), j, key_col[used], key_pair[used]
+                    )
+                    for have, expected in zip(got, want):
+                        assert not np.isnan(have).any()
+                        assert have.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            Ec, classes = equivalence._compressed(equivalence._full_round(Ec, classes, s))
+
+    check()
+
+
 # sha256 over the bytes of rege(g, it).values and of its tie values, for
 # it = 1 to 4.  The 1e-12 checks against the reference cannot see a changed
 # last bit; these digests can.
@@ -567,6 +647,24 @@ def test_tie_fraction_threshold_validation(fixture_graph):
     other = MentionGraph.from_edge_list([("alice", "bob", 1)])
     with pytest.raises(ValueError, match="does not match the graph"):
         high_eq_tie_fraction(other, matrix, 0.5)
+
+
+def test_tie_fraction_refuses_a_matrix_of_another_graph():
+    # The same nodes with other ties, or the same ties at another weight:
+    # the matrix's ties are not g's, so its fractions would not be g's.
+    g1 = MentionGraph.from_edge_list([("aa", "bb", 1), ("cc", "bb", 1), ("dd", "ee", 1), ("aa", "ee", 1)])
+    chain = [("aa", "bb", 1), ("bb", "cc", 1), ("cc", "dd", 1), ("dd", "ee", 1)]
+    g2 = MentionGraph.from_edge_list(chain)
+    heavier = MentionGraph.from_edge_list(chain[:-1] + [("dd", "ee", 2)])
+    assert g1.nicks == g2.nicks == heavier.nicks
+    matrix = rege(g2, 3)
+    assert high_eq_tie_fraction(g2, matrix, 0.3) == dict.fromkeys(g2.nicks, 1.0)
+    for other, of in ((g2, g1), (heavier, g2), (g2, heavier)):
+        with pytest.raises(ValueError, match="does not match the graph"):
+            high_eq_tie_fraction(other, rege(of, 3), 0.3)
+    # an equal graph built anew is the same graph
+    again = MentionGraph.from_edge_list(list(reversed(chain)))
+    assert high_eq_tie_fraction(again, matrix, 0.3) == dict.fromkeys(g2.nicks, 1.0)
 
 
 def partition_of(members_by_label):
