@@ -272,11 +272,10 @@ def _source_side(caps: csr_matrix, flow: csr_matrix, source: int) -> np.ndarray:
     # Nodes reachable from the source through positive residual capacity;
     # this is the source side of a minimum cut once the flow is maximal.
     # caps holds both arcs of every edge, so scipy's flow has the structure
-    # of caps with its indices sorted; compare in that order.  A saturated
-    # arc is pointed back at the source, which the search has already
-    # visited, so the residual graph shares caps' row pointers.
-    if not caps.has_sorted_indices:
-        caps = caps.sorted_indices()
+    # of caps with its indices sorted, and caps is sorted where its block is
+    # cut out (``_block_certificates``): their data compare arc by arc.  A
+    # saturated arc is pointed back at the source, which the search has
+    # already visited, so the residual graph shares caps' row pointers.
     heads = np.where(caps.data > flow.data, caps.indices, source)
     residual = csr_matrix((np.ones(len(heads)), heads, caps.indptr), shape=caps.shape)
     side = np.zeros(caps.shape[0], dtype=bool)
@@ -376,27 +375,16 @@ def _locally_cut(caps: csr_matrix, degree: list[int], hub: int) -> np.ndarray:
 
 
 def _flow_network(caps: csr_matrix, hubs: list[int], degree: list[int]) -> csr_matrix:
-    """The block's arcs plus a super source k and a super sink k + 1.
-
-    Row k holds a zero-capacity arc to every node, set per batch, and each
-    of the given hubs h an arc of capacity deg(h) to the sink.
-    """
+    """The block's arcs, an arc of capacity deg(h) from each hub h (ids in
+    join order) to a super sink k + 1, and a super source k, in canonical
+    form: row k's zero-capacity arcs to 0..k-1, set per batch, are the last
+    k entries of ``data``, in column order."""
     k = caps.shape[0]
-    hubs = np.sort(np.asarray(hubs, dtype=np.intp))
-    at = caps.indptr[1:][hubs]  # the end of each hub's row
-    shift = np.zeros(k + 1, dtype=caps.indptr.dtype)
-    shift[hubs + 1] = 1
-    indptr = np.append(caps.indptr + np.cumsum(shift), [caps.nnz + len(hubs) + k] * 2)
-    data = np.insert(caps.data, at, np.asarray(degree)[hubs])
-    indices = np.insert(caps.indices, at, k + 1)
-    return csr_matrix(
-        (
-            np.concatenate([data, np.zeros(k, dtype=data.dtype)]),
-            np.concatenate([indices, np.arange(k, dtype=indices.dtype)]),
-            indptr,
-        ),
-        shape=(k + 2, k + 2),
-    )
+    arcs, hubs = caps.tocoo(), np.asarray(hubs, dtype=np.intp)
+    rows = np.concatenate([arcs.row, hubs, np.full(k, k)])
+    cols = np.concatenate([arcs.col, np.full(len(hubs), k + 1), np.arange(k)])
+    data = np.concatenate([arcs.data, np.asarray(degree)[hubs], np.zeros(k, arcs.data.dtype)])
+    return csr_matrix((data, (rows, cols)), shape=(k + 2, k + 2))
 
 
 def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndarray):
@@ -452,8 +440,8 @@ def _hub_edges(caps: csr_matrix, degree: list[int], certified, terminal: np.ndar
     hubs, in_hubs = [hub], [False] * k
     in_hubs[hub] = True
     budget, mu = degree[hub], degree[hub]
-    # While r is the one hub, flows run to r itself: scipy's solver takes
-    # about 15% longer through a sink arc.
+    # While r is the one hub, flows run to r itself: through a sink arc,
+    # scipy's solver took about 20% longer on the seed-7 chat block.
     ext, sink = _flow_network(caps, [], degree), hub
     indptr, indices, weights = caps.indptr.tolist(), caps.indices.tolist(), caps.data.tolist()
     heads, values = [], []
@@ -518,7 +506,7 @@ def _block_certificates(caps: csr_matrix, blocks, terminal: np.ndarray):
         block = np.append(head, others)
         if len(others) < 2 or np.count_nonzero(terminal[block]) < 2:
             continue
-        local_caps = caps[block][:, block]
+        local_caps = caps[block][:, block].sorted_indices()
         degree = np.asarray(local_caps.sum(axis=1)).ravel().tolist()
         bounds = _ma_bounds(local_caps)
         certified = _certifier(len(block), *bounds)
